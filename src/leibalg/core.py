@@ -119,7 +119,14 @@ class LeibnizAlgebra:
     # -- vectors and subspaces --------------------------------------------
 
     def vector(self, coords: Sequence) -> Vector:
-        v = tuple(self.field(c) for c in coords)
+        field = self.field
+        if coords.__class__ is tuple and len(coords) == self.dim:
+            for c in coords:
+                if c.__class__ is not FieldElement or c.field is not field:
+                    break
+            else:
+                return coords
+        v = tuple(field(c) for c in coords)
         if len(v) != self.dim:
             raise BadVector(f"expected {self.dim} coordinates, got {len(v)}")
         return v

@@ -9,6 +9,9 @@ Two kinds of field are supported:
 
 Elements carry their field descriptor and refuse mixed-field arithmetic.
 Everything is exact; no floating point is used anywhere in this package.
+``GF(p)`` returns one shared Field object per p, and a prime field with at
+most ``SHARED_ELEMENTS_MAX_P`` elements holds one shared element per residue:
+coercion and arithmetic return those objects instead of allocating.
 Square testing uses Euler's criterion over GF(p) and perfect-square checks
 on the reduced numerator/denominator over Q.
 """
@@ -25,10 +28,24 @@ RATIONALS = "rationals"
 PRIME = "prime"
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the twelve witnesses above is proven deterministic for
+# n below psi_12 (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86, 2017); psi_12 itself passes every witness.
+PRIMALITY_BOUND = 318665857834031151167461
+# Prime fields up to this size keep a tuple of their p elements.
+SHARED_ELEMENTS_MAX_P = 1024
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with fixed witnesses)."""
+    """Deterministic primality test for n < PRIMALITY_BOUND.
+
+    Miller-Rabin with fixed witnesses; at or above the bound the witnesses
+    prove nothing, so the test raises ValueError instead of answering.
+    """
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(
+            f"primality is proven only below {PRIMALITY_BOUND}; got {n}"
+        )
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -52,9 +69,14 @@ def is_prime(n: int) -> bool:
 
 
 class Field:
-    """Descriptor for Q or GF(p); also acts as an element factory."""
+    """Descriptor for Q or GF(p); also acts as an element factory.
 
-    __slots__ = ("kind", "modulus")
+    A prime field with p <= SHARED_ELEMENTS_MAX_P holds its p elements in
+    ``_elements``, indexed by residue; every element it hands out is one of
+    them.  Use ``GF(p)`` for the one shared instance per p.
+    """
+
+    __slots__ = ("kind", "modulus", "_elements", "_hash")
 
     def __init__(self, kind: str, modulus: int | None = None):
         if kind == RATIONALS:
@@ -63,12 +85,22 @@ class Field:
         elif kind == PRIME:
             if modulus is None or modulus < 2:
                 raise ConstructionError("a prime field needs a modulus >= 2")
+            if modulus >= PRIMALITY_BOUND:
+                raise ConstructionError(
+                    f"modulus {modulus} is not below {PRIMALITY_BOUND}, the bound "
+                    "under which the primality test is proven"
+                )
             if not is_prime(modulus):
                 raise ConstructionError(f"modulus {modulus} is not prime")
         else:
             raise ConstructionError(f"unknown field kind {kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "_hash", hash((kind, modulus)))
+        elements = None
+        if kind == PRIME and modulus <= SHARED_ELEMENTS_MAX_P:
+            elements = tuple(FieldElement(self, i) for i in range(modulus))
+        object.__setattr__(self, "_elements", elements)
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
@@ -81,6 +113,8 @@ class Field:
         return self.kind == PRIME
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Field)
             and self.kind == other.kind
@@ -88,7 +122,7 @@ class Field:
         )
 
     def __hash__(self):
-        return hash((self.kind, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"Field({self})"
@@ -110,20 +144,22 @@ class Field:
     def __call__(self, value) -> "FieldElement":
         """Coerce an int, Fraction, literal string, or same-field element."""
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise FieldMismatch(f"element of {value.field} used in {self}")
             return value
+        if value.__class__ is int and self._elements is not None:
+            return self._elements[value % self.modulus]
         if isinstance(value, str):
             return self._from_literal(value)
         if self.kind == PRIME:
             p = self.modulus
             if isinstance(value, int):
-                return FieldElement(self, value % p)
+                return self._residue(value % p)
             if isinstance(value, Fraction):
                 den = value.denominator % p
                 if den == 0:
                     raise DivisionByZero(f"denominator of {value} vanishes mod {p}")
-                return FieldElement(self, value.numerator * pow(den, -1, p) % p)
+                return self._residue(value.numerator * pow(den, -1, p) % p)
             raise ConstructionError(f"cannot coerce {value!r} into {self}")
         if isinstance(value, (int, Fraction)):
             return FieldElement(self, Fraction(value))
@@ -140,6 +176,13 @@ class Field:
             raise DivisionByZero(f"zero denominator in literal {text!r}")
         return self(Fraction(num, den))
 
+    def _residue(self, r: int) -> "FieldElement":
+        """The element with canonical residue r (GF(p) only)."""
+        elements = self._elements
+        if elements is not None:
+            return elements[r]
+        return FieldElement(self, r)
+
     def zero(self) -> "FieldElement":
         return self(0)
 
@@ -153,15 +196,24 @@ class Field:
         if self.kind != PRIME:
             raise NeedsFiniteField("cannot enumerate the rationals")
         for i in range(self.modulus):  # type: ignore[arg-type]
-            yield FieldElement(self, i)
+            yield self._residue(i)
 
 
 QQ = Field(RATIONALS)
 
+_PRIME_FIELDS: dict[int, Field] = {}
+
 
 def GF(p: int) -> Field:
-    """The prime field with p elements; p must be prime."""
-    return Field(PRIME, p)
+    """The prime field with p elements; p must be prime.
+
+    Returns the same Field object for every call with the same p.
+    """
+    field = _PRIME_FIELDS.get(p)
+    if field is None:
+        # setdefault keeps the first instance when two threads race here
+        field = _PRIME_FIELDS.setdefault(p, Field(PRIME, p))
+    return field
 
 
 class FieldElement:
@@ -184,7 +236,7 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(
                     f"mixed-field arithmetic: {self.field} vs {other.field}"
                 )
@@ -194,22 +246,30 @@ class FieldElement:
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.field.kind == PRIME:
-            return FieldElement(self.field, (self.value + other.value) % self.field.modulus)
-        return FieldElement(self.field, self.value + other.value)
+        field = self.field
+        if other.__class__ is not FieldElement or other.field is not field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if field._elements is not None:
+            return field._elements[(self.value + other.value) % field.modulus]
+        if field.kind == PRIME:
+            return FieldElement(field, (self.value + other.value) % field.modulus)
+        return FieldElement(field, self.value + other.value)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.field.kind == PRIME:
-            return FieldElement(self.field, (self.value - other.value) % self.field.modulus)
-        return FieldElement(self.field, self.value - other.value)
+        field = self.field
+        if other.__class__ is not FieldElement or other.field is not field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if field._elements is not None:
+            return field._elements[(self.value - other.value) % field.modulus]
+        if field.kind == PRIME:
+            return FieldElement(field, (self.value - other.value) % field.modulus)
+        return FieldElement(field, self.value - other.value)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -218,25 +278,30 @@ class FieldElement:
         return other - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.field.kind == PRIME:
-            return FieldElement(self.field, (self.value * other.value) % self.field.modulus)
-        return FieldElement(self.field, self.value * other.value)
+        field = self.field
+        if other.__class__ is not FieldElement or other.field is not field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if field._elements is not None:
+            return field._elements[(self.value * other.value) % field.modulus]
+        if field.kind == PRIME:
+            return FieldElement(field, (self.value * other.value) % field.modulus)
+        return FieldElement(field, self.value * other.value)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        if self.field.kind == PRIME:
-            return FieldElement(self.field, (-self.value) % self.field.modulus)
-        return FieldElement(self.field, -self.value)
+        field = self.field
+        if field.kind == PRIME:
+            return field._residue(-self.value % field.modulus)
+        return FieldElement(field, -self.value)
 
     def inv(self) -> "FieldElement":
         if not self:
             raise DivisionByZero(f"inverse of zero in {self.field}")
         if self.field.kind == PRIME:
-            return FieldElement(self.field, pow(self.value, -1, self.field.modulus))
+            return self.field._residue(pow(self.value, -1, self.field.modulus))
         return FieldElement(self.field, 1 / self.value)
 
     def __truediv__(self, other):
@@ -269,6 +334,8 @@ class FieldElement:
         return self.value != 0
 
     def __eq__(self, other):
+        if other.__class__ is FieldElement and other.field is self.field:
+            return self.value == other.value
         if isinstance(other, (int, Fraction)):
             other = self.field(other)
         if not isinstance(other, FieldElement):
@@ -315,7 +382,7 @@ def sqrt(x: FieldElement) -> FieldElement | None:
         p = x.field.modulus
         for r in range(p // 2 + 1):
             if r * r % p == x.value:
-                return FieldElement(x.field, r)
+                return x.field._residue(r)
         return None
     if not is_square(x):
         return None

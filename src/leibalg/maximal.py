@@ -208,8 +208,43 @@ class MaximalPairWitness:
     detail: str
 
 
-def is_isomorphic(a: LeibnizAlgebra, b: LeibnizAlgebra) -> IsoVerdict:
-    """Decide isomorphism; complete over GF(p) within the search bounds."""
+class _Target:
+    """The second algebra of is_isomorphic, with its search data built once.
+
+    A caller comparing many algebras against one passes the same instance
+    to every call; the fingerprint and the search side are computed on
+    first use and then shared.
+    """
+
+    __slots__ = ("algebra", "_fingerprint", "_side")
+
+    def __init__(self, algebra: LeibnizAlgebra):
+        self.algebra = algebra
+        self._fingerprint = None
+        self._side = None
+
+    def fingerprint(self) -> Fingerprint:
+        if self._fingerprint is None:
+            self._fingerprint = fingerprint(self.algebra)
+        return self._fingerprint
+
+    def side(self) -> "_SearchSide":
+        if self._side is None:
+            self._side = _SearchSide(self.algebra)
+        return self._side
+
+
+def is_isomorphic(
+    a: LeibnizAlgebra, b: LeibnizAlgebra, *, _target: _Target | None = None
+) -> IsoVerdict:
+    """Decide isomorphism; complete over GF(p) within the search bounds.
+
+    ``_target`` is ``_Target(b)`` shared between calls with the same b.
+    """
+    if _target is None:
+        _target = _Target(b)
+    elif _target.algebra is not b:
+        raise InternalError("search target does not belong to the second algebra")
     if a.field != b.field:
         raise FieldMismatch("isomorphism test needs a common field")
     if a.dim != b.dim:
@@ -217,7 +252,7 @@ def is_isomorphic(a: LeibnizAlgebra, b: LeibnizAlgebra) -> IsoVerdict:
     if a.table == b.table:
         identity = tuple(a.basis_vector(i) for i in range(a.dim))
         return IsoVerdict("yes", matrix=identity, reason="identical structure constants")
-    fa, fb = fingerprint(a), fingerprint(b)
+    fa, fb = fingerprint(a), _target.fingerprint()
     diff = _first_fingerprint_diff(fa, fb)
     if diff is not None:
         return IsoVerdict(
@@ -236,7 +271,7 @@ def is_isomorphic(a: LeibnizAlgebra, b: LeibnizAlgebra) -> IsoVerdict:
             f"dim(A/[A,A]) <= {_SEARCH_GEN_BOUND}; got dim={a.dim}, "
             f"generators={gen_count}"
         )
-    raw = _search_isomorphism(a, b)
+    raw = _search_isomorphism(a, b, _target.side())
     if raw is None:
         return IsoVerdict("no", reason="exhaustive generator-image search found no map")
     matrix = tuple(tuple(a.field(c) for c in row) for row in raw)
@@ -271,15 +306,17 @@ def check_p1(
 ) -> tuple[bool, MaximalPairWitness | None]:
     """All maximal subalgebras pairwise isomorphic?
 
-    Compares every maximal subalgebra against the first (tag order), then
-    spot-verifies transitivity on one seeded random pair.
+    Compares every maximal subalgebra against the first (tag order), whose
+    fingerprint and search data are built once, then spot-verifies
+    transitivity on one seeded random pair.
     """
     maximals = enumerate_maximal(algebra)
     if len(maximals) <= 1:
         return True, None
     first = maximals[0]
+    target = _Target(first.induced)
     for m in maximals[1:]:
-        verdict = is_isomorphic(m.induced, first.induced)
+        verdict = is_isomorphic(m.induced, first.induced, _target=target)
         if verdict.status != "yes":
             return False, MaximalPairWitness(first, m, verdict.reason)
     if len(maximals) >= 3:
@@ -485,10 +522,16 @@ def _nilindex(op_rows, p: int, n: int) -> int:
     return n + 2
 
 
-def _search_isomorphism(a: LeibnizAlgebra, b: LeibnizAlgebra):
-    """Complete generator-image search; a matrix (rows = basis images) or None."""
+def _search_isomorphism(
+    a: LeibnizAlgebra, b: LeibnizAlgebra, side_b: _SearchSide | None = None
+):
+    """Complete generator-image search; a matrix (rows = basis images) or None.
+
+    ``side_b`` is ``_SearchSide(b)`` when the caller already holds it.
+    """
     side_a = _SearchSide(a)
-    side_b = _SearchSide(b)
+    if side_b is None:
+        side_b = _SearchSide(b)
     p = side_a.alg.p
     n = side_a.alg.n
     gens = side_a.coset_coords

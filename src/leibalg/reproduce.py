@@ -12,6 +12,7 @@ in fixed claim-id order regardless of completion order.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -147,45 +148,38 @@ def _span_of_labels(algebra: LeibnizAlgebra, *indices: int) -> Subspace:
     return algebra.subspace([algebra.basis_vector(i) for i in indices])
 
 
-def enumerate_subspaces(space: Subspace, min_dim: int, cap: int = 200) -> list[Subspace]:
-    """All subspaces of a given subspace with dim >= min_dim (capped count).
+def enumerate_subspaces(space: Subspace, min_dim: int) -> list[Subspace]:
+    """All subspaces of ``space`` with dim >= min_dim, each exactly once.
 
-    Grown breadth-first by extending known subspaces with ambient vectors of
-    the input space; deterministic order.
+    A k-dimensional subspace is the row space of exactly one k x d matrix C
+    in reduced echelon form (d = space.dim), and C times the echelon basis
+    of ``space`` is again in reduced echelon form, with pivots at the basis
+    pivots that C's pivots select.  So the subspaces are listed by pivot set
+    of C, then by the values of C's free entries: [d, k]_p of each
+    dimension k, in ascending k, rows already canonical.  GF(p) only.
     """
     field = space.field
-    n = space.ambient_dim
-    vectors = _all_vectors_of(space)
-    levels = [[Subspace.zero(field, n)]]
-    seen = {levels[0][0]}
+    elements = list(field.elements())
+    zero, one = field.zero(), field.one()
+    d = space.dim
     out = []
-    while levels[-1]:
-        nxt = []
-        for sub in levels[-1]:
-            for v in vectors:
-                if sub.contains(v):
-                    continue
-                grown = sub.sum_with(Subspace.span(field, n, [v]))
-                if grown not in seen:
-                    seen.add(grown)
-                    nxt.append(grown)
-                    if grown.dim >= min_dim:
-                        out.append(grown)
-                    if len(out) >= cap:
-                        return out
-        levels.append(nxt)
-    return out
-
-
-def _all_vectors_of(space: Subspace) -> list:
-    import itertools
-
-    field = space.field
-    p = field.modulus
-    out = []
-    for combo in itertools.product(range(p), repeat=space.dim):
-        if any(combo):
-            out.append(space.linear_combination([field(c) for c in combo]))
+    for k in range(max(min_dim, 0), d + 1):
+        for pivots in itertools.combinations(range(d), k):
+            free = [
+                (r, c)
+                for r, pc in enumerate(pivots)
+                for c in range(pc + 1, d)
+                if c not in pivots
+            ]
+            ambient_pivots = [space.pivots[pc] for pc in pivots]
+            for values in itertools.product(elements, repeat=len(free)):
+                coeffs = [[zero] * d for _ in range(k)]
+                for r, pc in enumerate(pivots):
+                    coeffs[r][pc] = one
+                for (r, c), value in zip(free, values):
+                    coeffs[r][c] = value
+                rows = [space.linear_combination(row) for row in coeffs]
+                out.append(Subspace(field, space.ambient_dim, rows, ambient_pivots))
     return out
 
 

@@ -1,6 +1,10 @@
 """Command-line interface: outputs and exit codes."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -344,3 +348,30 @@ class TestRandomGenerator:
         a = random_nilpotent_algebra(random.Random(5), GF(2), 4)
         b = random_nilpotent_algebra(random.Random(5), GF(2), 4)
         assert a == b
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["leibalg", "leibalg.cli"])
+    def test_python_m_runs_the_command_line(self, module):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", module,
+                "reproduce", "--fields", "3", "--only", "example4", "--no-timing",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        golden = (root / "verification_report.txt").read_text(encoding="utf-8")
+        expected = [
+            line for line in golden.splitlines() if "example4" in line and "@GF(3)" in line
+        ]
+        assert len(expected) == 2
+        assert proc.stdout.splitlines() == expected + ["summary: 2 passed, 0 failed, 0 skipped"]

@@ -1,5 +1,6 @@
 """Exact field arithmetic: construction, canonical forms, squares."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from leibalg import (
     is_square,
     sqrt,
 )
+from leibalg.fields import PRIMALITY_BOUND, SHARED_ELEMENTS_MAX_P, is_prime
 
 
 class TestConstruction:
@@ -157,3 +159,73 @@ class TestSquares:
 
     def test_gf2_everything_square(self):
         assert is_square(GF(2)(0)) and is_square(GF(2)(1))
+
+
+class TestSharedScalars:
+    def test_one_field_object_per_prime(self):
+        assert GF(7) is GF(7)
+        assert Field.parse("GF(7)") is GF(7)
+
+    def test_separately_built_field_interoperates(self):
+        other = Field("prime", 7)
+        assert other == GF(7) and hash(other) == hash(GF(7))
+        assert other(3) + GF(7)(5) == GF(7)(1)
+        assert GF(7)(3) * other(5) == other(1)
+        assert GF(7)(other(4)) == GF(7)(4)
+        assert {other(2), GF(7)(2)} == {GF(7)(2)}
+
+    def test_results_are_the_shared_elements(self):
+        field = GF(7)
+        assert field(3) is field(10) is field(Fraction(3)) is field("-4")
+        assert field(3) + field(5) is field(1)
+        assert field(3) - field(5) is field(5)
+        assert field(3) * field(5) is field(1)
+        assert -field(3) is field(4)
+        assert field(3).inv() is field(5)
+        assert field(field(2)) is field(2)
+        assert list(field.elements()) == [field(i) for i in range(7)]
+
+    def test_mixed_fields_still_rejected(self):
+        with pytest.raises(FieldMismatch):
+            GF(5)(1) + GF(7)(1)
+        with pytest.raises(FieldMismatch):
+            GF(5)(GF(7)(1))
+
+    @pytest.mark.parametrize("p", [10007, 2**61 - 1])
+    def test_above_the_shared_bound_matches_integers(self, p):
+        assert p > SHARED_ELEMENTS_MAX_P
+        field = GF(p)
+        rng = random.Random(p)
+        for _ in range(200):
+            a, b = rng.randrange(-p * p, p * p), rng.randrange(1, p)
+            x, y = field(a), field(b)
+            assert x.value == a % p
+            assert (x + y).value == (a + b) % p
+            assert (x - y).value == (a - b) % p
+            assert (x * y).value == (a * b) % p
+            assert (-x).value == -a % p
+            assert (y.inv() * b).value == 1
+            assert (x / y).value == a * pow(b, -1, p) % p
+            assert field(Fraction(a, b)) == x / y
+        assert field(Fraction(1, 2)).value == (p + 1) // 2
+
+
+class TestPrimalityBound:
+    def test_prime_below_the_bound_accepted(self):
+        below = 318665857834031151167441  # the largest prime under the bound
+        assert below < PRIMALITY_BOUND
+        assert is_prime(below)
+        assert GF(below).modulus == below
+
+    def test_bound_itself_rejected(self):
+        # psi_12 is composite yet passes Miller-Rabin for all twelve witnesses
+        assert PRIMALITY_BOUND == 399165290221 * 798330580441
+        with pytest.raises(ConstructionError, match=str(PRIMALITY_BOUND)):
+            GF(PRIMALITY_BOUND)
+        with pytest.raises(ValueError):
+            is_prime(PRIMALITY_BOUND)
+
+    def test_prime_above_the_bound_rejected(self):
+        above = 318665857834031151167483  # the smallest prime over the bound
+        with pytest.raises(ConstructionError, match=str(PRIMALITY_BOUND)):
+            GF(above)

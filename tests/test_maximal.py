@@ -283,6 +283,33 @@ class TestProperties:
         ok, witness = check_p1(cc1(GF(3), 1, 0, 0))
         assert ok and witness is None
 
+    def test_p1_builds_the_reference_data_once(self, monkeypatch):
+        import leibalg.maximal as maximal_module
+
+        seen = []
+        real_fingerprint, real_side = maximal_module.fingerprint, maximal_module._SearchSide
+
+        def counting_fingerprint(algebra):
+            seen.append(("fingerprint", algebra))
+            return real_fingerprint(algebra)
+
+        def counting_side(algebra):
+            seen.append(("side", algebra))
+            return real_side(algebra)
+
+        monkeypatch.setattr(maximal_module, "fingerprint", counting_fingerprint)
+        monkeypatch.setattr(maximal_module, "_SearchSide", counting_side)
+        field = GF(5)
+        algebra = instantiate("A1_6dim", field, {"c": -3, "d": 1, "g": 2, "rhat": 1, "shat": 1})
+        ok, _ = check_p1(algebra)
+        assert ok
+        first = enumerate_maximal(algebra)[0].induced
+        for kind in ("fingerprint", "side"):
+            with_first = [alg for k, alg in seen if k == kind and alg.table == first.table]
+            others = [alg for k, alg in seen if k == kind and alg.table != first.table]
+            assert len(with_first) == 1
+            assert len(others) >= 2
+
     def test_p1_negative_with_witness(self):
         ok, witness = check_p1(instantiate("cex_A8", GF(3), {}))
         assert not ok

@@ -1,0 +1,61 @@
+"""The claim suite: exact subspace enumeration and the committed report."""
+
+from pathlib import Path
+
+import pytest
+
+from leibalg import GF, Subspace
+from leibalg.cli import main
+from leibalg.reproduce import enumerate_subspaces
+
+GOLDEN = Path(__file__).resolve().parents[1] / "verification_report.txt"
+
+
+def gaussian_binomial(n: int, k: int, p: int) -> int:
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+class TestEnumerateSubspaces:
+    def test_five_dim_space_over_gf3(self):
+        field = GF(3)
+        # a five-dimensional subspace of GF(3)^7 whose pivots are not 0..4
+        space = Subspace.span(
+            field,
+            7,
+            [
+                [1, 2, 0, 0, 1, 0, 2],
+                [0, 0, 1, 0, 2, 1, 0],
+                [0, 0, 0, 1, 1, 1, 1],
+                [1, 0, 1, 2, 0, 0, 0],
+                [0, 1, 1, 1, 1, 1, 0],
+            ],
+        )
+        assert space.dim == 5 and space.pivots != (0, 1, 2, 3, 4)
+        subspaces = enumerate_subspaces(space, 2)
+        assert len(subspaces) == 2542
+        assert 2542 == sum(gaussian_binomial(5, k, 3) for k in range(2, 6))
+        assert len(set(subspaces)) == 2542
+        for sub in subspaces:
+            assert sub.dim >= 2
+            assert sub == Subspace.span(field, 7, sub.rows)
+            assert sub.rows == Subspace.span(field, 7, sub.rows).rows
+            assert space.contains_space(sub)
+
+    @pytest.mark.parametrize("p,d", [(2, 4), (5, 2), (3, 3)])
+    def test_counts_every_dimension(self, p, d):
+        field = GF(p)
+        space = Subspace.full(field, d)
+        subspaces = enumerate_subspaces(space, 0)
+        assert len(set(subspaces)) == len(subspaces)
+        for k in range(d + 1):
+            assert sum(1 for s in subspaces if s.dim == k) == gaussian_binomial(d, k, p)
+
+
+def test_report_matches_the_committed_one(capsys):
+    code = main(["reproduce", "--fields", "3,5,7", "--seed", "0", "--no-timing"])
+    assert code == 0
+    assert capsys.readouterr().out.encode("utf-8") == GOLDEN.read_bytes()
