@@ -65,7 +65,6 @@ from .maximal import (
     fingerprint,
     frattini_by_intersection,
     is_isomorphic,
-    restrict,
 )
 from .poly import MultiPoly
 from .series import (
@@ -137,7 +136,6 @@ __all__ = [
     "parse_parametric",
     "parse_poly",
     "parse_relations",
-    "restrict",
     "sample_params",
     "sqrt",
     "upper_central_series",

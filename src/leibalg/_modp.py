@@ -1,10 +1,33 @@
-"""Integer residue linear algebra used by the search and sampling kernels.
+"""The integer residue kernel: every GF(p) computation of the package.
 
 Vectors are plain lists of ints in [0, p); no FieldElement boxing.  Only
-prime moduli are used, so inverses come from pow(x, -1, p).
+prime moduli are used, so inverses come from pow(x, -1, p).  ``core`` and
+``linalg`` run prime-field algebras and subspaces through these functions
+and box the results into FieldElements only at their public boundary; the
+isomorphism search (``maximal``) and ``randomgen`` work on residues
+throughout.  The rationals keep the boxed loops of ``linalg`` and ``core``.
+
+Structure constants are held as sparse cells: ``cells[i][j]`` is the tuple
+of (k, c) pairs with c != 0 in [e_i, e_j] = sum_k c e_k.
 """
 
 from __future__ import annotations
+
+
+def bracket(cells, u, v, p: int):
+    """[u, v] for residue vectors u, v under the sparse structure cells."""
+    acc = [0] * len(cells)
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        row = cells[i]
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            c = ui * vj
+            for k, coeff in row[j]:
+                acc[k] = (acc[k] + c * coeff) % p
+    return acc
 
 
 def rref(rows, p: int, ncols: int):

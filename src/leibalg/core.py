@@ -9,6 +9,12 @@ and bilinearity makes checking it on basis triples sufficient.  Squares
 [v, v] need not vanish; the span of all squares is an ideal annihilating
 the algebra from the left.
 
+Over GF(p) an algebra also holds its structure constants as sparse integer
+residues (see ``_modp``), built once at construction; every operation below
+computes on those residues through ``_modp`` and boxes only its results.
+The table, subspaces, and vectors seen by callers are FieldElements over
+every field; over Q the operations compute on them directly.
+
 Algebras, vectors, and subspaces are immutable; every operation here is a
 pure function of its inputs and safe for concurrent use.
 """
@@ -18,6 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
+from . import _modp
 from .errors import (
     BadIndex,
     BadVector,
@@ -28,7 +35,18 @@ from .errors import (
     NotASubalgebra,
 )
 from .fields import Field, FieldElement
-from .linalg import Subspace, Vector, basis_vector, nullspace, vec_add, vec_is_zero, zero_vector
+from .linalg import (
+    Subspace,
+    Vector,
+    _box,
+    _residue_rows,
+    _span_residues,
+    basis_vector,
+    nullspace,
+    vec_add,
+    vec_is_zero,
+    zero_vector,
+)
 
 
 @dataclass(frozen=True)
@@ -47,10 +65,12 @@ class LeibnizAlgebra:
     ``table[i][j]`` is the coordinate vector of [e_i, e_j] (0-based
     internally; the text format and ``from_table`` speak 1-based).  The
     instance is immutable; ``verified`` reports whether ``check_leibniz``
-    has run and found no violations.
+    has run and found no violations.  Over GF(p), ``_cells[i][j]`` holds
+    [e_i, e_j] as the sparse residue pairs (k, c) of ``_modp``; over Q it is
+    None.
     """
 
-    __slots__ = ("field", "dim", "table", "labels", "_verified")
+    __slots__ = ("field", "dim", "table", "labels", "_cells", "_verified")
 
     def __init__(self, field: Field, table, labels: Sequence[str] | None = None):
         dim = len(table)
@@ -70,6 +90,13 @@ class LeibnizAlgebra:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "table", coerced)
         object.__setattr__(self, "labels", labels)
+        cells = None
+        if field.is_finite():
+            cells = tuple(
+                tuple(tuple((k, c.value) for k, c in enumerate(cell) if c.value) for cell in row)
+                for row in coerced
+            )
+        object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_verified", None)
 
     def __setattr__(self, name, value):
@@ -155,6 +182,11 @@ class LeibnizAlgebra:
         """Bilinear extension of the structure tensor to vectors."""
         x = self.vector(x)
         y = self.vector(y)
+        cells = self._cells
+        if cells is not None:
+            u = [a.value for a in x]
+            v = [a.value for a in y]
+            return _box(self.field, _modp.bracket(cells, u, v, self.field.modulus))
         acc = list(self.zero_vector())
         for i, xi in enumerate(x):
             if not xi:
@@ -174,6 +206,11 @@ class LeibnizAlgebra:
         """All basis triples violating the defining identity (empty = valid)."""
         violations = []
         n = self.dim
+        cells = self._cells
+        if cells is not None:
+            self._check_leibniz_residues(cells, violations)
+            object.__setattr__(self, "_verified", not violations)
+            return violations
         basis = [self.basis_vector(i) for i in range(n)]
         for i in range(n):
             for j in range(n):
@@ -190,6 +227,30 @@ class LeibnizAlgebra:
             object.__setattr__(self, "_verified", False)
         return violations
 
+    def _check_leibniz_residues(self, cells, violations) -> None:
+        """check_leibniz over GF(p), reading the structure constants.
+
+        With c = cells: [e_i, [e_j, e_k]] = sum_m c[j][k]_m [e_i, e_m], and
+        likewise for the two right-hand terms.
+        """
+        n, p = self.dim, self.field.modulus
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    acc = [0] * n
+                    for m, c in cells[j][k]:
+                        for t, d in cells[i][m]:
+                            acc[t] += c * d
+                    for m, c in cells[i][j]:
+                        for t, d in cells[m][k]:
+                            acc[t] -= c * d
+                    for m, c in cells[i][k]:
+                        for t, d in cells[j][m]:
+                            acc[t] -= c * d
+                    if any(a % p for a in acc):
+                        residual = _box(self.field, [a % p for a in acc])
+                        violations.append(LeibnizViolation(i + 1, j + 1, k + 1, residual))
+
     @property
     def verified(self) -> bool:
         """True once check_leibniz has run and reported no violations."""
@@ -204,6 +265,14 @@ class LeibnizAlgebra:
 
         Bilinearity makes basis products sufficient.
         """
+        cells = self._cells
+        if cells is not None:
+            p = self.field.modulus
+            rights = _residue_rows(right.rows)
+            products = [
+                _modp.bracket(cells, u, v, p) for u in _residue_rows(left.rows) for v in rights
+            ]
+            return _span_residues(self.field, self.dim, products)
         products = [self.bracket(u, v) for u in left.rows for v in right.rows]
         return Subspace.span(self.field, self.dim, products)
 
@@ -219,6 +288,18 @@ class LeibnizAlgebra:
         """
         gens = []
         n = self.dim
+        cells = self._cells
+        if cells is not None:
+            p = self.field.modulus
+            for i in range(n):
+                gens.append(_dense(cells[i][i], n))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    v = _dense(cells[i][j], n)
+                    for k, c in cells[j][i]:
+                        v[k] = (v[k] + c) % p
+                    gens.append(v)
+            return _span_residues(self.field, n, gens)
         for i in range(n):
             gens.append(self.table[i][i])
         for i in range(n):
@@ -232,6 +313,15 @@ class LeibnizAlgebra:
     def left_center(self) -> Subspace:
         """{x : [x, a] = 0 for all a}; contains the (two-sided) center."""
         n = self.dim
+        cells = self._cells
+        if cells is not None:
+            p = self.field.modulus
+            raw = [[0] * n for _ in range(n * n)]
+            for i in range(n):
+                for j in range(n):
+                    for k, c in cells[i][j]:
+                        raw[j * n + k][i] = c
+            return _span_residues(self.field, n, _modp.nullspace(raw, p, n))
         rows = []
         for j in range(n):
             for k in range(n):
@@ -243,9 +333,21 @@ class LeibnizAlgebra:
 
         Linear in x: the canonical representative of [x, e_j] modulo w is a
         linear function of x, and membership in w means that representative
-        vanishes.
+        vanishes.  Over GF(p) membership in w is tested instead by the
+        covectors f vanishing on w: f([x, e_j]) = sum_i x_i f([e_i, e_j]).
         """
         n = self.dim
+        cells = self._cells
+        if cells is not None:
+            p = self.field.modulus
+            rows = []
+            for f in _modp.nullspace(_residue_rows(w.rows), p, n):
+                for j in range(n):
+                    right = [sum(c * f[k] for k, c in cells[i][j]) % p for i in range(n)]
+                    left = [sum(c * f[k] for k, c in cells[j][i]) % p for i in range(n)]
+                    rows.append(right)
+                    rows.append(left)
+            return _span_residues(self.field, n, _modp.nullspace(rows, p, n))
         rows = []
         basis = [self.basis_vector(i) for i in range(n)]
         for j in range(n):
@@ -257,13 +359,22 @@ class LeibnizAlgebra:
         return Subspace.span(self.field, n, nullspace(rows, self.field, n))
 
     def is_ideal(self, u: Subspace) -> bool:
+        cells = self._cells
+        if cells is not None:
+            n, p = self.dim, self.field.modulus
+            rows = _residue_rows(u.rows)
+            for r in rows:
+                for i in range(n):
+                    e = [0] * n
+                    e[i] = 1
+                    for w in (_modp.bracket(cells, e, r, p), _modp.bracket(cells, r, e, p)):
+                        if not _modp.contains(w, rows, u.pivots, p):
+                            return False
+            return True
         full = self.full_space()
         return u.contains_space(self.span_products(full, u)) and u.contains_space(
             self.span_products(u, full)
         )
-
-    def is_subalgebra(self, s: Subspace) -> bool:
-        return s.contains_space(self.span_products(s, s))
 
     # -- quotients, restrictions, sums --------------------------------------
 
@@ -277,6 +388,19 @@ class LeibnizAlgebra:
         if not self.is_ideal(ideal):
             raise NotAnIdeal("quotient requires a two-sided ideal")
         comp = ideal.complement_coords()
+        labels = tuple(self.labels[c] for c in comp)
+        cells = self._cells
+        if cells is not None:
+            n, p = self.dim, self.field.modulus
+            rows = _residue_rows(ideal.rows)
+            table = []
+            for a in comp:
+                row = []
+                for b in comp:
+                    image = _modp.reduce_mod(_dense(cells[a][b], n), rows, ideal.pivots, p)
+                    row.append([image[c] for c in comp])
+                table.append(row)
+            return QuotientMap(self, ideal, comp, LeibnizAlgebra(self.field, table, labels))
         m = len(comp)
         table = []
         for a in range(m):
@@ -287,7 +411,6 @@ class LeibnizAlgebra:
                 image = ideal.reduce(self.bracket(ea, eb))
                 row.append([image[c] for c in comp])
             table.append(row)
-        labels = tuple(self.labels[c] for c in comp)
         return QuotientMap(self, ideal, comp, LeibnizAlgebra(self.field, table, labels))
 
     def restrict(self, s: Subspace) -> "LeibnizAlgebra":
@@ -295,12 +418,20 @@ class LeibnizAlgebra:
         if s.field != self.field or s.ambient_dim != self.dim:
             raise BadVector("subspace does not live in this algebra")
         m = s.dim
+        cells = self._cells
+        if cells is not None:
+            p = self.field.modulus
+            rows = _residue_rows(s.rows)
         table = []
         for a in range(m):
             row = []
             for b in range(m):
-                prod = self.bracket(s.rows[a], s.rows[b])
-                coords = s.coords_of(prod)
+                if cells is not None:
+                    prod = _modp.bracket(cells, rows[a], rows[b], p)
+                    inside = _modp.contains(prod, rows, s.pivots, p)
+                    coords = [prod[pc] for pc in s.pivots] if inside else None
+                else:
+                    coords = s.coords_of(self.bracket(s.rows[a], s.rows[b]))
                 if coords is None:
                     raise NotASubalgebra(
                         f"product of basis vectors {a}, {b} leaves the subspace"
@@ -377,9 +508,6 @@ class LeibnizAlgebra:
     def is_lie(self) -> bool:
         return self.leib_ideal().is_zero()
 
-    def relabel(self, labels: Sequence[str]) -> "LeibnizAlgebra":
-        return LeibnizAlgebra(self.field, self.table, labels)
-
     def __eq__(self, other):
         return (
             isinstance(other, LeibnizAlgebra)
@@ -392,6 +520,14 @@ class LeibnizAlgebra:
 
     def __repr__(self):
         return f"LeibnizAlgebra(dim {self.dim} over {self.field})"
+
+
+def _dense(cell, n: int) -> list[int]:
+    """The residue vector of a sparse structure cell."""
+    v = [0] * n
+    for k, c in cell:
+        v[k] = c
+    return v
 
 
 @dataclass(frozen=True)

@@ -375,16 +375,38 @@ def sqrt(x: FieldElement) -> FieldElement | None:
     """Some y with y*y == x, or None when x is not a square.
 
     Deterministic: over GF(p) the smaller of the two canonical residues is
-    returned (found by exhaustive scan, adequate at desk scale); over Q the
-    nonnegative root is returned.
+    returned (found by Tonelli-Shanks); over Q the nonnegative root is
+    returned.
     """
     if x.field.kind == PRIME:
-        p = x.field.modulus
-        for r in range(p // 2 + 1):
-            if r * r % p == x.value:
-                return x.field._residue(r)
-        return None
+        r = _sqrt_mod(x.value, x.field.modulus)
+        return None if r is None else x.field._residue(min(r, -r % x.field.modulus))
     if not is_square(x):
         return None
     v: Fraction = x.value
     return FieldElement(x.field, Fraction(math.isqrt(v.numerator), math.isqrt(v.denominator)))
+
+
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of the residue a modulo the prime p, or None (Tonelli-Shanks)."""
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    # Invariant: r^2 = a t and t has order dividing 2^m, c of order 2^m.
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r

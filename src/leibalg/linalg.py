@@ -4,16 +4,42 @@ Vectors are tuples of FieldElement; matrices are lists/tuples of such rows.
 The central object is Subspace: a linear subspace stored as its unique
 reduced row echelon basis, so two subspaces are equal iff their stored
 matrices are equal.
+
+Over GF(p) every function here hands the residues (``.value``) to the
+integer kernel ``_modp`` and boxes only the results; the elimination loops
+on FieldElements below serve the rationals only.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+from . import _modp
 from .errors import BadVector, FieldMismatch
 from .fields import Field, FieldElement
 
 Vector = tuple[FieldElement, ...]
+
+
+def _box(field: Field, residues) -> Vector:
+    """A GF(p) vector from canonical residues."""
+    return tuple(map(field._residue, residues))
+
+
+def _residues(field: Field, v) -> list[int]:
+    """Canonical residues of the coordinates of v, coerced into GF(p)."""
+    return [field(a).value for a in v]
+
+
+def _residue_rows(rows) -> list[list[int]]:
+    """Residues of rows whose entries are already GF(p) elements."""
+    return [[a.value for a in r] for r in rows]
+
+
+def _span_residues(field: Field, ambient_dim: int, vectors) -> "Subspace":
+    """The Subspace spanned by residue vectors over GF(p)."""
+    rows, pivots = _modp.rref(vectors, field.modulus, ambient_dim)
+    return Subspace(field, ambient_dim, [_box(field, r) for r in rows], pivots)
 
 
 def zero_vector(field: Field, n: int) -> Vector:
@@ -30,13 +56,6 @@ def basis_vector(field: Field, n: int, i: int) -> Vector:
 def vec_add(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y))
 
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_scale(c: FieldElement, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
-
 
 def vec_is_zero(x: Vector) -> bool:
     return not any(x)
@@ -48,6 +67,9 @@ def rref(rows: Iterable[Sequence[FieldElement]], field: Field, ncols: int):
     Returns (rows, pivots): nonzero rows with leading ones, zeros above and
     below each pivot, pivot columns strictly increasing.
     """
+    if field.is_finite():
+        ech, pivots = _modp.rref(_residue_rows(rows), field.modulus, ncols)
+        return [_box(field, r) for r in ech], pivots
     work = [list(r) for r in rows]
     pivots: list[int] = []
     r = 0
@@ -76,6 +98,9 @@ def rref(rows: Iterable[Sequence[FieldElement]], field: Field, ncols: int):
 
 def nullspace(rows: Iterable[Sequence[FieldElement]], field: Field, ncols: int) -> list[Vector]:
     """Canonical basis of {x : M x = 0} for the matrix with the given rows."""
+    if field.is_finite():
+        basis = _modp.nullspace(_residue_rows(rows), field.modulus, ncols)
+        return [_box(field, v) for v in basis]
     ech, pivots = rref(rows, field, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -133,6 +158,8 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise BadVector(f"vector of length {len(v)} in ambient dim {ambient_dim}")
             coerced.append(v)
+        if field.is_finite():
+            return _span_residues(field, ambient_dim, _residue_rows(coerced))
         rows, pivots = rref(coerced, field, ambient_dim)
         return cls(field, ambient_dim, rows, pivots)
 
@@ -157,6 +184,12 @@ class Subspace:
 
     def reduce(self, v: Sequence[FieldElement]) -> Vector:
         """Canonical representative of v modulo this subspace."""
+        field = self.field
+        if field.is_finite():
+            w = _modp.reduce_mod(
+                _residues(field, v), _residue_rows(self.rows), self.pivots, field.modulus
+            )
+            return _box(field, w)
         w = list(v)
         for row, pc in zip(self.rows, self.pivots):
             c = w[pc]
@@ -165,6 +198,11 @@ class Subspace:
         return tuple(w)
 
     def contains(self, v: Sequence[FieldElement]) -> bool:
+        field = self.field
+        if field.is_finite():
+            return _modp.contains(
+                _residues(field, v), _residue_rows(self.rows), self.pivots, field.modulus
+            )
         return vec_is_zero(self.reduce(v))
 
     def contains_space(self, other: "Subspace") -> bool:
@@ -181,7 +219,15 @@ class Subspace:
         return tuple(v[pc] for pc in self.pivots)
 
     def linear_combination(self, coeffs: Sequence[FieldElement]) -> Vector:
+        field = self.field
         n = self.ambient_dim
+        if field.is_finite():
+            p = field.modulus
+            acc = [0] * n
+            for c, row in zip(_residues(field, coeffs), _residue_rows(self.rows)):
+                if c:
+                    acc = [(a + c * b) % p for a, b in zip(acc, row)]
+            return _box(field, acc)
         acc = list(zero_vector(self.field, n))
         for c, row in zip(coeffs, self.rows):
             if c:
@@ -200,6 +246,13 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
+        field = self.field
+        if field.is_finite():
+            p, n = field.modulus, self.ambient_dim
+            joined = _modp.nullspace(_residue_rows(self.rows), p, n) + _modp.nullspace(
+                _residue_rows(other.rows), p, n
+            )
+            return _span_residues(field, n, _modp.nullspace(joined, p, n))
         joined = self.annihilator().rows + other.annihilator().rows
         return Subspace.span(
             self.field, self.ambient_dim, nullspace(joined, self.field, self.ambient_dim)

@@ -10,13 +10,20 @@ share the same upper central series dimension profile (P1 implies P2).
 
 Isomorphism search contract: over GF(p), for nilpotent algebras with
 dim <= 7 and dim(A/[A,A]) <= 3, the search is complete -- a `no` answer is
-an exhaustion proof.  An isomorphism is determined by the images of a
-coset basis of A/[A,A]; candidate images are enumerated inside the affine
-solution spaces of necessary linear conditions, filtered by per-element
-invariants, and extended by bracketing with every induced product checked.
+an exhaustion proof -- as long as it generates at most
+SEARCH_CANDIDATE_BOUND (20000) candidate generator images over all depths.
+The number of candidates grows with p, so past that budget the search
+raises SearchBoundExceeded instead of answering.
+
+An isomorphism is determined by the images of a coset basis of A/[A,A];
+candidate images are enumerated inside the affine solution spaces of
+necessary linear conditions, filtered by per-element invariants, and
+extended by bracketing with every induced product checked.
 Every filter is a necessary condition, so no isomorphism is missed, and
 the first map found in the fixed deterministic order is returned.  The
-hot kernels run on plain integer residues for speed.
+search runs on the integer residues of ``_modp`` throughout: the algebras'
+sparse residue cells and the one residue bracket ``_modp.bracket``, which
+``core`` uses for GF(p) as well; only a found matrix is boxed.
 
 Enumerations and pairwise checks are pure functions of immutable inputs,
 so callers may evaluate distinct maximal subalgebras concurrently; output
@@ -40,13 +47,18 @@ from .errors import (
     SearchBoundExceeded,
 )
 from .fields import FieldElement
-from .linalg import Subspace, matrix_rank
+from .linalg import Subspace
 from .series import lower_central_series, nilpotency_data, upper_central_series
 
 _SQUARE_PROFILE_LIMIT = 4096
 
 _SEARCH_DIM_BOUND = 7
 _SEARCH_GEN_BOUND = 3
+# Candidate generator images one search may generate, summed over all
+# depths.  The searches of the test suite and of `leibalg reproduce` stay
+# below 2700; an exhaustive "no" on three-dimensional coclass-one forms
+# generates (p^3 - p)(p + 1) of them, so it is decided up to GF(11).
+SEARCH_CANDIDATE_BOUND = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +85,10 @@ def fingerprint(algebra: LeibnizAlgebra) -> Fingerprint:
     if algebra.field.is_finite():
         p = algebra.field.modulus
         if p**algebra.dim <= _SQUARE_PROFILE_LIMIT:
-            ia = _IntAlgebra.from_algebra(algebra)
+            cells = algebra._cells
             zero = 0
             for v in itertools.product(range(p), repeat=algebra.dim):
-                if not any(ia.bracket(v, v)):
+                if not any(_modp.bracket(cells, v, v, p)):
                     zero += 1
             square_profile = (zero, p**algebra.dim - zero)
     return Fingerprint(
@@ -163,11 +175,6 @@ def _normalized_covectors(p: int, d: int):
             yield (0,) * t0 + (1,) + tail
 
 
-def restrict(algebra: LeibnizAlgebra, subspace: Subspace) -> LeibnizAlgebra:
-    """Induced algebra on the echelon basis of a bracket-closed subspace."""
-    return algebra.restrict(subspace)
-
-
 def frattini_by_intersection(algebra: LeibnizAlgebra) -> Subspace:
     """Intersection of all maximal subalgebras (must equal [A, A])."""
     acc = algebra.full_space()
@@ -239,6 +246,11 @@ def is_isomorphic(
 ) -> IsoVerdict:
     """Decide isomorphism; complete over GF(p) within the search bounds.
 
+    The bounds: both algebras nilpotent, dim <= 7, dim(A/[A,A]) <= 3, and at
+    most SEARCH_CANDIDATE_BOUND candidate generator images generated by the
+    search over all depths.  Past any of them SearchBoundExceeded is raised;
+    an answer is never given from a partial search.
+
     ``_target`` is ``_Target(b)`` shared between calls with the same b.
     """
     if _target is None:
@@ -274,31 +286,23 @@ def is_isomorphic(
     raw = _search_isomorphism(a, b, _target.side())
     if raw is None:
         return IsoVerdict("no", reason="exhaustive generator-image search found no map")
+    _assert_isomorphism(a, b, raw)
     matrix = tuple(tuple(a.field(c) for c in row) for row in raw)
-    _assert_isomorphism(a, b, matrix)
     return IsoVerdict("yes", matrix=matrix, reason="explicit isomorphism found")
 
 
-def _assert_isomorphism(a: LeibnizAlgebra, b: LeibnizAlgebra, matrix) -> None:
+def _assert_isomorphism(a: LeibnizAlgebra, b: LeibnizAlgebra, raw) -> None:
     """Full bilinear check of a claimed isomorphism matrix; bug if it fails."""
-    if matrix_rank(matrix, a.field, a.dim) != a.dim:
+    p, n = a.field.modulus, a.dim
+    if _modp.rank(raw, p, n) != n:
         raise InternalError("claimed isomorphism matrix is singular")
-    n = a.dim
     for i in range(n):
         for j in range(n):
-            lhs = _apply_matrix(matrix, a.table[i][j], b)
-            rhs = b.bracket(matrix[i], matrix[j])
-            if lhs != rhs:
+            lhs = [0] * n
+            for k, c in a._cells[i][j]:
+                lhs = [(x + c * y) % p for x, y in zip(lhs, raw[k])]
+            if lhs != _modp.bracket(b._cells, raw[i], raw[j], p):
                 raise InternalError("claimed isomorphism fails the bracket check")
-
-
-def _apply_matrix(matrix, v, target: LeibnizAlgebra):
-    acc = list(target.zero_vector())
-    for c, row in zip(v, matrix):
-        if c:
-            for k in range(target.dim):
-                acc[k] = acc[k] + c * row[k]
-    return tuple(acc)
 
 
 def check_p1(
@@ -349,50 +353,6 @@ def check_p2(algebra: LeibnizAlgebra) -> tuple[bool, MaximalPairWitness | None]:
 # generator-image search (integer kernel)
 # ---------------------------------------------------------------------------
 
-class _IntAlgebra:
-    """Structure constants as sparse integer residues mod p."""
-
-    __slots__ = ("p", "n", "cell")
-
-    def __init__(self, p: int, n: int, cell):
-        self.p = p
-        self.n = n
-        self.cell = cell  # cell[i][j] = tuple of (k, coeff) pairs
-
-    @classmethod
-    def from_algebra(cls, algebra: LeibnizAlgebra) -> "_IntAlgebra":
-        p = algebra.field.modulus
-        n = algebra.dim
-        cell = tuple(
-            tuple(
-                tuple(
-                    (k, int(algebra.table[i][j][k].value))
-                    for k in range(n)
-                    if algebra.table[i][j][k]
-                )
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return cls(p, n, cell)
-
-    def bracket(self, u, v):
-        p = self.p
-        acc = [0] * self.n
-        cell = self.cell
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            row = cell[i]
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                c = ui * vj
-                for k, coeff in row[j]:
-                    acc[k] = (acc[k] + c * coeff) % p
-        return acc
-
-
 def _subspace_to_int(s: Subspace):
     return [[int(c.value) for c in row] for row in s.rows], list(s.pivots)
 
@@ -408,9 +368,9 @@ class _Closure:
 
     __slots__ = ("elems", "steps", "gen_count")
 
-    def __init__(self, alg: _IntAlgebra, gen_vecs):
+    def __init__(self, cells, p: int, gen_vecs):
         elems = [list(g) for g in gen_vecs]
-        tracker = SpanTracker(alg.p, alg.n)
+        tracker = SpanTracker(p, len(cells))
         for g in elems:
             if not tracker.add(g):
                 raise InternalError("generators must be independent")
@@ -419,7 +379,7 @@ class _Closure:
         while t < len(elems):
             pair_list = [(i, t) for i in range(t + 1)] + [(t, j) for j in range(t)]
             for i, j in pair_list:
-                w = alg.bracket(elems[i], elems[j])
+                w = _modp.bracket(cells, elems[i], elems[j], p)
                 coeffs = tracker.express(w)
                 if coeffs is None:
                     tracker.add(w)
@@ -433,17 +393,16 @@ class _Closure:
         self.steps = steps
         self.gen_count = len(gen_vecs)
 
-    def replay(self, alg: _IntAlgebra, gen_images):
+    def replay(self, cells, p: int, gen_images):
         """Images of all closure elements, or None when any check fails."""
-        p = alg.p
-        n = alg.n
+        n = len(cells)
         imgs = [list(g) for g in gen_images]
         tracker = SpanTracker(p, n)
         for g in imgs:
             if not tracker.add(g):
                 return None
         for kind, i, j, data in self.steps:
-            w = alg.bracket(imgs[i], imgs[j])
+            w = _modp.bracket(cells, imgs[i], imgs[j], p)
             if kind == "new":
                 if not tracker.add(w):
                     return None
@@ -463,10 +422,14 @@ class _Closure:
 class _SearchSide:
     """Per-algebra search data: derived cosets, series membership, invariants."""
 
-    __slots__ = ("alg", "derived_ech", "derived_pivots", "coset_coords", "member_spaces")
+    __slots__ = (
+        "cells", "p", "n", "derived_ech", "derived_pivots", "coset_coords", "member_spaces"
+    )
 
     def __init__(self, algebra: LeibnizAlgebra):
-        self.alg = _IntAlgebra.from_algebra(algebra)
+        self.cells = algebra._cells
+        self.p = algebra.field.modulus
+        self.n = algebra.dim
         lower = lower_central_series(algebra)
         upper = upper_central_series(algebra)
         derived = lower[1] if len(lower) > 1 else algebra.derived()
@@ -476,29 +439,28 @@ class _SearchSide:
         self.member_spaces = [_subspace_to_int(s) for s in lower[1:] + upper[1:]]
 
     def coset(self, v):
-        reduced = _modp.reduce_mod(v, self.derived_ech, self.derived_pivots, self.alg.p)
+        reduced = _modp.reduce_mod(v, self.derived_ech, self.derived_pivots, self.p)
         return [reduced[c] for c in self.coset_coords]
 
     def membership_profile(self, v):
         return tuple(
-            _modp.contains(v, ech, piv, self.alg.p) for ech, piv in self.member_spaces
+            _modp.contains(v, ech, piv, self.p) for ech, piv in self.member_spaces
         )
 
     def square_is_zero(self, v) -> bool:
-        return not any(self.alg.bracket(v, v))
+        return not any(_modp.bracket(self.cells, v, v, self.p))
 
     def mult_data(self, v):
         """(rank L_v, rank R_v, nilindex L_v, nilindex R_v)."""
-        alg = self.alg
-        n = alg.n
+        cells, p, n = self.cells, self.p, self.n
         basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        lrows = [alg.bracket(v, e) for e in basis]
-        rrows = [alg.bracket(e, v) for e in basis]
+        lrows = [_modp.bracket(cells, v, e, p) for e in basis]
+        rrows = [_modp.bracket(cells, e, v, p) for e in basis]
         return (
-            _modp.rank(lrows, alg.p, n),
-            _modp.rank(rrows, alg.p, n),
-            _nilindex(lrows, alg.p, n),
-            _nilindex(rrows, alg.p, n),
+            _modp.rank(lrows, p, n),
+            _modp.rank(rrows, p, n),
+            _nilindex(lrows, p, n),
+            _nilindex(rrows, p, n),
         )
 
 
@@ -532,14 +494,14 @@ def _search_isomorphism(
     side_a = _SearchSide(a)
     if side_b is None:
         side_b = _SearchSide(b)
-    p = side_a.alg.p
-    n = side_a.alg.n
+    p = side_a.p
+    n = side_a.n
     gens = side_a.coset_coords
     d = len(gens)
     if d == 0:
         return None  # dim-0 algebras are caught by the identical-table fast path
     gen_vecs = [[1 if i == g else 0 for i in range(n)] for g in gens]
-    closures = [_Closure(side_a.alg, gen_vecs[: k + 1]) for k in range(d)]
+    closures = [_Closure(side_a.cells, p, gen_vecs[: k + 1]) for k in range(d)]
 
     gen_sigs = []
     for g in gen_vecs:
@@ -553,7 +515,7 @@ def _search_isomorphism(
 
     relations: list = [None] * d
     for k in range(1, d):
-        relations[k] = _gen_relations(side_a.alg, closures[k - 1].elems, gen_vecs[k])
+        relations[k] = _gen_relations(side_a.cells, p, closures[k - 1].elems, gen_vecs[k])
 
     def candidate_ok(v, sig) -> bool:
         if side_b.square_is_zero(v) != sig[0]:
@@ -566,18 +528,27 @@ def _search_isomorphism(
         rows = [side_b.coset(g) for g in gen_imgs] + [side_b.coset(v)]
         return _modp.rank(rows, p, d) == len(rows)
 
+    generated = 0
+
     def descend(k, gen_imgs, prev_elem_imgs):
+        nonlocal generated
         sig = gen_sigs[k]
         if k == 0:
             candidates = _all_vectors_outside_derived(side_b, n, p)
         else:
             candidates = _constrained_candidates(side_b, relations[k], prev_elem_imgs, n, p)
         for v in candidates:
+            generated += 1
+            if generated > SEARCH_CANDIDATE_BOUND:
+                raise SearchBoundExceeded(
+                    f"isomorphism search generated more than {SEARCH_CANDIDATE_BOUND} "
+                    f"candidate generator images over GF({p}) (dim={n}, generators={d})"
+                )
             if not candidate_ok(v, sig):
                 continue
             if not cosets_independent(gen_imgs, v):
                 continue
-            elem_imgs = closures[k].replay(side_b.alg, gen_imgs + [v])
+            elem_imgs = closures[k].replay(side_b.cells, p, gen_imgs + [v])
             if elem_imgs is None:
                 continue
             if k == d - 1:
@@ -596,7 +567,7 @@ def _all_vectors_outside_derived(side_b: _SearchSide, n: int, p: int):
             yield list(v)
 
 
-def _gen_relations(alg: _IntAlgebra, elems, gen_vec):
+def _gen_relations(cells, p: int, elems, gen_vec):
     """Left-kernel relations among words linear in the next generator.
 
     Word rows: [g, e_u] then [e_u, g] for each closure element, followed by
@@ -605,23 +576,23 @@ def _gen_relations(alg: _IntAlgebra, elems, gen_vec):
     """
     rows = []
     for e in elems:
-        rows.append(alg.bracket(gen_vec, e))
+        rows.append(_modp.bracket(cells, gen_vec, e, p))
     for e in elems:
-        rows.append(alg.bracket(e, gen_vec))
+        rows.append(_modp.bracket(cells, e, gen_vec, p))
     for e in elems:
         rows.append(list(e))
-    return _modp.left_kernel(rows, alg.p, alg.n)
+    return _modp.left_kernel(rows, p, len(cells))
 
 
 def _constrained_candidates(side_b: _SearchSide, kernel, elem_imgs, n: int, p: int):
     """Solve the linear necessary conditions and enumerate that affine space."""
-    alg = side_b.alg
+    cells = side_b.cells
     m = len(elem_imgs)
     basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     # rword[u][i] = [e_i, E_u] (for words [g, e_u] evaluated at v: sum_i v_i rword)
     # lword[u][i] = [E_u, e_i] (for words [e_u, g])
-    rword = [[alg.bracket(e, img) for e in basis] for img in elem_imgs]
-    lword = [[alg.bracket(img, e) for e in basis] for img in elem_imgs]
+    rword = [[_modp.bracket(cells, e, img, p) for e in basis] for img in elem_imgs]
+    lword = [[_modp.bracket(cells, img, e, p) for e in basis] for img in elem_imgs]
     sys_rows, sys_rhs = [], []
     for kappa in kernel:
         acc = [[0] * n for _ in range(n)]  # acc[i][k]: coefficient of v_i in equation k

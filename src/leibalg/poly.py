@@ -181,9 +181,6 @@ class MultiPoly:
         i = self.variables.index(name)
         return any(exp[i] for exp in self.terms)
 
-    def used_variables(self) -> tuple[str, ...]:
-        return tuple(v for v in self.variables if self._occurs(v))
-
     def __eq__(self, other):
         return (
             isinstance(other, MultiPoly)

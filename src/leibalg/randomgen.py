@@ -118,7 +118,6 @@ def change_of_basis(algebra: LeibnizAlgebra, matrix) -> LeibnizAlgebra:
     if basis.dim != algebra.dim:
         raise ValueError("basis change matrix must be invertible")
     new_rows = [algebra.vector(row) for row in matrix]
-    span = Subspace.span(algebra.field, algebra.dim, new_rows)
     table = []
     for u in new_rows:
         row = []
@@ -129,7 +128,6 @@ def change_of_basis(algebra: LeibnizAlgebra, matrix) -> LeibnizAlgebra:
             coords = _coords_over(new_rows, w, algebra)
             row.append(coords)
         table.append(row)
-    assert span.dim == algebra.dim
     return LeibnizAlgebra(algebra.field, table)
 
 

@@ -139,6 +139,28 @@ class TestSquares:
                 else:
                     assert got is None
 
+    def test_tonelli_shanks_matches_exhaustive_scan(self):
+        # primes = 1 mod 8 (17, 41, 97, 113) give 2-adic order s >= 3, so
+        # the inner loop of Tonelli-Shanks runs more than once
+        for p in (2, 3, 5, 13, 17, 41, 97, 113):
+            field = GF(p)
+            for x in range(p):
+                scan = next((r for r in range(p // 2 + 1) if r * r % p == x), None)
+                got = sqrt(field(x))
+                if scan is None:
+                    assert got is None, (p, x)
+                else:
+                    assert got == field(scan), (p, x)
+
+    def test_sqrt_at_a_large_prime(self):
+        p = 1_000_003
+        field = GF(p)
+        for r in (1, 2, 12345, 499_999, 500_001, 999_999):
+            root = sqrt(field(r * r))
+            assert root is not None and root.value == min(r, p - r)
+        non_residue = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
+        assert sqrt(field(non_residue)) is None
+
     def test_square_of_square(self):
         for p in (3, 5, 7):
             for x in GF(p).elements():

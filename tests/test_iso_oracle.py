@@ -10,15 +10,31 @@ import itertools
 import random
 
 from leibalg import GF, LeibnizAlgebra, check_p1, check_p2, instantiate, is_square
-from leibalg.maximal import _IntAlgebra, _search_isomorphism
+from leibalg.maximal import _search_isomorphism
 from leibalg import _modp
 from leibalg.randomgen import random_nilpotent_algebra
 
 
+def _residue_table(algebra: LeibnizAlgebra):
+    return [[[c.value for c in cell] for cell in row] for row in algebra.table]
+
+
+def _apply(table, x, y, p):
+    """[x, y] from a dense residue table, with plain loops."""
+    n = len(table)
+    out = [0] * n
+    for i in range(n):
+        for j in range(n):
+            c = x[i] * y[j]
+            if c:
+                for k in range(n):
+                    out[k] = (out[k] + c * table[i][j][k]) % p
+    return out
+
+
 def oracle_isomorphic(a: LeibnizAlgebra, b: LeibnizAlgebra) -> bool:
-    ia = _IntAlgebra.from_algebra(a)
-    ib = _IntAlgebra.from_algebra(b)
-    p, n = ia.p, ia.n
+    ta, tb = _residue_table(a), _residue_table(b)
+    p, n = a.field.modulus, a.dim
     for flat in itertools.product(range(p), repeat=n * n):
         rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
         if _modp.rank(rows, p, n) < n:
@@ -27,12 +43,11 @@ def oracle_isomorphic(a: LeibnizAlgebra, b: LeibnizAlgebra) -> bool:
         for i in range(n):
             for j in range(n):
                 lhs = [0] * n
-                for k, c in ia.cell[i][j]:
-                    row = rows[k]
-                    for t in range(n):
-                        if row[t]:
-                            lhs[t] = (lhs[t] + c * row[t]) % p
-                if lhs != ib.bracket(rows[i], rows[j]):
+                for k in range(n):
+                    c = ta[i][j][k]
+                    if c:
+                        lhs = [(acc + c * r) % p for acc, r in zip(lhs, rows[k])]
+                if lhs != _apply(tb, rows[i], rows[j], p):
                     ok = False
                     break
             if not ok:

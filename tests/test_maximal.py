@@ -22,7 +22,6 @@ from leibalg import (
     frattini_by_intersection,
     instantiate,
     is_isomorphic,
-    restrict,
 )
 from leibalg.maximal import _search_isomorphism
 from leibalg.randomgen import change_of_basis, random_invertible_matrix
@@ -121,7 +120,7 @@ class TestRestrict:
             {"alpha": 2, "beta": 3, "gamma": 0, "a": 1, "ahat": 4, "b": 5, "c": 6},
         )
         sub = algebra.subspace([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        induced = restrict(algebra, sub)
+        induced = algebra.restrict(sub)
         expected = LeibnizAlgebra.from_table(
             3, field, [(1, 1, {3: 2}), (1, 2, {3: 5}), (2, 1, {3: -5})]
         )
@@ -129,12 +128,12 @@ class TestRestrict:
 
     def test_full_space_restriction(self):
         algebra = instantiate("A19", GF(5), {})
-        assert restrict(algebra, algebra.full_space()) == algebra
+        assert algebra.restrict(algebra.full_space()) == algebra
 
     def test_counterexample_abelian_maximal(self):
         algebra = instantiate("cex_fourdim_A1", GF(3), {})
         sub = algebra.subspace([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
-        assert restrict(algebra, sub).derived().is_zero()
+        assert algebra.restrict(sub).derived().is_zero()
 
 
 class TestFingerprint:
@@ -276,6 +275,30 @@ class TestIsIsomorphic:
         b = LeibnizAlgebra.from_table(2, GF(5), [(1, 2, {2: 2}), (2, 1, {2: -2})])
         with pytest.raises(SearchBoundExceeded):
             is_isomorphic(a, b)
+
+
+    def test_search_budget_in_p(self):
+        # x*x = z, y*y = tau z, [x,y] = z, [y,x] = 0 for tau = 2 and 5: both
+        # discriminants 1 - 4 tau are non-squares mod 31, fingerprints agree,
+        # and (1 - 4 tau) / (lambda - epsilon)^2 differs, so the search would
+        # have to exhaust (31^3 - 31) * 32 candidates to say no
+        from leibalg.maximal import SEARCH_CANDIDATE_BOUND
+
+        field = GF(31)
+        a = instantiate("cc1_case2", field, {"tau": 2, "lambda": 1, "epsilon": 0})
+        b = instantiate("cc1_case2", field, {"tau": 5, "lambda": 1, "epsilon": 0})
+        assert fingerprint(a) == fingerprint(b)
+        assert (31**3 - 31) * 32 > SEARCH_CANDIDATE_BOUND
+        with pytest.raises(SearchBoundExceeded, match="candidate generator images"):
+            is_isomorphic(a, b)
+
+    def test_search_budget_leaves_small_no_answers(self):
+        # the same kind of pair at GF(7) needs (7^3 - 7) * 8 = 2688 candidates
+        field = GF(7)
+        a = instantiate("cc1_case2", field, {"tau": 3, "lambda": 1, "epsilon": 0})
+        b = instantiate("cc1_case2", field, {"tau": 4, "lambda": 1, "epsilon": 0})
+        assert fingerprint(a) == fingerprint(b)
+        assert is_isomorphic(a, b).status == "no"
 
 
 class TestProperties:

@@ -6,7 +6,7 @@ import pytest
 
 from leibalg import GF, Subspace
 from leibalg.cli import main
-from leibalg.reproduce import enumerate_subspaces
+from leibalg.reproduce import enumerate_subspaces, run_structural_suite
 
 GOLDEN = Path(__file__).resolve().parents[1] / "verification_report.txt"
 
@@ -53,6 +53,14 @@ class TestEnumerateSubspaces:
         assert len(set(subspaces)) == len(subspaces)
         for k in range(d + 1):
             assert sum(1 for s in subspaces if s.dim == k) == gaussian_binomial(d, k, p)
+
+
+def test_structural_suite_at_the_seed_of_the_seed_one_claims():
+    # build_claims(..., seed=1) runs the GF(3) suite on seed 2; its towers
+    # meet a five-dimensional center, so every one of the 2852 central
+    # ideals of dim >= 2 must be checked
+    evidence = run_structural_suite(GF(3), 100, 5, seed=2)
+    assert "2852 central ideals dropped the coclass" in evidence
 
 
 def test_report_matches_the_committed_one(capsys):
