@@ -1,11 +1,13 @@
 """The integer residue kernel: every GF(p) computation of the package.
 
-Vectors are plain lists of ints in [0, p); no FieldElement boxing.  Only
-prime moduli are used, so inverses come from pow(x, -1, p).  ``core`` and
-``linalg`` run prime-field algebras and subspaces through these functions
-and box the results into FieldElements only at their public boundary; the
-isomorphism search (``maximal``) and ``randomgen`` work on residues
-throughout.  The rationals keep the boxed loops of ``linalg`` and ``core``.
+Vectors are plain lists or tuples of ints in [0, p); no FieldElement
+boxing.  Only prime moduli are used, so inverses come from pow(x, -1, p).
+Residues are the representation of every GF(p) object: a prime-field
+``Subspace`` holds its echelon rows as residue tuples and a prime-field
+``LeibnizAlgebra`` its structure constants as residue cells, both handed to
+these functions directly; their boxed views (``Subspace.rows``,
+``LeibnizAlgebra.table``) are built on first read.  The rationals keep the
+boxed loops of ``linalg`` and ``core``.
 
 Structure constants are held as sparse cells: ``cells[i][j]`` is the tuple
 of (k, c) pairs with c != 0 in [e_i, e_j] = sum_k c e_k.

@@ -9,11 +9,13 @@ and bilinearity makes checking it on basis triples sufficient.  Squares
 [v, v] need not vanish; the span of all squares is an ideal annihilating
 the algebra from the left.
 
-Over GF(p) an algebra also holds its structure constants as sparse integer
-residues (see ``_modp``), built once at construction; every operation below
-computes on those residues through ``_modp`` and boxes only its results.
-The table, subspaces, and vectors seen by callers are FieldElements over
-every field; over Q the operations compute on them directly.
+Over GF(p) the integer residues are the representation: an algebra holds
+its structure constants as sparse residue cells (see ``_modp``), every
+operation below computes on those cells and on the residue rows of
+``Subspace`` through ``_modp``, and quotients, restrictions and direct sums
+are built straight from cells.  The boxed ``table`` is built on first read;
+vectors passed in or handed out by ``bracket`` are FieldElements, coerced or
+boxed at the call.  Over Q the operations compute on FieldElements directly.
 
 Algebras, vectors, and subspaces are immutable; every operation here is a
 pure function of its inputs and safe for concurrent use.
@@ -39,7 +41,6 @@ from .linalg import (
     Subspace,
     Vector,
     _box,
-    _residue_rows,
     _span_residues,
     basis_vector,
     nullspace,
@@ -66,11 +67,12 @@ class LeibnizAlgebra:
     internally; the text format and ``from_table`` speak 1-based).  The
     instance is immutable; ``verified`` reports whether ``check_leibniz``
     has run and found no violations.  Over GF(p), ``_cells[i][j]`` holds
-    [e_i, e_j] as the sparse residue pairs (k, c) of ``_modp``; over Q it is
-    None.
+    [e_i, e_j] as the sparse residue pairs (k, c) of ``_modp``, with k
+    ascending and c in [1, p), and ``table`` is boxed from it on first read;
+    over Q ``_cells`` is None.
     """
 
-    __slots__ = ("field", "dim", "table", "labels", "_cells", "_verified")
+    __slots__ = ("field", "dim", "labels", "_table", "_cells", "_verified")
 
     def __init__(self, field: Field, table, labels: Sequence[str] | None = None):
         dim = len(table)
@@ -88,7 +90,7 @@ class LeibnizAlgebra:
             labels = tuple(f"x{i + 1}" for i in range(dim))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "table", coerced)
+        object.__setattr__(self, "_table", coerced)
         object.__setattr__(self, "labels", labels)
         cells = None
         if field.is_finite():
@@ -99,8 +101,35 @@ class LeibnizAlgebra:
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_verified", None)
 
+    @classmethod
+    def _from_cells(cls, field: Field, cells, labels=None) -> "LeibnizAlgebra":
+        """A GF(p) algebra from canonical sparse residue cells; no table yet."""
+        self = object.__new__(cls)
+        dim = len(cells)
+        if labels is None:
+            labels = tuple(f"x{i + 1}" for i in range(dim))
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_verified", None)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("LeibnizAlgebra is immutable")
+
+    @property
+    def table(self):
+        """The structure constants as FieldElements: ``table[i][j]`` = [e_i, e_j]."""
+        table = self._table
+        if table is None:
+            field, n = self.field, self.dim
+            table = tuple(
+                tuple(_box(field, _dense(cell, n)) for cell in row) for row in self._cells
+            )
+            object.__setattr__(self, "_table", table)
+        return table
 
     # -- construction -----------------------------------------------------
 
@@ -268,9 +297,8 @@ class LeibnizAlgebra:
         cells = self._cells
         if cells is not None:
             p = self.field.modulus
-            rights = _residue_rows(right.rows)
             products = [
-                _modp.bracket(cells, u, v, p) for u in _residue_rows(left.rows) for v in rights
+                _modp.bracket(cells, u, v, p) for u in left._res_rows for v in right._res_rows
             ]
             return _span_residues(self.field, self.dim, products)
         products = [self.bracket(u, v) for u in left.rows for v in right.rows]
@@ -335,24 +363,34 @@ class LeibnizAlgebra:
         linear function of x, and membership in w means that representative
         vanishes.  Over GF(p) membership in w is tested instead by the
         covectors f vanishing on w: f([x, e_j]) = sum_i x_i f([e_i, e_j]).
+        Each nonzero cell is read once per covector, and zero and repeated
+        equations are dropped before the nullspace.
         """
         n = self.dim
         cells = self._cells
         if cells is not None:
             p = self.field.modulus
-            rows = []
-            for f in _modp.nullspace(_residue_rows(w.rows), p, n):
-                for j in range(n):
-                    right = [sum(c * f[k] for k, c in cells[i][j]) % p for i in range(n)]
-                    left = [sum(c * f[k] for k, c in cells[j][i]) % p for i in range(n)]
-                    rows.append(right)
-                    rows.append(left)
-            return _span_residues(self.field, n, _modp.nullspace(rows, p, n))
+            rows = set()
+            for f in _modp.nullspace(w._res_rows, p, n):
+                # right[j][i] = f([e_i, e_j]) and left[j][i] = f([e_j, e_i])
+                right = [[0] * n for _ in range(n)]
+                left = [[0] * n for _ in range(n)]
+                for i, row in enumerate(cells):
+                    for j, cell in enumerate(row):
+                        if cell:
+                            value = sum(c * f[k] for k, c in cell) % p
+                            if value:
+                                right[j][i] = value
+                                left[i][j] = value
+                for eq in right + left:
+                    if any(eq):
+                        rows.add(tuple(eq))
+            return _span_residues(self.field, n, _modp.nullspace(list(rows), p, n))
         rows = []
-        basis = [self.basis_vector(i) for i in range(n)]
+        table = self.table
         for j in range(n):
-            right_images = [w.reduce(self.bracket(basis[i], basis[j])) for i in range(n)]
-            left_images = [w.reduce(self.bracket(basis[j], basis[i])) for i in range(n)]
+            right_images = [w.reduce(table[i][j]) for i in range(n)]
+            left_images = [w.reduce(table[j][i]) for i in range(n)]
             for images in (right_images, left_images):
                 for k in range(n):
                     rows.append(tuple(images[i][k] for i in range(n)))
@@ -362,13 +400,20 @@ class LeibnizAlgebra:
         cells = self._cells
         if cells is not None:
             n, p = self.dim, self.field.modulus
-            rows = _residue_rows(u.rows)
+            rows, pivots = u._res_rows, u.pivots
             for r in rows:
+                support = [(j, rj) for j, rj in enumerate(r) if rj]
                 for i in range(n):
-                    e = [0] * n
-                    e[i] = 1
-                    for w in (_modp.bracket(cells, e, r, p), _modp.bracket(cells, r, e, p)):
-                        if not _modp.contains(w, rows, u.pivots, p):
+                    # [e_i, r] = sum_j r_j [e_i, e_j] and [r, e_i] = sum_j r_j [e_j, e_i]
+                    right = [0] * n
+                    left = [0] * n
+                    for j, rj in support:
+                        for k, c in cells[i][j]:
+                            right[k] += rj * c
+                        for k, c in cells[j][i]:
+                            left[k] += rj * c
+                    for w in (right, left):
+                        if any(w) and not _modp.contains([a % p for a in w], rows, pivots, p):
                             return False
             return True
         full = self.full_space()
@@ -392,26 +437,28 @@ class LeibnizAlgebra:
         cells = self._cells
         if cells is not None:
             n, p = self.dim, self.field.modulus
-            rows = _residue_rows(ideal.rows)
-            table = []
+            rows, pivots = ideal._res_rows, ideal.pivots
+            qcells = []
             for a in comp:
                 row = []
                 for b in comp:
-                    image = _modp.reduce_mod(_dense(cells[a][b], n), rows, ideal.pivots, p)
-                    row.append([image[c] for c in comp])
-                table.append(row)
-            return QuotientMap(self, ideal, comp, LeibnizAlgebra(self.field, table, labels))
-        m = len(comp)
-        table = []
-        for a in range(m):
+                    cell = cells[a][b]
+                    if cell:
+                        image = _modp.reduce_mod(_dense(cell, n), rows, pivots, p)
+                        cell = tuple((t, image[c]) for t, c in enumerate(comp) if image[c])
+                    row.append(cell)
+                qcells.append(tuple(row))
+            quotient = LeibnizAlgebra._from_cells(self.field, tuple(qcells), labels)
+            return QuotientMap(self, ideal, comp, quotient)
+        table = self.table
+        qtable = []
+        for a in comp:
             row = []
-            ea = self.basis_vector(comp[a])
-            for b in range(m):
-                eb = self.basis_vector(comp[b])
-                image = ideal.reduce(self.bracket(ea, eb))
+            for b in comp:
+                image = ideal.reduce(table[a][b])
                 row.append([image[c] for c in comp])
-            table.append(row)
-        return QuotientMap(self, ideal, comp, LeibnizAlgebra(self.field, table, labels))
+            qtable.append(row)
+        return QuotientMap(self, ideal, comp, LeibnizAlgebra(self.field, qtable, labels))
 
     def restrict(self, s: Subspace) -> "LeibnizAlgebra":
         """Induced algebra on the echelon basis of a bracket-closed subspace."""
@@ -421,17 +468,24 @@ class LeibnizAlgebra:
         cells = self._cells
         if cells is not None:
             p = self.field.modulus
-            rows = _residue_rows(s.rows)
+            rows, pivots = s._res_rows, s.pivots
+            rcells = []
+            for a in range(m):
+                row = []
+                for b in range(m):
+                    prod = _modp.bracket(cells, rows[a], rows[b], p)
+                    if not _modp.contains(prod, rows, pivots, p):
+                        raise NotASubalgebra(
+                            f"product of basis vectors {a}, {b} leaves the subspace"
+                        )
+                    row.append(tuple((t, prod[pc]) for t, pc in enumerate(pivots) if prod[pc]))
+                rcells.append(tuple(row))
+            return LeibnizAlgebra._from_cells(self.field, tuple(rcells))
         table = []
         for a in range(m):
             row = []
             for b in range(m):
-                if cells is not None:
-                    prod = _modp.bracket(cells, rows[a], rows[b], p)
-                    inside = _modp.contains(prod, rows, s.pivots, p)
-                    coords = [prod[pc] for pc in s.pivots] if inside else None
-                else:
-                    coords = s.coords_of(self.bracket(s.rows[a], s.rows[b]))
+                coords = s.coords_of(self.bracket(s.rows[a], s.rows[b]))
                 if coords is None:
                     raise NotASubalgebra(
                         f"product of basis vectors {a}, {b} leaves the subspace"
@@ -445,6 +499,14 @@ class LeibnizAlgebra:
         if self.field != other.field:
             raise FieldMismatch("direct sum requires a common field")
         n, m = self.dim, other.dim
+        labels = tuple(f"{l}'" for l in self.labels) + tuple(f"{l}''" for l in other.labels)
+        if self._cells is not None:
+            shifted = tuple(
+                ((),) * n + tuple(tuple((k + n, c) for k, c in cell) for cell in row)
+                for row in other._cells
+            )
+            cells = tuple(row + ((),) * m for row in self._cells) + shifted
+            return LeibnizAlgebra._from_cells(self.field, cells, labels)
         z = self.field.zero()
         table = [[[z] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
         for i in range(n):
@@ -455,7 +517,6 @@ class LeibnizAlgebra:
             for j in range(m):
                 for k in range(m):
                     table[n + i][n + j][n + k] = other.table[i][j][k]
-        labels = tuple(f"{l}'" for l in self.labels) + tuple(f"{l}''" for l in other.labels)
         return LeibnizAlgebra(self.field, table, labels)
 
     def split_codim1_center(self) -> tuple[Subspace, Subspace]:
@@ -508,15 +569,18 @@ class LeibnizAlgebra:
     def is_lie(self) -> bool:
         return self.leib_ideal().is_zero()
 
+    def _key(self):
+        return self._cells if self._cells is not None else self.table
+
     def __eq__(self, other):
         return (
             isinstance(other, LeibnizAlgebra)
             and self.field == other.field
-            and self.table == other.table
+            and self._key() == other._key()
         )
 
     def __hash__(self):
-        return hash((self.field, self.table))
+        return hash((self.field, self._key()))
 
     def __repr__(self):
         return f"LeibnizAlgebra(dim {self.dim} over {self.field})"

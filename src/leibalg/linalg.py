@@ -5,9 +5,12 @@ The central object is Subspace: a linear subspace stored as its unique
 reduced row echelon basis, so two subspaces are equal iff their stored
 matrices are equal.
 
-Over GF(p) every function here hands the residues (``.value``) to the
-integer kernel ``_modp`` and boxes only the results; the elimination loops
-on FieldElements below serve the rationals only.
+Over GF(p) the integer residues are the representation: a Subspace holds
+its echelon rows as tuples of ints in [0, p), every operation hands them to
+the integer kernel ``_modp``, and the boxed ``rows`` are built on first
+read.  Vectors and matrices passed in from outside are coerced into
+residues at the call.  The elimination loops on FieldElements below serve
+the rationals only.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def _residue_rows(rows) -> list[list[int]]:
 def _span_residues(field: Field, ambient_dim: int, vectors) -> "Subspace":
     """The Subspace spanned by residue vectors over GF(p)."""
     rows, pivots = _modp.rref(vectors, field.modulus, ambient_dim)
-    return Subspace(field, ambient_dim, [_box(field, r) for r in rows], pivots)
+    return Subspace._from_residues(field, ambient_dim, tuple(map(tuple, rows)), pivots)
 
 
 def zero_vector(field: Field, n: int) -> Vector:
@@ -137,18 +140,46 @@ class Subspace:
 
     Equality and hashing use the canonical basis matrix, so Subspace values
     can be compared and deduplicated directly.  Instances are immutable.
+    Over GF(p) the canonical rows are held as residue tuples (``_res_rows``)
+    and ``rows`` boxes them on first read; over Q ``_res_rows`` is None.
     """
 
-    __slots__ = ("field", "ambient_dim", "rows", "pivots")
+    __slots__ = ("field", "ambient_dim", "pivots", "_res_rows", "_rows")
 
     def __init__(self, field: Field, ambient_dim: int, rows, pivots):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
         object.__setattr__(self, "pivots", tuple(pivots))
+        if field.is_finite():
+            res_rows = tuple(tuple(_residues(field, r)) for r in rows)
+            object.__setattr__(self, "_res_rows", res_rows)
+            object.__setattr__(self, "_rows", None)
+        else:
+            object.__setattr__(self, "_res_rows", None)
+            object.__setattr__(self, "_rows", tuple(tuple(r) for r in rows))
+
+    @classmethod
+    def _from_residues(cls, field: Field, ambient_dim: int, res_rows, pivots) -> "Subspace":
+        """A GF(p) subspace from canonical echelon residue rows (tuples)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_res_rows", res_rows)
+        object.__setattr__(self, "_rows", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
+
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        """The canonical echelon basis as FieldElement rows."""
+        rows = self._rows
+        if rows is None:
+            rows = tuple(_box(self.field, r) for r in self._res_rows)
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     @classmethod
     def span(cls, field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -169,26 +200,34 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
+        if field.is_finite():
+            identity = tuple(
+                tuple(1 if j == i else 0 for j in range(ambient_dim)) for i in range(ambient_dim)
+            )
+            return cls._from_residues(field, ambient_dim, identity, range(ambient_dim))
         rows = [basis_vector(field, ambient_dim, i) for i in range(ambient_dim)]
         return cls(field, ambient_dim, rows, list(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.pivots
 
     def is_full(self) -> bool:
-        return len(self.rows) == self.ambient_dim
+        return len(self.pivots) == self.ambient_dim
+
+    def _check_length(self, v: Sequence) -> None:
+        if len(v) != self.ambient_dim:
+            raise BadVector(f"vector of length {len(v)} in ambient dim {self.ambient_dim}")
 
     def reduce(self, v: Sequence[FieldElement]) -> Vector:
         """Canonical representative of v modulo this subspace."""
+        self._check_length(v)
         field = self.field
         if field.is_finite():
-            w = _modp.reduce_mod(
-                _residues(field, v), _residue_rows(self.rows), self.pivots, field.modulus
-            )
+            w = _modp.reduce_mod(_residues(field, v), self._res_rows, self.pivots, field.modulus)
             return _box(field, w)
         w = list(v)
         for row, pc in zip(self.rows, self.pivots):
@@ -198,14 +237,19 @@ class Subspace:
         return tuple(w)
 
     def contains(self, v: Sequence[FieldElement]) -> bool:
+        self._check_length(v)
         field = self.field
         if field.is_finite():
-            return _modp.contains(
-                _residues(field, v), _residue_rows(self.rows), self.pivots, field.modulus
-            )
+            return _modp.contains(_residues(field, v), self._res_rows, self.pivots, field.modulus)
         return vec_is_zero(self.reduce(v))
 
     def contains_space(self, other: "Subspace") -> bool:
+        self._check_compatible(other)
+        if self.field.is_finite():
+            p = self.field.modulus
+            return all(
+                _modp.contains(r, self._res_rows, self.pivots, p) for r in other._res_rows
+            )
         return all(self.contains(r) for r in other.rows)
 
     def coords_of(self, v: Sequence[FieldElement]) -> Vector | None:
@@ -219,12 +263,14 @@ class Subspace:
         return tuple(v[pc] for pc in self.pivots)
 
     def linear_combination(self, coeffs: Sequence[FieldElement]) -> Vector:
+        if len(coeffs) != self.dim:
+            raise BadVector(f"{len(coeffs)} coefficients for a subspace of dim {self.dim}")
         field = self.field
         n = self.ambient_dim
         if field.is_finite():
             p = field.modulus
             acc = [0] * n
-            for c, row in zip(_residues(field, coeffs), _residue_rows(self.rows)):
+            for c, row in zip(_residues(field, coeffs), self._res_rows):
                 if c:
                     acc = [(a + c * b) % p for a, b in zip(acc, row)]
             return _box(field, acc)
@@ -237,21 +283,25 @@ class Subspace:
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
+        if self.field.is_finite():
+            joined = self._res_rows + other._res_rows
+            return _span_residues(self.field, self.ambient_dim, joined)
         return Subspace.span(self.field, self.ambient_dim, self.rows + other.rows)
 
     def annihilator(self) -> "Subspace":
         """All x with row . x == 0 for every basis row."""
-        basis = nullspace(self.rows, self.field, self.ambient_dim)
-        return Subspace.span(self.field, self.ambient_dim, basis)
+        field, n = self.field, self.ambient_dim
+        if field.is_finite():
+            return _span_residues(field, n, _modp.nullspace(self._res_rows, field.modulus, n))
+        return Subspace.span(field, n, nullspace(self.rows, field, n))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         field = self.field
         if field.is_finite():
             p, n = field.modulus, self.ambient_dim
-            joined = _modp.nullspace(_residue_rows(self.rows), p, n) + _modp.nullspace(
-                _residue_rows(other.rows), p, n
-            )
+            joined = _modp.nullspace(self._res_rows, p, n)
+            joined += _modp.nullspace(other._res_rows, p, n)
             return _span_residues(field, n, _modp.nullspace(joined, p, n))
         joined = self.annihilator().rows + other.annihilator().rows
         return Subspace.span(
@@ -269,16 +319,19 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise BadVector("subspaces of different ambient dimension")
 
+    def _key(self):
+        return self._res_rows if self._res_rows is not None else self.rows
+
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.rows == other.rows
+            and self._key() == other._key()
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.rows))
+        return hash((self.field, self.ambient_dim, self._key()))
 
     def __repr__(self):
         rows = "; ".join(" ".join(str(a) for a in r) for r in self.rows)

@@ -22,8 +22,11 @@ extended by bracketing with every induced product checked.
 Every filter is a necessary condition, so no isomorphism is missed, and
 the first map found in the fixed deterministic order is returned.  The
 search runs on the integer residues of ``_modp`` throughout: the algebras'
-sparse residue cells and the one residue bracket ``_modp.bracket``, which
-``core`` uses for GF(p) as well; only a found matrix is boxed.
+sparse residue cells, the residue rows of their subspaces, and the one
+residue bracket ``_modp.bracket``, which ``core`` uses for GF(p) as well;
+only a found matrix is boxed.  Maximal subalgebras are built on residues
+too: the hyperplane pullbacks are spanned from residue rows, and the
+induced algebras come straight from residue cells.
 
 Enumerations and pairwise checks are pure functions of immutable inputs,
 so callers may evaluate distinct maximal subalgebras concurrently; output
@@ -47,7 +50,7 @@ from .errors import (
     SearchBoundExceeded,
 )
 from .fields import FieldElement
-from .linalg import Subspace
+from .linalg import Subspace, _span_residues
 from .series import lower_central_series, nilpotency_data, upper_central_series
 
 _SQUARE_PROFILE_LIMIT = 4096
@@ -67,7 +70,14 @@ SEARCH_CANDIDATE_BOUND = 20_000
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Isomorphism invariants; equality is necessary for isomorphism."""
+    """Isomorphism invariants; equality is necessary for isomorphism.
+
+    ``square_profile`` counts the vectors v with [v, v] = 0 and with
+    [v, v] != 0.  It is computed over GF(p) when p^dim <= 4096 and is None
+    otherwise.  [cv, cv] = c^2 [v, v], so it is counted on one vector per
+    line through 0: the zero count is 1 + (p - 1) times the number of
+    vectors with first nonzero coordinate 1 whose square vanishes.
+    """
 
     dim: int
     lower_dims: tuple[int, ...]
@@ -86,10 +96,11 @@ def fingerprint(algebra: LeibnizAlgebra) -> Fingerprint:
         p = algebra.field.modulus
         if p**algebra.dim <= _SQUARE_PROFILE_LIMIT:
             cells = algebra._cells
-            zero = 0
-            for v in itertools.product(range(p), repeat=algebra.dim):
+            lines = 0
+            for v in _normalized_vectors(p, algebra.dim):
                 if not any(_modp.bracket(cells, v, v, p)):
-                    zero += 1
+                    lines += 1
+            zero = 1 + (p - 1) * lines
             square_profile = (zero, p**algebra.dim - zero)
     return Fingerprint(
         dim=algebra.dim,
@@ -147,28 +158,28 @@ def enumerate_maximal(algebra: LeibnizAlgebra) -> list[MaximalSubalgebra]:
     d = len(comp)
     if d == 0:
         return []
-    p = algebra.field.modulus
+    field, n = algebra.field, algebra.dim
+    p = field.modulus
     result = []
-    for tag in _normalized_covectors(p, d):
+    for tag in _normalized_vectors(p, d):
         t0 = next(i for i, c in enumerate(tag) if c)
-        vectors = list(derived.rows)
-        one = algebra.field.one()
+        vectors = list(derived._res_rows)
         for b in range(d):
             if b == t0:
                 continue
-            vec = [algebra.field.zero()] * algebra.dim
-            vec[comp[b]] = one
-            vec[comp[t0]] = algebra.field(-tag[b])
-            vectors.append(tuple(vec))
-        subspace = Subspace.span(algebra.field, algebra.dim, vectors)
+            vec = [0] * n
+            vec[comp[b]] = 1
+            vec[comp[t0]] = -tag[b] % p
+            vectors.append(vec)
+        subspace = _span_residues(field, n, vectors)
         induced = algebra.restrict(subspace)
         result.append(MaximalSubalgebra(subspace, induced, tag))
     result.sort(key=lambda m: m.hyperplane_tag)
     return result
 
 
-def _normalized_covectors(p: int, d: int):
-    """All covectors of GF(p)^d with first nonzero coordinate equal to 1."""
+def _normalized_vectors(p: int, d: int):
+    """One vector of GF(p)^d per line through 0: first nonzero coordinate 1."""
     for t0 in range(d):
         tail_len = d - t0 - 1
         for tail in itertools.product(range(p), repeat=tail_len):
@@ -261,7 +272,7 @@ def is_isomorphic(
         raise FieldMismatch("isomorphism test needs a common field")
     if a.dim != b.dim:
         return IsoVerdict("no", reason="dimensions differ", invariant=("dim", a.dim, b.dim))
-    if a.table == b.table:
+    if a == b:
         identity = tuple(a.basis_vector(i) for i in range(a.dim))
         return IsoVerdict("yes", matrix=identity, reason="identical structure constants")
     fa, fb = fingerprint(a), _target.fingerprint()
@@ -353,10 +364,6 @@ def check_p2(algebra: LeibnizAlgebra) -> tuple[bool, MaximalPairWitness | None]:
 # generator-image search (integer kernel)
 # ---------------------------------------------------------------------------
 
-def _subspace_to_int(s: Subspace):
-    return [[int(c.value) for c in row] for row in s.rows], list(s.pivots)
-
-
 class _Closure:
     """Bracket closure of a generator prefix, with a replayable recipe.
 
@@ -433,10 +440,9 @@ class _SearchSide:
         lower = lower_central_series(algebra)
         upper = upper_central_series(algebra)
         derived = lower[1] if len(lower) > 1 else algebra.derived()
-        self.derived_ech, self.derived_pivots = _subspace_to_int(derived)
-        pivot_set = set(self.derived_pivots)
-        self.coset_coords = [c for c in range(algebra.dim) if c not in pivot_set]
-        self.member_spaces = [_subspace_to_int(s) for s in lower[1:] + upper[1:]]
+        self.derived_ech, self.derived_pivots = derived._res_rows, derived.pivots
+        self.coset_coords = list(derived.complement_coords())
+        self.member_spaces = [(s._res_rows, s.pivots) for s in lower[1:] + upper[1:]]
 
     def coset(self, v):
         reduced = _modp.reduce_mod(v, self.derived_ech, self.derived_pivots, self.p)

@@ -159,8 +159,8 @@ def enumerate_subspaces(space: Subspace, min_dim: int) -> list[Subspace]:
     dimension k, in ascending k, rows already canonical.  GF(p) only.
     """
     field = space.field
-    elements = list(field.elements())
-    zero, one = field.zero(), field.one()
+    p, n = field.modulus, space.ambient_dim
+    basis = space._res_rows
     d = space.dim
     out = []
     for k in range(max(min_dim, 0), d + 1):
@@ -171,15 +171,15 @@ def enumerate_subspaces(space: Subspace, min_dim: int) -> list[Subspace]:
                 for c in range(pc + 1, d)
                 if c not in pivots
             ]
-            ambient_pivots = [space.pivots[pc] for pc in pivots]
-            for values in itertools.product(elements, repeat=len(free)):
-                coeffs = [[zero] * d for _ in range(k)]
-                for r, pc in enumerate(pivots):
-                    coeffs[r][pc] = one
+            ambient_pivots = tuple(space.pivots[pc] for pc in pivots)
+            for values in itertools.product(range(p), repeat=len(free)):
+                rows = [list(basis[pc]) for pc in pivots]
                 for (r, c), value in zip(free, values):
-                    coeffs[r][c] = value
-                rows = [space.linear_combination(row) for row in coeffs]
-                out.append(Subspace(field, space.ambient_dim, rows, ambient_pivots))
+                    if value:
+                        rows[r] = [(a + value * b) % p for a, b in zip(rows[r], basis[c])]
+                out.append(
+                    Subspace._from_residues(field, n, tuple(map(tuple, rows)), ambient_pivots)
+                )
     return out
 
 

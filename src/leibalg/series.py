@@ -28,24 +28,32 @@ class SeriesProfile:
 
 
 def lower_central_series(algebra: LeibnizAlgebra) -> list[Subspace]:
-    """Terms of the descending series until stabilization (listed once)."""
+    """Terms of the descending series until stabilization (listed once).
+
+    A zero term is final, because [A, 0] = 0.
+    """
     full = algebra.full_space()
     terms = [full]
-    while True:
+    while not terms[-1].is_zero():
         nxt = algebra.span_products(full, terms[-1])
         if nxt == terms[-1]:
-            return terms
+            break
         terms.append(nxt)
+    return terms
 
 
 def upper_central_series(algebra: LeibnizAlgebra) -> list[Subspace]:
-    """Terms of the ascending series until stabilization (listed once)."""
+    """Terms of the ascending series until stabilization (listed once).
+
+    The full space is final, because every bracket lies in it.
+    """
     terms = [algebra.zero_space()]
-    while True:
+    while not terms[-1].is_full():
         nxt = algebra.centralizer_mod(terms[-1])
         if nxt == terms[-1]:
-            return terms
+            break
         terms.append(nxt)
+    return terms
 
 
 def nilpotency_data(algebra: LeibnizAlgebra) -> SeriesProfile:

@@ -212,6 +212,14 @@ class TestCenters:
         algebra = LeibnizAlgebra.from_table(3, GF(2), [])
         assert algebra.center().is_full()
 
+    @pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+    def test_one_sided_product(self, field):
+        # [x, y] = y with [y, x] = 0: y is in the left center, not the center
+        algebra = LeibnizAlgebra.from_table(2, field, [(1, 2, {2: 1})])
+        assert algebra.check_leibniz() == []
+        assert algebra.center().is_zero()
+        assert algebra.left_center() == algebra.subspace([[0, 1]])
+
     def test_center_inside_left_center(self):
         for name in ("heisenberg3", "cex_A8", "A19", "cyclic_example4"):
             algebra = instantiate(name, GF(5), {})
@@ -262,13 +270,14 @@ class TestIdealsQuotients:
         assert q.algebra == algebra
 
     def test_quotient_cyclic4(self):
-        algebra = cyclic4(GF(5))
-        q = algebra.quotient(algebra.subspace([[0, 0, 0, 1]]))
-        expected = LeibnizAlgebra.from_table(
-            3, GF(5), [(1, 1, {2: 1}), (1, 2, {3: 1})]
-        )
-        assert q.algebra == expected
-        assert q.algebra.check_leibniz() == []
+        for field in (GF(5), QQ):
+            algebra = cyclic4(field)
+            q = algebra.quotient(algebra.subspace([[0, 0, 0, 1]]))
+            expected = LeibnizAlgebra.from_table(
+                3, field, [(1, 1, {2: 1}), (1, 2, {3: 1})]
+            )
+            assert q.algebra == expected
+            assert q.algebra.check_leibniz() == []
 
     def test_quotient_requires_ideal(self):
         algebra = cyclic4(GF(5))

@@ -2,7 +2,10 @@
 
 import itertools
 
+import pytest
+
 from leibalg import GF, QQ, Subspace
+from leibalg.errors import BadVector
 from leibalg.linalg import matrix_rank, nullspace, rref, solve
 
 
@@ -53,6 +56,8 @@ class TestSubspace:
         b = span(field, [1, 1, 1], [0, 0, 2])
         assert a == b
         assert hash(a) == hash(b)
+        # same pivots, different rows
+        assert span(field, [1, 1, 0]) != span(field, [1, 2, 0])
 
     def test_containment_and_reduce(self):
         field = GF(5)
@@ -87,6 +92,21 @@ class TestSubspace:
         v = s.linear_combination([field(2), field(3)])
         assert s.coords_of(v) == (field(2), field(3))
         assert s.coords_of([field(0), field(0), field(1)]) is None
+
+    @pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+    def test_wrong_length_vectors_are_rejected(self, field):
+        s = Subspace.span(field, 3, [[1, 0, 0]])
+        for call, arg in (
+            (s.contains, [1]),
+            (s.reduce, [0, 1]),
+            (s.coords_of, [1, 0, 0, 0]),
+            (s.linear_combination, [1, 1]),
+            (s.linear_combination, []),
+        ):
+            with pytest.raises(BadVector):
+                call([field(a) for a in arg])
+        assert s.contains([field(2), field(0), field(0)])
+        assert s.linear_combination([field(2)]) == (field(2), field(0), field(0))
 
     def test_complement_coords(self):
         field = GF(3)

@@ -1,10 +1,12 @@
-"""Prime-field algebras run on integer residues and box only their results.
+"""Prime-field algebras and subspaces are held and computed as residues.
 
 The reference functions below recompute every result with plain
-FieldElement arithmetic straight from ``algebra.table``, so they share no
-code with the residue path of ``core``/``linalg``/``_modp`` they check.
+FieldElement arithmetic straight from ``algebra.table``, or with plain
+integer loops, so they share no code with the residue path of
+``core``/``linalg``/``_modp``/``maximal`` they check.
 """
 
+import itertools
 import random
 
 import pytest
@@ -18,10 +20,11 @@ from leibalg import (
     instantiate,
     nilpotency_data,
 )
-from leibalg.fields import SHARED_ELEMENTS_MAX_P, FieldElement
+from leibalg.fields import SHARED_ELEMENTS_MAX_P, Field, FieldElement
+from leibalg.maximal import fingerprint
 from leibalg.randomgen import random_nilpotent_algebra
 from leibalg.reproduce import enumerate_subspaces
-from leibalg.series import upper_central_series
+from leibalg.series import lower_central_series, upper_central_series
 
 # (p, tower dims, towers); 1031 lies above SHARED_ELEMENTS_MAX_P
 FIELDS = [(2, (2, 5), 8), (3, (2, 5), 8), (5, (2, 4), 8), (1031, (2, 5), 8)]
@@ -125,6 +128,39 @@ def ref_restrict_table(algebra, s: Subspace):
     return tuple(table)
 
 
+def ref_is_ideal(algebra, u: Subspace):
+    for r in u.rows:
+        for e in (algebra.basis_vector(i) for i in range(algebra.dim)):
+            for w in (ref_bracket(algebra, e, r), ref_bracket(algebra, r, e)):
+                if any(a != 0 for a in ref_reduce(u.rows, u.pivots, w)):
+                    return False
+    return True
+
+
+def ref_square_profile(algebra):
+    """(# v with [v, v] = 0, # with [v, v] != 0) over every vector, on ints."""
+    p, n = algebra.field.modulus, algebra.dim
+    t = [[[c.value for c in cell] for cell in row] for row in algebra.table]
+    zero = 0
+    for v in itertools.product(range(p), repeat=n):
+        square = [
+            sum(v[i] * v[j] * t[i][j][k] for i in range(n) for j in range(n)) % p
+            for k in range(n)
+        ]
+        zero += not any(square)
+    return zero, p**n - zero
+
+
+def ref_series(step, start):
+    """Apply step until a term repeats; every distinct term, listed once."""
+    terms = [start]
+    while True:
+        nxt = step(terms[-1])
+        if nxt == terms[-1]:
+            return terms
+        terms.append(nxt)
+
+
 def ref_violations(algebra):
     n, t = algebra.dim, algebra.table
     basis = [algebra.basis_vector(i) for i in range(n)]
@@ -195,6 +231,12 @@ def test_residue_path_matches_boxed_reference(p, dims, count):
         left_rows = [[algebra.table[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
         assert_span(algebra.left_center(), ref_nullspace(left_rows, field, n), field, n)
 
+        for k in range(n + 1):
+            s = random_subspace(rng, field, full, k)
+            assert algebra.is_ideal(s) == ref_is_ideal(algebra, s)
+        for s in (center, derived, algebra.zero_space(), full):
+            assert algebra.is_ideal(s) and ref_is_ideal(algebra, s)
+
         if p <= EXHAUSTIVE_MAX_P:
             ideals = enumerate_subspaces(center, 0)
         else:
@@ -258,3 +300,117 @@ def test_prime_field_operations_do_no_boxed_arithmetic(monkeypatch):
     assert algebra.check_leibniz() == []
     assert len(enumerate_maximal(algebra)) == 6
     assert check_p1(algebra)[0]
+
+
+# ---------------------------------------------------------------------------
+# residues are the representation; boxed views agree with them
+# ---------------------------------------------------------------------------
+
+def small_algebras(field):
+    """Dims 0 and 1, and a non-nilpotent, non-Lie algebra: [x, y] = y."""
+    affine = LeibnizAlgebra.from_table(2, field, [(1, 2, {2: 1})])
+    assert affine.check_leibniz() == [] and not affine.is_lie()
+    return [
+        LeibnizAlgebra.from_table(0, field, []),
+        LeibnizAlgebra.from_table(1, field, []),
+        affine,
+    ]
+
+
+def assert_boxed_rebuild(space: Subspace):
+    field, n = space.field, space.ambient_dim
+    rebuilt = Subspace.span(field, n, space.rows)
+    assert space == rebuilt and hash(space) == hash(rebuilt)
+    assert space.rows == rebuilt.rows
+    assert (space.rows, space.pivots) == ref_rref(space.rows, field, n)
+
+
+def assert_table_rebuild(algebra: LeibnizAlgebra):
+    rebuilt = LeibnizAlgebra(algebra.field, algebra.table)
+    assert algebra == rebuilt and hash(algebra) == hash(rebuilt)
+
+
+@pytest.mark.parametrize("p,dims,count", FIELDS)
+def test_residue_objects_agree_with_boxed_rebuilds(p, dims, count):
+    field = GF(p)
+    rng, algebras = towers(p, dims, count)
+    extra = small_algebras(field)
+    extra.append(extra[2].direct_sum(algebras[0]))
+    for algebra in algebras + extra:
+        n = algebra.dim
+        full, zero = algebra.full_space(), algebra.zero_space()
+        lower = lower_central_series(algebra)
+        upper = upper_central_series(algebra)
+        assert lower == ref_series(lambda t: algebra.span_products(full, t), full)
+        assert upper == ref_series(algebra.centralizer_mod, zero)
+        nilpotent = lower[-1].is_zero()
+        assert nilpotent == (algebra in algebras or n <= 1)
+
+        center, derived = algebra.center(), algebra.derived()
+        spaces = [full, zero, center, derived, algebra.leib_ideal(), algebra.left_center()]
+        spaces += lower + upper
+        spaces += [center.annihilator(), derived.intersect(center), derived.sum_with(center)]
+        if p <= EXHAUSTIVE_MAX_P:
+            ideals = enumerate_subspaces(center, 0)
+        else:
+            ideals = enumerate_subspaces(center, center.dim) + [
+                random_subspace(rng, field, center, rng.randrange(0, center.dim + 1))
+                for _ in range(SAMPLES)
+            ]
+        spaces += ideals
+        maximals = []
+        if nilpotent and (p <= EXHAUSTIVE_MAX_P or n - derived.dim <= 2):
+            maximals = enumerate_maximal(algebra)
+            spaces += [m.subspace for m in maximals]
+        for space in spaces:
+            assert_boxed_rebuild(space)
+
+        assert_table_rebuild(algebra)
+        for ideal in ideals:
+            assert_table_rebuild(algebra.quotient(ideal).algebra)
+        for m in maximals:
+            assert_table_rebuild(m.induced)
+            assert m.induced == algebra.restrict(m.subspace)
+        assert_table_rebuild(algebra.direct_sum(extra[2]))
+
+        if p**n <= 4096:
+            assert fingerprint(algebra).square_profile == ref_square_profile(algebra)
+        else:
+            assert fingerprint(algebra).square_profile is None
+
+
+@pytest.fixture
+def no_boxing(monkeypatch):
+    """Make every coercion, boxing and FieldElement operation raise."""
+
+    def boxed(*args, **kwargs):
+        raise AssertionError("a GF(p) value was boxed or computed on FieldElements")
+
+    monkeypatch.setattr(Field, "__call__", boxed)
+    monkeypatch.setattr(Field, "_residue", boxed)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__neg__", "__truediv__", "__rtruediv__", "__pow__", "inv"):
+        monkeypatch.setattr(FieldElement, name, boxed)
+
+
+@pytest.mark.parametrize("p,dims,count", [f for f in FIELDS if f[0] != 2])
+def test_verdict_path_boxes_nothing(request, p, dims, count):
+    _, algebras = towers(p, dims, count)
+    request.getfixturevalue("no_boxing")
+    with pytest.raises(AssertionError):
+        GF(p)(1)
+    quotients = maximals = 0
+    for algebra in algebras:
+        center = algebra.center()
+        for ideal in enumerate_subspaces(center, 2):
+            q = algebra.quotient(ideal).algebra
+            lower_central_series(q)
+            upper_central_series(q)
+            quotients += 1
+        # (p^d - 1)/(p - 1) maximals for d = dim A/[A, A]
+        if p <= EXHAUSTIVE_MAX_P or algebra.dim - algebra.derived().dim <= 2:
+            for m in enumerate_maximal(algebra):
+                upper_central_series(m.induced)
+                maximals += 1
+        fingerprint(algebra)
+    assert quotients and maximals
