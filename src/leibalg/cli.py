@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / property true; 1 property false (with a witness
 description); 2 usage or input error; 3 internal invariant breach.
-The LEIBALG_SEED environment variable is the fallback for --seed.
+The LEIBALG_SEED environment variable is the fallback for --seed; a
+value that is not an integer is a usage error.
 """
 
 from __future__ import annotations
@@ -30,11 +31,18 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _default_seed() -> int:
+def _seed(text: str) -> int:
+    """--seed as an int; argparse also applies it to the LEIBALG_SEED default."""
     try:
-        return int(os.environ.get("LEIBALG_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise argparse.ArgumentTypeError(
+            f"seed {text!r} is not an integer (from --seed, or LEIBALG_SEED without it)"
+        ) from None
+
+
+def _default_seed() -> str:
+    return os.environ.get("LEIBALG_SEED", "0")
 
 
 def _load_algebra(path: str) -> LeibnizAlgebra:
@@ -74,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("p1", help="are all maximal subalgebras isomorphic?")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=_default_seed())
 
     p = sub.add_parser("p2", help="do all maximal subalgebras share series dims?")
     p.add_argument("file")
@@ -100,12 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relations", required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--field", default="GF(101)")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=_default_seed())
 
     p = sub.add_parser("reproduce", help="run the full claim suite and write a report")
     p.add_argument("--fields", default="3,5,7", help="comma-separated primes")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=_default_seed())
     p.add_argument("--only", default=None, help="run only claims whose id contains this")
     p.add_argument(
         "--no-timing",

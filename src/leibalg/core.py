@@ -623,9 +623,6 @@ class QuotientMap:
 
 def is_nilpotent(algebra: LeibnizAlgebra) -> bool:
     """True iff the lower central series reaches zero."""
-    term = algebra.full_space()
-    while True:
-        nxt = algebra.span_products(algebra.full_space(), term)
-        if nxt == term:
-            return term.is_zero()
-        term = nxt
+    from .series import lower_central_series  # series imports core
+
+    return lower_central_series(algebra)[-1].is_zero()

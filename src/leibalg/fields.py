@@ -9,9 +9,10 @@ Two kinds of field are supported:
 
 Elements carry their field descriptor and refuse mixed-field arithmetic.
 Everything is exact; no floating point is used anywhere in this package.
-``GF(p)`` returns one shared Field object per p, and a prime field with at
-most ``SHARED_ELEMENTS_MAX_P`` elements holds one shared element per residue:
-coercion and arithmetic return those objects instead of allocating.
+``GF(p)`` returns one shared Field object per p, so field comparisons are
+mostly identity checks; elements are plain values, built as needed.  The
+GF(p) algorithms of the package compute on the raw residues of ``_modp``
+and box FieldElements only at the public boundary.
 Square testing uses Euler's criterion over GF(p) and perfect-square checks
 on the reduced numerator/denominator over Q.
 """
@@ -32,8 +33,6 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # n below psi_12 (Sorenson and Webster, "Strong pseudoprimes to twelve prime
 # bases", Math. Comp. 86, 2017); psi_12 itself passes every witness.
 PRIMALITY_BOUND = 318665857834031151167461
-# Prime fields up to this size keep a tuple of their p elements.
-SHARED_ELEMENTS_MAX_P = 1024
 
 
 def is_prime(n: int) -> bool:
@@ -71,12 +70,11 @@ def is_prime(n: int) -> bool:
 class Field:
     """Descriptor for Q or GF(p); also acts as an element factory.
 
-    A prime field with p <= SHARED_ELEMENTS_MAX_P holds its p elements in
-    ``_elements``, indexed by residue; every element it hands out is one of
-    them.  Use ``GF(p)`` for the one shared instance per p.
+    Use ``GF(p)`` for the one shared instance per p; a separately built
+    Field compares and hashes equal to it.
     """
 
-    __slots__ = ("kind", "modulus", "_elements", "_hash")
+    __slots__ = ("kind", "modulus", "_hash")
 
     def __init__(self, kind: str, modulus: int | None = None):
         if kind == RATIONALS:
@@ -97,10 +95,6 @@ class Field:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "_hash", hash((kind, modulus)))
-        elements = None
-        if kind == PRIME and modulus <= SHARED_ELEMENTS_MAX_P:
-            elements = tuple(FieldElement(self, i) for i in range(modulus))
-        object.__setattr__(self, "_elements", elements)
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
@@ -147,8 +141,6 @@ class Field:
             if value.field is not self and value.field != self:
                 raise FieldMismatch(f"element of {value.field} used in {self}")
             return value
-        if value.__class__ is int and self._elements is not None:
-            return self._elements[value % self.modulus]
         if isinstance(value, str):
             return self._from_literal(value)
         if self.kind == PRIME:
@@ -178,9 +170,6 @@ class Field:
 
     def _residue(self, r: int) -> "FieldElement":
         """The element with canonical residue r (GF(p) only)."""
-        elements = self._elements
-        if elements is not None:
-            return elements[r]
         return FieldElement(self, r)
 
     def zero(self) -> "FieldElement":
@@ -251,8 +240,6 @@ class FieldElement:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if field._elements is not None:
-            return field._elements[(self.value + other.value) % field.modulus]
         if field.kind == PRIME:
             return FieldElement(field, (self.value + other.value) % field.modulus)
         return FieldElement(field, self.value + other.value)
@@ -265,8 +252,6 @@ class FieldElement:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if field._elements is not None:
-            return field._elements[(self.value - other.value) % field.modulus]
         if field.kind == PRIME:
             return FieldElement(field, (self.value - other.value) % field.modulus)
         return FieldElement(field, self.value - other.value)
@@ -283,8 +268,6 @@ class FieldElement:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if field._elements is not None:
-            return field._elements[(self.value * other.value) % field.modulus]
         if field.kind == PRIME:
             return FieldElement(field, (self.value * other.value) % field.modulus)
         return FieldElement(field, self.value * other.value)

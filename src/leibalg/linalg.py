@@ -260,7 +260,7 @@ class Subspace:
         """
         if not self.contains(v):
             return None
-        return tuple(v[pc] for pc in self.pivots)
+        return tuple(self.field(v[pc]) for pc in self.pivots)
 
     def linear_combination(self, coeffs: Sequence[FieldElement]) -> Vector:
         if len(coeffs) != self.dim:

@@ -9,8 +9,11 @@ when phi satisfies the (linear) cocycle condition
     phi(a, [b, c]) = phi([a, b], c) + phi(b, [a, c]),
 
 so a random element of that kernel always yields a valid algebra, and a
-central extension of a nilpotent algebra stays nilpotent.  Everything is
-driven by an explicit random.Random, so suites are reproducible.
+central extension of a nilpotent algebra stays nilpotent.  Towers live over
+GF(p) and are grown on the residue cells of ``_modp``: the cocycle rows are
+read from ``_cells`` and each extension appends its (new index, residue)
+pairs, so no table is boxed.  Everything is driven by an explicit
+random.Random, so suites are reproducible.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import random
 
 from . import _modp
 from .core import LeibnizAlgebra
-from .errors import NeedsFiniteField
+from .errors import BadVector, NeedsFiniteField
 from .fields import Field
 from .linalg import Subspace
 
@@ -46,22 +49,19 @@ def _cocycle_space(algebra: LeibnizAlgebra) -> list[list[int]]:
     """Basis of scalar cocycles phi as flat n*n integer vectors."""
     p = algebra.field.modulus
     n = algebra.dim
-    table = [
-        [[int(c.value) for c in cell] for cell in row] for row in algebra.table
-    ]
+    cells = algebra._cells
     rows = []
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 # phi(a, [b,c]) - phi([a,b], c) - phi(b, [a,c]) = 0
                 row = [0] * (n * n)
-                for m in range(n):
-                    if table[b][c][m]:
-                        row[a * n + m] = (row[a * n + m] + table[b][c][m]) % p
-                    if table[a][b][m]:
-                        row[m * n + c] = (row[m * n + c] - table[a][b][m]) % p
-                    if table[a][c][m]:
-                        row[b * n + m] = (row[b * n + m] - table[a][c][m]) % p
+                for m, v in cells[b][c]:
+                    row[a * n + m] = (row[a * n + m] + v) % p
+                for m, v in cells[a][b]:
+                    row[m * n + c] = (row[m * n + c] - v) % p
+                for m, v in cells[a][c]:
+                    row[b * n + m] = (row[b * n + m] - v) % p
                 if any(row):
                     rows.append(row)
     if not rows:
@@ -84,17 +84,23 @@ def _random_cocycle(rng: random.Random, algebra: LeibnizAlgebra) -> list[list[in
 
 
 def central_extension(algebra: LeibnizAlgebra, phi: list[list[int]]) -> LeibnizAlgebra:
-    """Extend by one central dimension with [x, y] += phi(x, y) * e_new."""
+    """Extend by one central dimension with [x, y] += phi(x, y) * e_new (GF(p) only)."""
     field = algebra.field
+    if not field.is_finite():
+        raise NeedsFiniteField("central extensions are built over GF(p)")
     n = algebra.dim
-    z = field.zero()
-    table = [[[z] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                table[i][j][k] = algebra.table[i][j][k]
-            table[i][j][n] = field(phi[i][j])
-    return LeibnizAlgebra(field, table)
+    if len(phi) != n or any(len(row) != n for row in phi):
+        raise BadVector(f"phi must be {n} x {n}")
+    p = field.modulus
+    cells = []
+    for row, phi_row in zip(algebra._cells, phi):
+        new_row = []
+        for cell, c in zip(row, phi_row):
+            c %= p
+            new_row.append(cell + ((n, c),) if c else cell)
+        cells.append(tuple(new_row) + ((),))
+    cells.append(((),) * (n + 1))
+    return LeibnizAlgebra._from_cells(field, tuple(cells))
 
 
 def random_invertible_matrix(rng: random.Random, field: Field, n: int):

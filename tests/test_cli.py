@@ -290,6 +290,16 @@ class TestReproduce:
         args = build_parser().parse_args(["reproduce"])
         assert args.seed == 3
 
+    @pytest.mark.parametrize("argv", [["reproduce", "--fields", "3"], ["p1", "missing.alg"]])
+    def test_bad_seed_env_is_a_usage_error(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("LEIBALG_SEED", "abc")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "LEIBALG_SEED" in err and "'abc'" in err
+        # an explicit --seed overrides the variable
+        args = cli_module.build_parser().parse_args(["reproduce", "--seed", "4"])
+        assert args.seed == 4
+
     def test_bad_fields(self, capsys):
         assert main(["reproduce", "--fields", "3,x"]) == 2
 

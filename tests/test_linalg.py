@@ -93,6 +93,19 @@ class TestSubspace:
         assert s.coords_of(v) == (field(2), field(3))
         assert s.coords_of([field(0), field(0), field(1)]) is None
 
+    def test_coords_of_raw_ints_are_field_elements(self):
+        field = GF(3)
+        s = Subspace.span(field, 3, [[1, 0, 0], [0, 1, 0]])
+        coords = s.coords_of([4, -1, 0])
+        assert coords == (field(1), field(2))
+        assert [c.value for c in coords] == [1, 2]
+        assert all(c.field is field for c in coords)
+
+        s = Subspace.span(QQ, 3, [[1, 0, 0], [0, 1, 0]])
+        coords = s.coords_of([4, -1, 0])
+        assert coords == (QQ(4), QQ(-1))
+        assert all(c.field is QQ for c in coords)
+
     @pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
     def test_wrong_length_vectors_are_rejected(self, field):
         s = Subspace.span(field, 3, [[1, 0, 0]])

@@ -13,20 +13,23 @@ import pytest
 
 from leibalg import (
     GF,
+    QQ,
+    BadVector,
     LeibnizAlgebra,
+    NeedsFiniteField,
     Subspace,
     check_p1,
     enumerate_maximal,
     instantiate,
     nilpotency_data,
 )
-from leibalg.fields import SHARED_ELEMENTS_MAX_P, Field, FieldElement
+from leibalg.fields import Field, FieldElement
 from leibalg.maximal import fingerprint
-from leibalg.randomgen import random_nilpotent_algebra
+from leibalg.randomgen import central_extension, random_nilpotent_algebra
 from leibalg.reproduce import enumerate_subspaces
 from leibalg.series import lower_central_series, upper_central_series
 
-# (p, tower dims, towers); 1031 lies above SHARED_ELEMENTS_MAX_P
+# (p, tower dims, towers); 1031 checks residues past a few bits
 FIELDS = [(2, (2, 5), 8), (3, (2, 5), 8), (5, (2, 4), 8), (1031, (2, 5), 8)]
 # At or below this p every central ideal and every maximal is checked;
 # above it, seeded samples of each.
@@ -276,10 +279,6 @@ def test_residue_path_matches_boxed_reference(p, dims, count):
         assert not bad.verified
 
 
-def test_large_prime_really_is_above_the_shared_elements():
-    assert FIELDS[-1][0] > SHARED_ELEMENTS_MAX_P
-
-
 def test_prime_field_operations_do_no_boxed_arithmetic(monkeypatch):
     field = GF(5)
     algebra = instantiate("A1_6dim", field, {"c": -3, "d": 1, "g": 2, "rhat": 1, "shat": 1})
@@ -300,6 +299,84 @@ def test_prime_field_operations_do_no_boxed_arithmetic(monkeypatch):
     assert algebra.check_leibniz() == []
     assert len(enumerate_maximal(algebra)) == 6
     assert check_p1(algebra)[0]
+
+
+# ---------------------------------------------------------------------------
+# towers grown on cells agree with the boxed-table recipe
+# ---------------------------------------------------------------------------
+
+def ref_central_extension(algebra, phi):
+    field, n = algebra.field, algebra.dim
+    z = field.zero()
+    table = [[[z] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                table[i][j][k] = algebra.table[i][j][k]
+            table[i][j][n] = field(phi[i][j])
+    return LeibnizAlgebra(field, table)
+
+
+def ref_random_cocycle(rng, algebra):
+    """A random cocycle from cocycle rows written on algebra.table."""
+    field, n, t = algebra.field, algebra.dim, algebra.table
+    p = field.modulus
+    rows = []
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                row = [field.zero()] * (n * n)
+                for m in range(n):
+                    row[a * n + m] += t[b][c][m]
+                    row[m * n + c] -= t[a][b][m]
+                    row[b * n + m] -= t[a][c][m]
+                if any(row):
+                    rows.append(row)
+    flat = [0] * (n * n)
+    for vec in ref_nullspace(rows, field, n * n):
+        c = rng.randrange(p)
+        if c:
+            flat = [(f + c * v.value) % p for f, v in zip(flat, vec)]
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
+def ref_tower(rng, field, dim):
+    """random_nilpotent_algebra's recipe with the same random.Random calls."""
+    if dim == 0:
+        return LeibnizAlgebra.from_table(0, field, [])
+    if rng.random() < 0.5 or dim == 1:
+        algebra = LeibnizAlgebra.from_table(1, field, [])
+    else:
+        algebra = LeibnizAlgebra.from_table(2, field, [(1, 1, {2: 1})])
+    while algebra.dim < dim:
+        if rng.random() < 0.25:
+            algebra = ref_central_extension(algebra, [[0] * algebra.dim] * algebra.dim)
+        else:
+            algebra = ref_central_extension(algebra, ref_random_cocycle(rng, algebra))
+    return algebra
+
+
+@pytest.mark.parametrize("p,dims,count", FIELDS)
+def test_towers_match_the_boxed_table_recipe(p, dims, count):
+    field = GF(p)
+    rng, ref_rng = random.Random(1000 + p), random.Random(1000 + p)
+    for dim in [0, 1] + list(range(dims[0], dims[1] + 1)) * 2:
+        got = random_nilpotent_algebra(rng, field, dim)
+        expected = ref_tower(ref_rng, field, dim)
+        assert got == expected and hash(got) == hash(expected)
+        assert got.table == expected.table
+        assert got.check_leibniz() == []
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def test_central_extension_checks_its_input():
+    plane = LeibnizAlgebra.from_table(2, GF(3), [])
+    for phi in ([[0, 0, 9], [0, 0]], [[0, 0], [0, 0], [1, 1]], [[0, 0]], [[0], [0, 0]], []):
+        with pytest.raises(BadVector):
+            central_extension(plane, phi)
+    assert central_extension(plane, [[1, 0], [0, 0]]).table[0][0] == (0, 0, 1)
+    with pytest.raises(NeedsFiniteField):
+        central_extension(LeibnizAlgebra.from_table(2, QQ, []), [[1, 0], [0, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +449,8 @@ def test_residue_objects_agree_with_boxed_rebuilds(p, dims, count):
             assert_table_rebuild(m.induced)
             assert m.induced == algebra.restrict(m.subspace)
         assert_table_rebuild(algebra.direct_sum(extra[2]))
+        phi = [[rng.randrange(-p, 2 * p) for _ in range(n)] for _ in range(n)]
+        assert_table_rebuild(central_extension(algebra, phi))
 
         if p**n <= 4096:
             assert fingerprint(algebra).square_profile == ref_square_profile(algebra)
