@@ -534,17 +534,11 @@ class LeibnizAlgebra:
             raise NotApplicable(
                 f"center has dimension {z.dim}, expected {self.dim - 1}"
             )
-        a = None
-        for i in range(self.dim):
-            if not z.contains(self.basis_vector(i)):
-                a = self.basis_vector(i)
-                break
-        assert a is not None
+        a = next(e for e in map(self.basis_vector, range(self.dim)) if not z.contains(e))
         a2 = self.bracket(a, a)
         if vec_is_zero(a2):
             raise NotApplicable("chosen generator squares to zero")  # cannot happen
         i_space = self.subspace([a, a2])
-        a2_line = self.subspace([a2])
         # canonical complement of span{a2} inside the center: keep center rows
         # that stay independent after a2.
         rows = []
@@ -561,7 +555,6 @@ class LeibnizAlgebra:
             raise NotApplicable("decomposition summands are not independent")
         if i_space.sum_with(j_space).dim != self.dim:
             raise NotApplicable("decomposition does not fill the algebra")
-        assert a2_line.dim == 1
         return i_space, j_space
 
     # -- misc ---------------------------------------------------------------

@@ -17,16 +17,31 @@ raises SearchBoundExceeded instead of answering.
 
 An isomorphism is determined by the images of a coset basis of A/[A,A];
 candidate images are enumerated inside the affine solution spaces of
-necessary linear conditions, filtered by per-element invariants, and
+necessary linear conditions (membership in the series terms, the relations
+of the generators found so far), filtered by per-element invariants, and
 extended by bracketing with every induced product checked.
-Every filter is a necessary condition, so no isomorphism is missed, and
-the first map found in the fixed deterministic order is returned.  The
-search runs on the integer residues of ``_modp`` throughout: the algebras'
-sparse residue cells, the residue rows of their subspaces, and the one
-residue bracket ``_modp.bracket``, which ``core`` uses for GF(p) as well;
-only a found matrix is boxed.  Maximal subalgebras are built on residues
-too: the hyperplane pullbacks are spanned from residue rows, and the
-induced algebras come straight from residue cells.
+
+The images are also normalised by central automorphisms.  Lemma: let
+W = Z(B) meet [B,B], with Z(B) the two-sided centre, and let f: B -> W be
+linear with f([B,B]) = 0.  Then id + f is an automorphism of B: W is
+central, so [x + f(x), y + f(y)] = [x, y] = (id + f)([x, y]), and
+f(W) = 0, so f^2 = 0 and id - f is the inverse.  Images of generators are
+independent modulo [B,B], so such an f may add any element of W to each of
+them independently.  Hence if some isomorphism extends the images chosen
+so far, one also does whose next image is zero at the pivot columns of W;
+the search asks for those zeros as linear equations.  Every filter is a
+necessary condition and the normalisation loses no isomorphism, so a
+`no` stays an exhaustion proof, and the first map found in the fixed
+deterministic order is returned.  The normalisation is the one of
+O'Brien's p-group generation algorithm and of de Graaf's classification
+of six-dimensional nilpotent Lie algebras.
+
+The search runs on the integer residues of ``_modp`` throughout: the
+algebras' sparse residue cells, the residue rows of their subspaces, and
+the one residue bracket ``_modp.bracket``, which ``core`` uses for GF(p) as
+well; only a found matrix is boxed.  Maximal subalgebras are built on
+residues too: the hyperplane pullbacks are spanned from residue rows, and
+the induced algebras come straight from residue cells.
 
 Enumerations and pairwise checks are pure functions of immutable inputs,
 so callers may evaluate distinct maximal subalgebras concurrently; output
@@ -58,9 +73,10 @@ _SQUARE_PROFILE_LIMIT = 4096
 _SEARCH_DIM_BOUND = 7
 _SEARCH_GEN_BOUND = 3
 # Candidate generator images one search may generate, summed over all
-# depths.  The searches of the test suite and of `leibalg reproduce` stay
-# below 2700; an exhaustive "no" on three-dimensional coclass-one forms
-# generates (p^3 - p)(p + 1) of them, so it is decided up to GF(11).
+# depths.  The searches of `leibalg reproduce` stay below 400 and those of
+# the test suite below 2000; an exhaustive "no" on three-dimensional
+# coclass-one forms generates about 2(p^2 - 1) of them (1920 at GF(31)), so
+# it is decided up to GF(97) and refused from GF(101) on.
 SEARCH_CANDIDATE_BOUND = 20_000
 
 
@@ -427,22 +443,34 @@ class _Closure:
 
 
 class _SearchSide:
-    """Per-algebra search data: derived cosets, series membership, invariants."""
+    """Per-algebra search data: derived cosets, series membership, invariants.
+
+    ``member_spaces`` holds, per series term, its residue rows, pivots and
+    annihilating covectors (v lies in the term iff every covector vanishes
+    on v).  ``central_pivots`` are the pivot columns of Z(B) meet [B,B],
+    the coordinates a normalised generator image has equal to zero.
+    """
 
     __slots__ = (
-        "cells", "p", "n", "derived_ech", "derived_pivots", "coset_coords", "member_spaces"
+        "cells", "p", "n", "derived_ech", "derived_pivots", "coset_coords", "member_spaces",
+        "central_pivots",
     )
 
     def __init__(self, algebra: LeibnizAlgebra):
         self.cells = algebra._cells
-        self.p = algebra.field.modulus
-        self.n = algebra.dim
+        self.p = p = algebra.field.modulus
+        self.n = n = algebra.dim
         lower = lower_central_series(algebra)
         upper = upper_central_series(algebra)
         derived = lower[1] if len(lower) > 1 else algebra.derived()
         self.derived_ech, self.derived_pivots = derived._res_rows, derived.pivots
         self.coset_coords = list(derived.complement_coords())
-        self.member_spaces = [(s._res_rows, s.pivots) for s in lower[1:] + upper[1:]]
+        self.member_spaces = [
+            (s._res_rows, s.pivots, _modp.nullspace(s._res_rows, p, n))
+            for s in lower[1:] + upper[1:]
+        ]
+        center = upper[1] if len(upper) > 1 else upper[0]
+        self.central_pivots = center.intersect(derived).pivots
 
     def coset(self, v):
         reduced = _modp.reduce_mod(v, self.derived_ech, self.derived_pivots, self.p)
@@ -450,7 +478,7 @@ class _SearchSide:
 
     def membership_profile(self, v):
         return tuple(
-            _modp.contains(v, ech, piv, self.p) for ech, piv in self.member_spaces
+            _modp.contains(v, ech, piv, self.p) for ech, piv, _ in self.member_spaces
         )
 
     def square_is_zero(self, v) -> bool:
@@ -539,11 +567,18 @@ def _search_isomorphism(
     def descend(k, gen_imgs, prev_elem_imgs):
         nonlocal generated
         sig = gen_sigs[k]
-        if k == 0:
-            candidates = _all_vectors_outside_derived(side_b, n, p)
-        else:
-            candidates = _constrained_candidates(side_b, relations[k], prev_elem_imgs, n, p)
-        for v in candidates:
+        rows = [
+            f
+            for (_, _, covectors), member in zip(side_b.member_spaces, sig[1])
+            if member
+            for f in covectors
+        ]
+        rhs = [0] * len(rows)
+        if k > 0:
+            rel_rows, rel_rhs = _relation_equations(side_b, relations[k], prev_elem_imgs)
+            rows += rel_rows
+            rhs += rel_rhs
+        for v in _constrained_candidates(side_b, rows, rhs):
             generated += 1
             if generated > SEARCH_CANDIDATE_BOUND:
                 raise SearchBoundExceeded(
@@ -567,12 +602,6 @@ def _search_isomorphism(
     return descend(0, [], [])
 
 
-def _all_vectors_outside_derived(side_b: _SearchSide, n: int, p: int):
-    for v in itertools.product(range(p), repeat=n):
-        if any(side_b.coset(v)):
-            yield list(v)
-
-
 def _gen_relations(cells, p: int, elems, gen_vec):
     """Left-kernel relations among words linear in the next generator.
 
@@ -590,9 +619,9 @@ def _gen_relations(cells, p: int, elems, gen_vec):
     return _modp.left_kernel(rows, p, len(cells))
 
 
-def _constrained_candidates(side_b: _SearchSide, kernel, elem_imgs, n: int, p: int):
-    """Solve the linear necessary conditions and enumerate that affine space."""
-    cells = side_b.cells
+def _relation_equations(side_b: _SearchSide, kernel, elem_imgs):
+    """The relations of ``_gen_relations`` as linear equations on the image v."""
+    cells, p, n = side_b.cells, side_b.p, side_b.n
     m = len(elem_imgs)
     basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     # rword[u][i] = [e_i, E_u] (for words [g, e_u] evaluated at v: sum_i v_i rword)
@@ -635,16 +664,23 @@ def _constrained_candidates(side_b: _SearchSide, kernel, elem_imgs, n: int, p: i
             if any(row) or rhs:
                 sys_rows.append(row)
                 sys_rhs.append(rhs)
-    if not sys_rows:
-        yield from _all_vectors_outside_derived(side_b, n, p)
-        return
-    solution = _modp.solve_affine(sys_rows, sys_rhs, p, n)
+    return sys_rows, sys_rhs
+
+
+def _constrained_candidates(side_b: _SearchSide, rows, rhs):
+    """Solutions v of rows . v = rhs that are zero at the central pivots and
+    lie outside [B, B], enumerated over the affine solution space.
+
+    Zero central-pivot entries are the normalisation by central
+    automorphisms of the module docstring; they lose no isomorphism.
+    """
+    p, n = side_b.p, side_b.n
+    pivots = side_b.central_pivots
+    rows = rows + [[1 if i == c else 0 for i in range(n)] for c in pivots]
+    solution = _modp.solve_affine(rows, rhs + [0] * len(pivots), p, n)
     if solution is None:
         return
     x0, null_basis = solution
-    if not null_basis:
-        yield list(x0)
-        return
     for combo in itertools.product(range(p), repeat=len(null_basis)):
         v = list(x0)
         for c, direction in zip(combo, null_basis):
@@ -652,7 +688,8 @@ def _constrained_candidates(side_b: _SearchSide, kernel, elem_imgs, n: int, p: i
                 for i in range(n):
                     if direction[i]:
                         v[i] = (v[i] + c * direction[i]) % p
-        yield v
+        if any(side_b.coset(v)):
+            yield v
 
 
 def _assemble_matrix(closure: _Closure, elem_imgs, p: int, n: int):

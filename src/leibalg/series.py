@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import LeibnizAlgebra
-from .errors import NotNilpotent
+from .errors import InternalError, NotNilpotent
 from .linalg import Subspace, Vector
 
 
@@ -99,14 +99,11 @@ def is_cyclic(algebra: LeibnizAlgebra) -> tuple[bool, Vector | None]:
     derived = lower[1] if len(lower) > 1 else algebra.derived()
     if derived.dim != algebra.dim - 1:
         return False, None
-    witness = None
-    for i in range(algebra.dim):
-        if not derived.contains(algebra.basis_vector(i)):
-            witness = algebra.basis_vector(i)
-            break
-    assert witness is not None
-    generated = _generated_subalgebra(algebra, witness)
-    assert generated.is_full(), "witness outside [A,A] must generate"
+    witness = next(
+        e for e in map(algebra.basis_vector, range(algebra.dim)) if not derived.contains(e)
+    )
+    if not _generated_subalgebra(algebra, witness).is_full():
+        raise InternalError("a witness outside [A,A] of codimension one must generate")
     return True, witness
 
 

@@ -278,22 +278,33 @@ class TestIsIsomorphic:
 
 
     def test_search_budget_in_p(self):
-        # x*x = z, y*y = tau z, [x,y] = z, [y,x] = 0 for tau = 2 and 5: both
-        # discriminants 1 - 4 tau are non-squares mod 31, fingerprints agree,
+        # x*x = z, y*y = tau z, [x,y] = z, [y,x] = 0 for tau = 2 and 3: both
+        # discriminants 1 - 4 tau are non-squares mod 101, fingerprints agree,
         # and (1 - 4 tau) / (lambda - epsilon)^2 differs, so the search would
-        # have to exhaust (31^3 - 31) * 32 candidates to say no
+        # have to exhaust 2 (101^2 - 1) normalised candidates to say no
         from leibalg.maximal import SEARCH_CANDIDATE_BOUND
 
+        field = GF(101)
+        a = instantiate("cc1_case2", field, {"tau": 2, "lambda": 1, "epsilon": 0})
+        b = instantiate("cc1_case2", field, {"tau": 3, "lambda": 1, "epsilon": 0})
+        assert fingerprint(a) == fingerprint(b)
+        assert 2 * (101**2 - 1) > SEARCH_CANDIDATE_BOUND
+        with pytest.raises(SearchBoundExceeded, match="candidate generator images"):
+            is_isomorphic(a, b)
+
+    def test_exhaustive_no_at_gf31(self):
+        # the same kind of pair at GF(31) exhausts 2 (31^2 - 1) = 1920
+        # candidates, inside the budget, and is a proof of non-isomorphism
         field = GF(31)
         a = instantiate("cc1_case2", field, {"tau": 2, "lambda": 1, "epsilon": 0})
         b = instantiate("cc1_case2", field, {"tau": 5, "lambda": 1, "epsilon": 0})
         assert fingerprint(a) == fingerprint(b)
-        assert (31**3 - 31) * 32 > SEARCH_CANDIDATE_BOUND
-        with pytest.raises(SearchBoundExceeded, match="candidate generator images"):
-            is_isomorphic(a, b)
+        verdict = is_isomorphic(a, b)
+        assert verdict.status == "no"
+        assert verdict.reason == "exhaustive generator-image search found no map"
 
     def test_search_budget_leaves_small_no_answers(self):
-        # the same kind of pair at GF(7) needs (7^3 - 7) * 8 = 2688 candidates
+        # the same kind of pair at GF(7) needs 2 (7^2 - 1) = 96 candidates
         field = GF(7)
         a = instantiate("cc1_case2", field, {"tau": 3, "lambda": 1, "epsilon": 0})
         b = instantiate("cc1_case2", field, {"tau": 4, "lambda": 1, "epsilon": 0})
@@ -305,6 +316,16 @@ class TestProperties:
     def test_p1_positive(self):
         ok, witness = check_p1(cc1(GF(3), 1, 0, 0))
         assert ok and witness is None
+
+    @pytest.mark.parametrize("name", ["A1_6dim", "A3_6dim"])
+    def test_p1_six_dim_families_at_gf13(self, name):
+        # each search of this P1 check stays inside SEARCH_CANDIDATE_BOUND
+        # because generator images are normalised by central automorphisms
+        from leibalg.catalog import sample_params
+
+        field = GF(13)
+        algebra = instantiate(name, field, sample_params(name, field))
+        assert check_p1(algebra) == (True, None)
 
     def test_p1_builds_the_reference_data_once(self, monkeypatch):
         import leibalg.maximal as maximal_module

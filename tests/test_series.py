@@ -5,6 +5,7 @@ import pytest
 from leibalg import (
     GF,
     QQ,
+    InternalError,
     LeibnizAlgebra,
     NotNilpotent,
     check_p2,
@@ -176,6 +177,18 @@ class TestCyclicity:
             algebra = instantiate(name, GF(3), params)
             flag, _ = is_cyclic(algebra)
             assert flag == (algebra.derived().dim == algebra.dim - 1)
+
+    def test_witness_that_does_not_generate_is_an_error(self, monkeypatch):
+        # the generation check must hold under python -O too, so it raises
+        # rather than asserts
+        import leibalg.series as series_module
+
+        algebra = instantiate("cyclic_example4", GF(5), {})
+        monkeypatch.setattr(
+            series_module, "_generated_subalgebra", lambda alg, seed: alg.subspace([seed])
+        )
+        with pytest.raises(InternalError, match="must generate"):
+            is_cyclic(algebra)
 
     def test_single_maximal_for_cyclic(self):
         algebra = instantiate("cyclic_example4", GF(7), {})
