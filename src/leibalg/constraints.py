@@ -4,6 +4,8 @@ A ParametricAlgebra is a structure tensor whose cells are polynomials in
 the table parameters.  Applying the defining identity to every basis
 triple yields residual polynomials; their common zero locus is exactly the
 set of parameter values for which the table is a Leibniz algebra.  The
+residuals come from the one identity walk of ``core``
+(``_identity_residual``), run on sparse polynomial cells.  The
 extracted list is canonical: monic, deduplicated up to scalar multiples,
 and sorted by graded-lex key.
 
@@ -22,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import LeibnizAlgebra
+from .core import LeibnizAlgebra, _identity_residual
 from .errors import IncompleteAssignment, LeibalgError
 from .fields import Field, FieldElement
 from .linalg import rref
@@ -74,36 +76,6 @@ class ParametricAlgebra:
         return ParametricAlgebra(self.dim, remaining, new_entries)
 
 
-def _bracket_basis_vec(p: ParametricAlgebra, i: int, vec) -> list[MultiPoly]:
-    """[e_i, vec] where vec is a list of polynomial coordinates."""
-    n = p.dim
-    acc = [MultiPoly.zero(p.variables)] * n
-    for m in range(n):
-        w = vec[m]
-        if w.is_zero():
-            continue
-        cell = p.entries[i][m]
-        for k in range(n):
-            if not cell[k].is_zero():
-                acc[k] = acc[k] + w * cell[k]
-    return acc
-
-
-def _bracket_vec_basis(p: ParametricAlgebra, vec, l: int) -> list[MultiPoly]:
-    """[vec, e_l]."""
-    n = p.dim
-    acc = [MultiPoly.zero(p.variables)] * n
-    for m in range(n):
-        w = vec[m]
-        if w.is_zero():
-            continue
-        cell = p.entries[m][l]
-        for k in range(n):
-            if not cell[k].is_zero():
-                acc[k] = acc[k] + w * cell[k]
-    return acc
-
-
 def leibniz_constraints(p: ParametricAlgebra) -> list[MultiPoly]:
     """Residual polynomials of the defining identity over all basis triples.
 
@@ -122,20 +94,22 @@ def leibniz_constraints(p: ParametricAlgebra) -> list[MultiPoly]:
 
 
 def raw_leibniz_residuals(p: ParametricAlgebra) -> list[MultiPoly]:
-    """Nonzero residual coordinates, without dedup or normalization."""
+    """Nonzero residual coordinates, without dedup or normalization.
+
+    Ordered by triple (i, j, l), then by coordinate k.
+    """
     n = p.dim
+    zero = MultiPoly.zero(p.variables)
+    cells = tuple(
+        tuple(tuple((k, poly) for k, poly in enumerate(cell) if not poly.is_zero()) for cell in row)
+        for row in p.entries
+    )
     out = []
     for i in range(n):
         for j in range(n):
-            cell_ij = list(p.entries[i][j])
             for l in range(n):
-                lhs = _bracket_basis_vec(p, i, list(p.entries[j][l]))
-                rhs1 = _bracket_vec_basis(p, cell_ij, l)
-                rhs2 = _bracket_basis_vec(p, j, list(p.entries[i][l]))
-                for k in range(n):
-                    residual = lhs[k] - rhs1[k] - rhs2[k]
-                    if not residual.is_zero():
-                        out.append(residual)
+                residual = _identity_residual(cells, cells, i, j, l, n, zero)
+                out.extend(poly for poly in residual if not poly.is_zero())
     return out
 
 

@@ -9,13 +9,19 @@ and bilinearity makes checking it on basis triples sufficient.  Squares
 [v, v] need not vanish; the span of all squares is an ideal annihilating
 the algebra from the left.
 
+The identity is walked in one place, ``_identity_residual``, on sparse
+cells over any coefficient ring: residues over GF(p) and Fractions over Q
+in ``check_leibniz``, polynomials in ``constraints``, and the cocycle rows
+of ``randomgen``.
+
 Over GF(p) the integer residues are the representation: an algebra holds
 its structure constants as sparse residue cells (see ``_modp``), every
 operation below computes on those cells and on the residue rows of
 ``Subspace`` through ``_modp``, and quotients, restrictions and direct sums
 are built straight from cells.  The boxed ``table`` is built on first read;
 vectors passed in or handed out by ``bracket`` are FieldElements, coerced or
-boxed at the call.  Over Q the operations compute on FieldElements directly.
+boxed at the call.  Over Q the identity check reads raw Fractions; the
+other operations compute on FieldElements.
 
 Algebras, vectors, and subspaces are immutable; every operation here is a
 pure function of its inputs and safe for concurrent use.
@@ -23,6 +29,7 @@ pure function of its inputs and safe for concurrent use.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -233,52 +240,20 @@ class LeibnizAlgebra:
 
     def check_leibniz(self) -> list[LeibnizViolation]:
         """All basis triples violating the defining identity (empty = valid)."""
-        violations = []
-        n = self.dim
+        field, n, p = self.field, self.dim, self.field.modulus
         cells = self._cells
-        if cells is not None:
-            self._check_leibniz_residues(cells, violations)
-            object.__setattr__(self, "_verified", not violations)
-            return violations
-        basis = [self.basis_vector(i) for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                bij = self.table[i][j]
-                for k in range(n):
-                    lhs = self.bracket(basis[i], self.table[j][k])
-                    rhs = vec_add(self.bracket(bij, basis[k]), self.bracket(basis[j], self.table[i][k]))
-                    residual = tuple(a - b for a, b in zip(lhs, rhs))
-                    if not vec_is_zero(residual):
-                        violations.append(LeibnizViolation(i + 1, j + 1, k + 1, residual))
-        if not violations:
-            object.__setattr__(self, "_verified", True)
-        else:
-            object.__setattr__(self, "_verified", False)
+        if cells is None:  # over Q: raw Fraction cells
+            cells = tuple(
+                tuple(tuple((k, c.value) for k, c in enumerate(cell) if c) for cell in row)
+                for row in self.table
+            )
+        violations = []
+        for i, j, k in itertools.product(range(n), repeat=3):
+            acc = _identity_residual(cells, cells, i, j, k, n, 0)
+            if any(acc) and (not p or any(a % p for a in acc)):
+                violations.append(LeibnizViolation(i + 1, j + 1, k + 1, tuple(map(field, acc))))
+        object.__setattr__(self, "_verified", not violations)
         return violations
-
-    def _check_leibniz_residues(self, cells, violations) -> None:
-        """check_leibniz over GF(p), reading the structure constants.
-
-        With c = cells: [e_i, [e_j, e_k]] = sum_m c[j][k]_m [e_i, e_m], and
-        likewise for the two right-hand terms.
-        """
-        n, p = self.dim, self.field.modulus
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    acc = [0] * n
-                    for m, c in cells[j][k]:
-                        for t, d in cells[i][m]:
-                            acc[t] += c * d
-                    for m, c in cells[i][j]:
-                        for t, d in cells[m][k]:
-                            acc[t] -= c * d
-                    for m, c in cells[i][k]:
-                        for t, d in cells[j][m]:
-                            acc[t] -= c * d
-                    if any(a % p for a in acc):
-                        residual = _box(self.field, [a % p for a in acc])
-                        violations.append(LeibnizViolation(i + 1, j + 1, k + 1, residual))
 
     @property
     def verified(self) -> bool:
@@ -577,6 +552,26 @@ class LeibnizAlgebra:
 
     def __repr__(self):
         return f"LeibnizAlgebra(dim {self.dim} over {self.field})"
+
+
+def _identity_residual(cells, products, i, j, k, size, zero) -> list:
+    """[e_i, [e_j, e_k]] - [[e_i, e_j], e_k] - [e_j, [e_i, e_k]] as a dense list.
+
+    The inner brackets are read from the sparse (m, c) cells ``cells``, the
+    outer ones from the sparse (t, d) cells ``products``, t < size, over any
+    commutative ring of coefficients with additive identity ``zero``.
+    """
+    acc = [zero] * size
+    for m, c in cells[j][k]:
+        for t, d in products[i][m]:
+            acc[t] += c * d
+    for m, c in cells[i][j]:
+        for t, d in products[m][k]:
+            acc[t] -= c * d
+    for m, c in cells[i][k]:
+        for t, d in products[j][m]:
+            acc[t] -= c * d
+    return acc
 
 
 def _dense(cell, n: int) -> list[int]:

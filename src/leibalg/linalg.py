@@ -135,6 +135,15 @@ def matrix_rank(rows: Iterable[Sequence[FieldElement]], field: Field, ncols: int
     return len(rref(rows, field, ncols)[0])
 
 
+def _check_echelon(rows, pivots, n: int) -> None:
+    """Raise BadVector unless ``rows`` is the reduced echelon form for ``pivots``."""
+    if len(rows) != len(pivots) or list(pivots) != [q for q in range(n) if q in pivots]:
+        raise BadVector(f"{len(rows)} rows for the pivots {pivots} in ambient dim {n}")
+    for r, (row, pc) in enumerate(zip(rows, pivots)):
+        if len(row) != n or any(row[:pc]) or any(row[q] != (1 if q == pc else 0) for q in pivots):
+            raise BadVector(f"row {r} is not in reduced echelon form for pivots {pivots}")
+
+
 class Subspace:
     """A subspace of field^ambient_dim in canonical reduced echelon form.
 
@@ -147,16 +156,22 @@ class Subspace:
     __slots__ = ("field", "ambient_dim", "pivots", "_res_rows", "_rows")
 
     def __init__(self, field: Field, ambient_dim: int, rows, pivots):
+        """The span of ``rows``, which must be the reduced echelon form for ``pivots``."""
+        pivots = tuple(pivots)
+        if field.is_finite():
+            rows = tuple(tuple(_residues(field, r)) for r in rows)
+        else:
+            rows = tuple(tuple(field(a) for a in r) for r in rows)
+        _check_echelon(rows, pivots, ambient_dim)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "pivots", pivots)
         if field.is_finite():
-            res_rows = tuple(tuple(_residues(field, r)) for r in rows)
-            object.__setattr__(self, "_res_rows", res_rows)
+            object.__setattr__(self, "_res_rows", rows)
             object.__setattr__(self, "_rows", None)
         else:
             object.__setattr__(self, "_res_rows", None)
-            object.__setattr__(self, "_rows", tuple(tuple(r) for r in rows))
+            object.__setattr__(self, "_rows", rows)
 
     @classmethod
     def _from_residues(cls, field: Field, ambient_dim: int, res_rows, pivots) -> "Subspace":

@@ -204,8 +204,12 @@ def _normalized_vectors(p: int, d: int):
 
 def frattini_by_intersection(algebra: LeibnizAlgebra) -> Subspace:
     """Intersection of all maximal subalgebras (must equal [A, A])."""
+    return _intersection(algebra, enumerate_maximal(algebra))
+
+
+def _intersection(algebra: LeibnizAlgebra, maximals) -> Subspace:
     acc = algebra.full_space()
-    for m in enumerate_maximal(algebra):
+    for m in maximals:
         acc = acc.intersect(m.subspace)
     return acc
 
@@ -364,7 +368,10 @@ def check_p1(
 
 def check_p2(algebra: LeibnizAlgebra) -> tuple[bool, MaximalPairWitness | None]:
     """Do all maximal subalgebras share one upper-series dimension profile?"""
-    maximals = enumerate_maximal(algebra)
+    return _check_p2(enumerate_maximal(algebra))
+
+
+def _check_p2(maximals) -> tuple[bool, MaximalPairWitness | None]:
     if len(maximals) <= 1:
         return True, None
     profiles = [tuple(s.dim for s in upper_central_series(m.induced)) for m in maximals]

@@ -10,9 +10,10 @@ when phi satisfies the (linear) cocycle condition
 
 so a random element of that kernel always yields a valid algebra, and a
 central extension of a nilpotent algebra stays nilpotent.  Towers live over
-GF(p) and are grown on the residue cells of ``_modp``: the cocycle rows are
-read from ``_cells`` and each extension appends its (new index, residue)
-pairs, so no table is boxed.  Everything is driven by an explicit
+GF(p) and are grown on the residue cells of ``_modp``: each cocycle row is
+the identity residual of ``core._identity_residual`` on ``_cells``, read at
+the new central coordinate, and each extension appends its (new index,
+residue) pairs, so no table is boxed.  Everything is driven by an explicit
 random.Random, so suites are reproducible.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import random
 
 from . import _modp
-from .core import LeibnizAlgebra
+from .core import LeibnizAlgebra, _identity_residual
 from .errors import BadVector, NeedsFiniteField
 from .fields import Field
 from .linalg import Subspace
@@ -46,22 +47,21 @@ def random_nilpotent_algebra(rng: random.Random, field: Field, dim: int) -> Leib
 
 
 def _cocycle_space(algebra: LeibnizAlgebra) -> list[list[int]]:
-    """Basis of scalar cocycles phi as flat n*n integer vectors."""
+    """Basis of scalar cocycles phi as flat n*n integer vectors.
+
+    The cocycle condition at (a, b, c) is the defining identity of the
+    extension read at its new central coordinate, so each row is the
+    identity residual with [e_x, e_y] taken as the coordinate x*n + y of phi.
+    """
     p = algebra.field.modulus
     n = algebra.dim
     cells = algebra._cells
+    products = [[((x * n + y, 1),) for y in range(n)] for x in range(n)]
     rows = []
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                # phi(a, [b,c]) - phi([a,b], c) - phi(b, [a,c]) = 0
-                row = [0] * (n * n)
-                for m, v in cells[b][c]:
-                    row[a * n + m] = (row[a * n + m] + v) % p
-                for m, v in cells[a][b]:
-                    row[m * n + c] = (row[m * n + c] - v) % p
-                for m, v in cells[a][c]:
-                    row[b * n + m] = (row[b * n + m] - v) % p
+                row = [v % p for v in _identity_residual(cells, products, a, b, c, n * n, 0)]
                 if any(row):
                     rows.append(row)
     if not rows:

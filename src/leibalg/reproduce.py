@@ -210,8 +210,9 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
         )
         derived = algebra.derived()
         _require(series.frattini(algebra) == derived, "frattini shortcut mismatch")
+        maximals = maximal.enumerate_maximal(algebra)
         _require(
-            maximal.frattini_by_intersection(algebra) == derived,
+            maximal._intersection(algebra, maximals) == derived,
             "intersection of maximals differs from the derived subalgebra",
         )
         cyclic, witness = series.is_cyclic(algebra)
@@ -221,7 +222,7 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
         )
         if cyclic and algebra.dim > 0:
             _require(witness is not None, "cyclic algebras carry a witness")
-        p2, _ = maximal.check_p2(algebra)
+        p2, _ = maximal._check_p2(maximals)
         if p2 and prof.cls is not None and prof.cls >= 1:
             p2_holds += 1
             upper = series.upper_central_series(algebra)
@@ -485,7 +486,7 @@ def _cc1_forced_claim() -> str:
     _require(not algebra.check_leibniz(), "the forced table is still an algebra")
     ok, witness = maximal.check_p1(algebra)
     _require(not ok, "P1 must fail for a square discriminant")
-    assert witness is not None
+    _require(witness is not None, "a P1 failure carries a witness pair")
     return (
         f"non-isomorphic pair: tags {witness.a.hyperplane_tag} vs "
         f"{witness.b.hyperplane_tag} ({witness.detail})"
@@ -549,7 +550,7 @@ def _cex_p2_claim() -> str:
     algebra = catalog.instantiate("cex_fourdim_A1", GF(3), {})
     ok, witness = maximal.check_p2(algebra)
     _require(not ok, "the counterexample must fail the series-profile property")
-    assert witness is not None
+    _require(witness is not None, "a series-profile failure carries a witness pair")
     abelian_flags = {
         witness.a.hyperplane_tag: witness.a.induced.derived().is_zero(),
         witness.b.hyperplane_tag: witness.b.induced.derived().is_zero(),
@@ -565,7 +566,7 @@ def _cex_p1_claim() -> str:
     algebra = catalog.instantiate("cex_A8", GF(3), {})
     ok, witness = maximal.check_p1(algebra)
     _require(not ok, "the counterexample must fail the isomorphism property")
-    assert witness is not None
+    _require(witness is not None, "a P1 failure carries a witness pair")
     leib_a = witness.a.induced.leib_ideal().dim
     leib_b = witness.b.induced.leib_ideal().dim
     _require(

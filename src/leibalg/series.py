@@ -110,11 +110,7 @@ def is_cyclic(algebra: LeibnizAlgebra) -> tuple[bool, Vector | None]:
 def _generated_subalgebra(algebra: LeibnizAlgebra, seed: Vector) -> Subspace:
     span = algebra.subspace([seed])
     while True:
-        grown = list(span.rows)
-        for u in span.rows:
-            for v in span.rows:
-                grown.append(algebra.bracket(u, v))
-        nxt = algebra.subspace(grown)
+        nxt = span.sum_with(algebra.span_products(span, span))
         if nxt == span:
             return span
         span = nxt

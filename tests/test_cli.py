@@ -13,6 +13,8 @@ from leibalg import cli as cli_module
 from leibalg.cli import main
 from leibalg.randomgen import random_nilpotent_algebra
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 @pytest.fixture
 def heisenberg_file(tmp_path):
@@ -34,12 +36,20 @@ class TestVerify:
         assert "ok" in capsys.readouterr().out
 
     def test_invalid_table(self, tmp_path, capsys):
-        path = tmp_path / "bad.alg"
-        path.write_text(
-            "leibalg v1\nfield GF(5)\ndim 3\n[1,2] = 1*3\n[2,1] = -1*3\n[1,3] = 1*1\n"
-        )
-        assert main(["verify", str(path)]) == 1
-        assert "violation" in capsys.readouterr().out
+        triples = ["(1,2,1)", "(1,2,3)", "(1,3,2)", "(1,3,3)", "(2,1,1)", "(2,1,3)"]
+        for field, coeff, residuals in (
+            ("GF(5)", "1", ["4 0 0", "0 0 1", "0 0 4", "4 0 0", "1 0 0", "0 0 4"]),
+            ("Q", "1/2", ["-1/2 0 0", "0 0 1/2", "0 0 -1/2", "-1/4 0 0", "1/2 0 0", "0 0 -1/2"]),
+        ):
+            path = tmp_path / "bad.alg"
+            path.write_text(
+                f"leibalg v1\nfield {field}\ndim 3\n"
+                f"[1,2] = 1*3\n[2,1] = -1*3\n[1,3] = {coeff}*1\n"
+            )
+            assert main(["verify", str(path)]) == 1
+            assert capsys.readouterr().out.splitlines() == [
+                f"violation at triple {t}: residual [{r}]" for t, r in zip(triples, residuals)
+            ] + ["6 violating triples"]
 
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "junk.alg"
@@ -360,28 +370,39 @@ class TestRandomGenerator:
         assert a == b
 
 
+def run_python(*argv):
+    """Run the interpreter on argv with this checkout's src on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["leibalg", "leibalg.cli"])
     def test_python_m_runs_the_command_line(self, module):
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        out = run_python(
+            "-m", module, "reproduce", "--fields", "3", "--only", "example4", "--no-timing"
         )
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", module,
-                "reproduce", "--fields", "3", "--only", "example4", "--no-timing",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        golden = (root / "verification_report.txt").read_text(encoding="utf-8")
+        golden = (ROOT / "verification_report.txt").read_text(encoding="utf-8")
         expected = [
             line for line in golden.splitlines() if "example4" in line and "@GF(3)" in line
         ]
         assert len(expected) == 2
-        assert proc.stdout.splitlines() == expected + ["summary: 2 passed, 0 failed, 0 skipped"]
+        assert out == expected + ["summary: 2 passed, 0 failed, 0 skipped"]
+
+    @pytest.mark.parametrize("only,claims", [("counterexample", 2), ("cc1.forced", 1)])
+    def test_claims_hold_under_optimized_python(self, only, claims):
+        # python -O strips asserts; the claims must check their witnesses anyway
+        out = run_python(
+            "-O", "-m", "leibalg", "reproduce", "--seed", "0", "--only", only, "--no-timing"
+        )
+        golden = (ROOT / "verification_report.txt").read_text(encoding="utf-8")
+        expected = [line for line in golden.splitlines() if f" {only}" in line]
+        assert len(expected) == claims
+        assert out == expected + [f"summary: {claims} passed, 0 failed, 0 skipped"]

@@ -1,5 +1,6 @@
 """Symbolic constraint extraction and sampling verification."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -119,6 +120,57 @@ class TestExtraction:
         retained = leibniz_constraints(p)
         for residual in raw_leibniz_residuals(p):
             assert residual.monic() in retained
+
+
+def random_parametric_table(seed: int) -> ParametricAlgebra:
+    rng = random.Random(seed)
+    variables = ("a", "b", "c")
+    n = 4
+    cells = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            vec = {}
+            for k in range(1, n + 1):
+                if rng.random() < 0.35:
+                    coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    name = rng.choice(variables + (None,))
+                    term = MultiPoly.variable(variables, name) if name else 1
+                    vec[k] = MultiPoly.constant(variables, coeff) * term
+            cells[(i, j)] = vec
+    return ParametricAlgebra.from_table(n, variables, cells)
+
+
+def dense_raw_residuals(p: ParametricAlgebra) -> list[MultiPoly]:
+    """Residual coordinates from the dense formula, in (i, j, l, k) order.
+
+    [e_i, [e_j, e_l]] - [[e_i, e_j], e_l] - [e_j, [e_i, e_l]] has k-th
+    coordinate sum_m c_jl^m c_im^k - c_ij^m c_ml^k - c_il^m c_jm^k.
+    """
+    n, c = p.dim, p.entries
+    out = []
+    for i, j, l, k in itertools.product(range(n), repeat=4):
+        residual = MultiPoly.zero(p.variables)
+        for m in range(n):
+            residual = (
+                residual
+                + c[j][l][m] * c[i][m][k]
+                - c[i][j][m] * c[m][l][k]
+                - c[i][l][m] * c[j][m][k]
+            )
+        if not residual.is_zero():
+            out.append(residual)
+    return out
+
+
+@pytest.mark.parametrize(
+    "table",
+    [parametric_table6, parametric_table1, lambda: random_parametric_table(5)],
+    ids=["table6", "table1", "random"],
+)
+def test_raw_residuals_match_the_dense_formula(table):
+    p = table()
+    residuals = raw_leibniz_residuals(p)
+    assert residuals and residuals == dense_raw_residuals(p)
 
 
 class TestEvalAt:

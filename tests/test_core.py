@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -108,24 +109,29 @@ class TestLeibnizCheck:
         assert LeibnizAlgebra.from_table(3, GF(2), []).check_leibniz() == []
 
     def test_perturbed_heisenberg_invalid(self):
-        # add [x, z] = x: the identity must break somewhere
-        algebra = LeibnizAlgebra.from_table(
-            3, GF(5), [(1, 2, {3: 1}), (2, 1, {3: -1}), (1, 3, {1: 1})]
-        )
-        violations = algebra.check_leibniz()
-        assert violations
-        # independent residual check for a specific reported triple
-        v = violations[0]
-        e = [algebra.basis_vector(i) for i in range(3)]
-        lhs = algebra.bracket(e[v.i - 1], algebra.bracket(e[v.j - 1], e[v.k - 1]))
-        rhs = tuple(
-            a + b
-            for a, b in zip(
-                algebra.bracket(algebra.bracket(e[v.i - 1], e[v.j - 1]), e[v.k - 1]),
-                algebra.bracket(e[v.j - 1], algebra.bracket(e[v.i - 1], e[v.k - 1])),
+        for field, coeff in ((GF(5), 1), (QQ, Fraction(-3, 7))):
+            # add [x, z] = coeff * x: the identity must break somewhere
+            algebra = LeibnizAlgebra.from_table(
+                3, field, [(1, 2, {3: 1}), (2, 1, {3: -1}), (1, 3, {1: coeff})]
             )
-        )
-        assert tuple(x - y for x, y in zip(lhs, rhs)) == v.residual
+            violations = algebra.check_leibniz()
+            assert violations
+            # independent residual check on every triple, in (i, j, k) order
+            e = [algebra.basis_vector(i) for i in range(3)]
+            expected = []
+            for i, j, k in itertools.product(range(3), repeat=3):
+                lhs = algebra.bracket(e[i], algebra.bracket(e[j], e[k]))
+                rhs = tuple(
+                    a + b
+                    for a, b in zip(
+                        algebra.bracket(algebra.bracket(e[i], e[j]), e[k]),
+                        algebra.bracket(e[j], algebra.bracket(e[i], e[k])),
+                    )
+                )
+                residual = tuple(x - y for x, y in zip(lhs, rhs))
+                if any(residual):
+                    expected.append((i + 1, j + 1, k + 1, residual))
+            assert [(v.i, v.j, v.k, v.residual) for v in violations] == expected
 
     def test_verified_flag(self):
         algebra = heisenberg(GF(3))

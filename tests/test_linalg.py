@@ -121,6 +121,26 @@ class TestSubspace:
         assert s.contains([field(2), field(0), field(0)])
         assert s.linear_combination([field(2)]) == (field(2), field(0), field(0))
 
+    @pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+    def test_constructor_rejects_rows_not_in_echelon_form(self, field):
+        for rows, pivots in (
+            ([[2, 2]], [0]),  # pivot entry not one
+            ([[1, 1]], [1]),  # nonzero before the pivot
+            ([[1, 1], [0, 1]], [0, 1]),  # nonzero at another pivot
+            ([[0, 1], [1, 0]], [1, 0]),  # pivots not increasing
+            ([[1, 0]], [0, 1]),  # fewer rows than pivots
+            ([[1, 0], [0, 1]], [0]),  # more rows than pivots
+            ([[1, 0, 0]], [0]),  # row of the wrong length
+            ([[0, 0]], [2]),  # pivot outside the ambient space
+        ):
+            with pytest.raises(BadVector):
+                Subspace(field, 2, [[field(a) for a in r] for r in rows], pivots)
+        given = Subspace(field, 2, [[1, field(2)]], [0])
+        assert given == span(field, [1, 2]) and given.contains([field(2), field(4)])
+        assert Subspace(field, 2, [], []) == Subspace.zero(field, 2)
+        assert Subspace(field, 2, [[1, 0], [0, 1]], [0, 1]) == Subspace.full(field, 2)
+        assert Subspace(field, 3, [[1, 2, 0], [0, 0, 1]], [0, 2]).complement_coords() == (1,)
+
     def test_complement_coords(self):
         field = GF(3)
         s = span(field, [1, 0, 2], [0, 1, 1])

@@ -63,6 +63,21 @@ def test_structural_suite_at_the_seed_of_the_seed_one_claims():
     assert "2852 central ideals dropped the coclass" in evidence
 
 
+def test_structural_suite_enumerates_each_towers_maximals_once(monkeypatch):
+    from leibalg import maximal
+
+    calls = []
+    enumerate_maximal = maximal.enumerate_maximal
+
+    def counting(algebra):
+        calls.append(algebra)
+        return enumerate_maximal(algebra)
+
+    monkeypatch.setattr(maximal, "enumerate_maximal", counting)
+    run_structural_suite(GF(3), 12, 4, seed=2)
+    assert len(calls) == 12
+
+
 def test_report_matches_the_committed_one(capsys):
     code = main(["reproduce", "--fields", "3,5,7", "--seed", "0", "--no-timing"])
     assert code == 0

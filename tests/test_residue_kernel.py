@@ -8,6 +8,7 @@ integer loops, so they share no code with the residue path of
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +22,9 @@ from leibalg import (
     check_p1,
     enumerate_maximal,
     instantiate,
+    list_catalog,
     nilpotency_data,
+    sample_params,
 )
 from leibalg.fields import Field, FieldElement
 from leibalg.maximal import fingerprint
@@ -46,9 +49,10 @@ def ref_bracket(algebra, x, y):
     acc = [algebra.field.zero()] * n
     for i in range(n):
         for j in range(n):
-            c = x[i] * y[j]
-            for k in range(n):
-                acc[k] = acc[k] + c * algebra.table[i][j][k]
+            if x[i] and y[j]:
+                c = x[i] * y[j]
+                for k in range(n):
+                    acc[k] = acc[k] + c * algebra.table[i][j][k]
     return tuple(acc)
 
 
@@ -180,6 +184,28 @@ def ref_violations(algebra):
     return out
 
 
+def assert_corrupted_copy_matches(rng, algebra, offset):
+    """check_leibniz of a corrupted copy reports the reference's violations.
+
+    Some entries can change without breaking the identity: seeded entries
+    are shifted by ``offset()`` until the reference sees a violation.
+    """
+    n = algebra.dim
+    for _ in range(20):
+        corrupted = [[list(cell) for cell in row] for row in algebra.table]
+        i, j, k = (rng.randrange(n) for _ in range(3))
+        corrupted[i][j][k] = corrupted[i][j][k] + offset()
+        bad = LeibnizAlgebra(algebra.field, corrupted)
+        expected = ref_violations(bad)
+        if expected:
+            break
+    assert expected
+    got = [(v.i, v.j, v.k, v.residual) for v in bad.check_leibniz()]
+    assert got == expected
+    assert not bad.verified
+    return got
+
+
 # ---------------------------------------------------------------------------
 # the tests
 # ---------------------------------------------------------------------------
@@ -263,20 +289,26 @@ def test_residue_path_matches_boxed_reference(p, dims, count):
             assert algebra.restrict(s).table == ref_restrict_table(algebra, s)
 
         assert algebra.check_leibniz() == [] == ref_violations(algebra)
-        # some entries can change without breaking the identity: corrupt
-        # seeded entries until the reference sees a violation
-        for _ in range(20):
-            corrupted = [[list(cell) for cell in row] for row in algebra.table]
-            i, j, k = (rng.randrange(n) for _ in range(3))
-            corrupted[i][j][k] = corrupted[i][j][k] + rng.randrange(1, p)
-            bad = LeibnizAlgebra(field, corrupted)
-            expected = ref_violations(bad)
-            if expected:
-                break
-        assert expected
-        got = [(v.i, v.j, v.k, v.residual) for v in bad.check_leibniz()]
-        assert got == expected
-        assert not bad.verified
+        assert_corrupted_copy_matches(rng, algebra, lambda: rng.randrange(1, p))
+
+
+def test_rational_check_matches_boxed_reference():
+    # the Q identity check walks raw Fraction cells; the reference brackets
+    # boxed basis vectors
+    rng = random.Random(11)
+    checked = 0
+    for entry in list_catalog():
+        params = sample_params(entry.name, QQ)
+        if params is None:
+            continue
+        algebra = instantiate(entry.name, QQ, params)
+        assert algebra.check_leibniz() == [] == ref_violations(algebra)
+        for _ in range(3):
+            offset = lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 5))
+            got = assert_corrupted_copy_matches(rng, algebra, offset)
+            assert all(c.field is QQ and c.value.__class__ is Fraction for v in got for c in v[3])
+        checked += 1
+    assert checked >= 5
 
 
 def test_prime_field_operations_do_no_boxed_arithmetic(monkeypatch):
