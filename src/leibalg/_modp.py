@@ -32,6 +32,17 @@ def bracket(cells, u, v, p: int):
     return acc
 
 
+def combine(coeffs, rows, p: int, n: int):
+    """sum_i coeffs[i] rows[i] as n residues; zero coefficients and entries skipped."""
+    acc = [0] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            for k, a in enumerate(row):
+                if a:
+                    acc[k] = (acc[k] + c * a) % p
+    return acc
+
+
 def rref(rows, p: int, ncols: int):
     """Reduced row echelon form; returns (rows, pivot columns)."""
     work = [list(r) for r in rows]

@@ -283,12 +283,8 @@ class Subspace:
         field = self.field
         n = self.ambient_dim
         if field.is_finite():
-            p = field.modulus
-            acc = [0] * n
-            for c, row in zip(_residues(field, coeffs), self._res_rows):
-                if c:
-                    acc = [(a + c * b) % p for a, b in zip(acc, row)]
-            return _box(field, acc)
+            residues = _residues(field, coeffs)
+            return _box(field, _modp.combine(residues, self._res_rows, field.modulus, n))
         acc = list(zero_vector(self.field, n))
         for c, row in zip(coeffs, self.rows):
             if c:

@@ -43,6 +43,13 @@ well; only a found matrix is boxed.  Maximal subalgebras are built on
 residues too: the hyperplane pullbacks are spanned from residue rows, and
 the induced algebras come straight from residue cells.
 
+Each algebra of a decision has one record, ``_Side``: its lower and upper
+central series are computed once, and the fingerprint (with Z(A) and
+[A, A] read off their terms) and, when a search runs, the search data are
+derived from them.  ``check_p1`` compares every maximal subalgebra against
+the first; it builds the first one's record once and lends it to
+``is_isomorphic`` through a context variable for the length of the loop.
+
 Enumerations and pairwise checks are pure functions of immutable inputs,
 so callers may evaluate distinct maximal subalgebras concurrently; output
 lists are always sorted by hyperplane tag.
@@ -53,6 +60,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, fields as dataclass_fields
+from contextvars import ContextVar
+from functools import cached_property
 
 from . import _modp
 from ._modp import SpanTracker
@@ -66,7 +75,7 @@ from .errors import (
 )
 from .fields import FieldElement
 from .linalg import Subspace, _span_residues
-from .series import lower_central_series, nilpotency_data, upper_central_series
+from .series import lower_central_series, upper_central_series
 
 _SQUARE_PROFILE_LIMIT = 4096
 
@@ -106,28 +115,107 @@ class Fingerprint:
 
 
 def fingerprint(algebra: LeibnizAlgebra) -> Fingerprint:
-    prof = nilpotency_data(algebra)
-    square_profile = None
-    if algebra.field.is_finite():
-        p = algebra.field.modulus
-        if p**algebra.dim <= _SQUARE_PROFILE_LIMIT:
-            cells = algebra._cells
-            lines = 0
-            for v in _normalized_vectors(p, algebra.dim):
-                if not any(_modp.bracket(cells, v, v, p)):
-                    lines += 1
-            zero = 1 + (p - 1) * lines
-            square_profile = (zero, p**algebra.dim - zero)
-    return Fingerprint(
-        dim=algebra.dim,
-        lower_dims=prof.lower_dims,
-        upper_dims=prof.upper_dims,
-        leib_dim=algebra.leib_ideal().dim,
-        center_dim=algebra.center().dim,
-        left_center_dim=algebra.left_center().dim,
-        derived_dim=algebra.derived().dim,
-        square_profile=square_profile,
+    return _Side(algebra).fingerprint
+
+
+class _Side:
+    """One algebra of an isomorphism decision, with each invariant built once.
+
+    The lower and upper central series are computed once, and everything
+    else is read off their terms: the fingerprint, with
+    Z(A) = ``_second(upper)`` and [A, A] = ``_second(lower)``, and over
+    GF(p), once a search needs them, the search data.  ``member_spaces``
+    holds, per series term, its residue rows, pivots and annihilating
+    covectors (v lies in the term iff every covector vanishes on v).
+    ``central_pivots`` are the pivot columns of Z(B) meet [B,B], the
+    coordinates a normalised generator image has equal to zero.  Over Q
+    no search data is built.
+    """
+
+    def __init__(self, algebra: LeibnizAlgebra):
+        self.algebra = algebra
+        self.cells = algebra._cells
+        self.p = algebra.field.modulus
+        self.n = algebra.dim
+        self.lower = lower_central_series(algebra)
+        self.upper = upper_central_series(algebra)
+        self.derived = _second(self.lower)
+        self.fingerprint = Fingerprint(
+            dim=algebra.dim,
+            lower_dims=tuple(t.dim for t in self.lower),
+            upper_dims=tuple(t.dim for t in self.upper),
+            leib_dim=algebra.leib_ideal().dim,
+            center_dim=_second(self.upper).dim,
+            left_center_dim=algebra.left_center().dim,
+            derived_dim=self.derived.dim,
+            square_profile=_square_profile(algebra),
+        )
+
+    @cached_property
+    def coset_coords(self) -> list[int]:
+        return list(self.derived.complement_coords())
+
+    @cached_property
+    def member_spaces(self):
+        p, n = self.p, self.n
+        return [
+            (s._res_rows, s.pivots, _modp.nullspace(s._res_rows, p, n))
+            for s in self.lower[1:] + self.upper[1:]
+        ]
+
+    @cached_property
+    def central_pivots(self) -> list[int]:
+        return _second(self.upper).intersect(self.derived).pivots
+
+    def coset(self, v):
+        derived = self.derived
+        reduced = _modp.reduce_mod(v, derived._res_rows, derived.pivots, self.p)
+        return [reduced[c] for c in self.coset_coords]
+
+    def membership_profile(self, v):
+        return tuple(
+            _modp.contains(v, ech, piv, self.p) for ech, piv, _ in self.member_spaces
+        )
+
+    def square_is_zero(self, v) -> bool:
+        return not any(_modp.bracket(self.cells, v, v, self.p))
+
+    def mult_data(self, v):
+        """(rank L_v, rank R_v, nilindex L_v, nilindex R_v)."""
+        cells, p, n = self.cells, self.p, self.n
+        zero = [0] * n
+        lrows = _operator_rows(cells, v, zero, p)
+        rrows = _operator_rows(cells, zero, v, p)
+        return (
+            _modp.rank(lrows, p, n),
+            _modp.rank(rrows, p, n),
+            _nilindex(lrows, p, n),
+            _nilindex(rrows, p, n),
+        )
+
+
+def _second(terms: list[Subspace]) -> Subspace:
+    """The second term of a central series, or its only one.
+
+    That is [A, A] for the lower series and Z(A) for the upper one: a
+    series stops after one term exactly when A = 0, A = [A, A] or
+    Z(A) = 0.
+    """
+    return terms[1] if len(terms) > 1 else terms[0]
+
+
+def _square_profile(algebra: LeibnizAlgebra) -> tuple[int, int] | None:
+    if not algebra.field.is_finite():
+        return None
+    p = algebra.field.modulus
+    if p**algebra.dim > _SQUARE_PROFILE_LIMIT:
+        return None
+    lines = sum(
+        not any(_modp.bracket(algebra._cells, v, v, p))
+        for v in _normalized_vectors(p, algebra.dim)
     )
+    zero = 1 + (p - 1) * lines
+    return zero, p**algebra.dim - zero
 
 
 def _first_fingerprint_diff(a: Fingerprint, b: Fingerprint):
@@ -169,11 +257,11 @@ def enumerate_maximal(algebra: LeibnizAlgebra) -> list[MaximalSubalgebra]:
     lower = lower_central_series(algebra)
     if not lower[-1].is_zero():
         raise NotNilpotent("maximal enumeration requires a nilpotent algebra")
-    derived = lower[1] if len(lower) > 1 else algebra.derived()
+    if len(lower) == 1:  # the zero algebra
+        return []
+    derived = lower[1]
     comp = derived.complement_coords()
     d = len(comp)
-    if d == 0:
-        return []
     field, n = algebra.field, algebra.dim
     p = field.modulus
     result = []
@@ -246,48 +334,20 @@ class MaximalPairWitness:
     detail: str
 
 
-class _Target:
-    """The second algebra of is_isomorphic, with its search data built once.
-
-    A caller comparing many algebras against one passes the same instance
-    to every call; the fingerprint and the search side are computed on
-    first use and then shared.
-    """
-
-    __slots__ = ("algebra", "_fingerprint", "_side")
-
-    def __init__(self, algebra: LeibnizAlgebra):
-        self.algebra = algebra
-        self._fingerprint = None
-        self._side = None
-
-    def fingerprint(self) -> Fingerprint:
-        if self._fingerprint is None:
-            self._fingerprint = fingerprint(self.algebra)
-        return self._fingerprint
-
-    def side(self) -> "_SearchSide":
-        if self._side is None:
-            self._side = _SearchSide(self.algebra)
-        return self._side
+# While check_p1 compares every maximal subalgebra against the first, the
+# first one's record; is_isomorphic uses it when that algebra is its second
+# argument.
+_reference: ContextVar[_Side | None] = ContextVar("_reference", default=None)
 
 
-def is_isomorphic(
-    a: LeibnizAlgebra, b: LeibnizAlgebra, *, _target: _Target | None = None
-) -> IsoVerdict:
+def is_isomorphic(a: LeibnizAlgebra, b: LeibnizAlgebra) -> IsoVerdict:
     """Decide isomorphism; complete over GF(p) within the search bounds.
 
     The bounds: both algebras nilpotent, dim <= 7, dim(A/[A,A]) <= 3, and at
     most SEARCH_CANDIDATE_BOUND candidate generator images generated by the
     search over all depths.  Past any of them SearchBoundExceeded is raised;
     an answer is never given from a partial search.
-
-    ``_target`` is ``_Target(b)`` shared between calls with the same b.
     """
-    if _target is None:
-        _target = _Target(b)
-    elif _target.algebra is not b:
-        raise InternalError("search target does not belong to the second algebra")
     if a.field != b.field:
         raise FieldMismatch("isomorphism test needs a common field")
     if a.dim != b.dim:
@@ -295,7 +355,10 @@ def is_isomorphic(
     if a == b:
         identity = tuple(a.basis_vector(i) for i in range(a.dim))
         return IsoVerdict("yes", matrix=identity, reason="identical structure constants")
-    fa, fb = fingerprint(a), _target.fingerprint()
+    side_a, side_b = _Side(a), _reference.get()
+    if side_b is None or side_b.algebra is not b:
+        side_b = _Side(b)
+    fa, fb = side_a.fingerprint, side_b.fingerprint
     diff = _first_fingerprint_diff(fa, fb)
     if diff is not None:
         return IsoVerdict(
@@ -314,7 +377,7 @@ def is_isomorphic(
             f"dim(A/[A,A]) <= {_SEARCH_GEN_BOUND}; got dim={a.dim}, "
             f"generators={gen_count}"
         )
-    raw = _search_isomorphism(a, b, _target.side())
+    raw = _search_isomorphism(side_a, side_b)
     if raw is None:
         return IsoVerdict("no", reason="exhaustive generator-image search found no map")
     _assert_isomorphism(a, b, raw)
@@ -329,9 +392,8 @@ def _assert_isomorphism(a: LeibnizAlgebra, b: LeibnizAlgebra, raw) -> None:
         raise InternalError("claimed isomorphism matrix is singular")
     for i in range(n):
         for j in range(n):
-            lhs = [0] * n
-            for k, c in a._cells[i][j]:
-                lhs = [(x + c * y) % p for x, y in zip(lhs, raw[k])]
+            cell = a._cells[i][j]
+            lhs = _modp.combine([c for _, c in cell], [raw[k] for k, _ in cell], p, n)
             if lhs != _modp.bracket(b._cells, raw[i], raw[j], p):
                 raise InternalError("claimed isomorphism fails the bracket check")
 
@@ -349,11 +411,14 @@ def check_p1(
     if len(maximals) <= 1:
         return True, None
     first = maximals[0]
-    target = _Target(first.induced)
-    for m in maximals[1:]:
-        verdict = is_isomorphic(m.induced, first.induced, _target=target)
-        if verdict.status != "yes":
-            return False, MaximalPairWitness(first, m, verdict.reason)
+    token = _reference.set(_Side(first.induced))
+    try:
+        for m in maximals[1:]:
+            verdict = is_isomorphic(m.induced, first.induced)
+            if verdict.status != "yes":
+                return False, MaximalPairWitness(first, m, verdict.reason)
+    finally:
+        _reference.reset(token)
     if len(maximals) >= 3:
         rng = random.Random(spot_seed)
         i, j = rng.sample(range(1, len(maximals)), 2)
@@ -392,8 +457,8 @@ class _Closure:
 
     ``steps`` processes every ordered pair of closure elements exactly once,
     in a fixed order; ``("new", i, j, None)`` appends the product as a new
-    element and ``("dep", i, j, coeffs)`` records its sparse expression over
-    the elements inserted so far.
+    element and ``("dep", i, j, coeffs)`` records its expression over the
+    elements inserted so far.
     """
 
     __slots__ = ("elems", "steps", "gen_count")
@@ -416,8 +481,7 @@ class _Closure:
                     elems.append(w)
                     steps.append(("new", i, j, None))
                 else:
-                    sparse = tuple((idx, c) for idx, c in enumerate(coeffs) if c)
-                    steps.append(("dep", i, j, sparse))
+                    steps.append(("dep", i, j, coeffs))
             t += 1
         self.elems = elems
         self.steps = steps
@@ -437,104 +501,41 @@ class _Closure:
                 if not tracker.add(w):
                     return None
                 imgs.append(w)
-            else:
-                expected = [0] * n
-                for idx, c in data:
-                    img = imgs[idx]
-                    for k in range(n):
-                        if img[k]:
-                            expected[k] = (expected[k] + c * img[k]) % p
-                if w != expected:
-                    return None
+            elif w != _modp.combine(data, imgs, p, n):
+                return None
         return imgs
-
-
-class _SearchSide:
-    """Per-algebra search data: derived cosets, series membership, invariants.
-
-    ``member_spaces`` holds, per series term, its residue rows, pivots and
-    annihilating covectors (v lies in the term iff every covector vanishes
-    on v).  ``central_pivots`` are the pivot columns of Z(B) meet [B,B],
-    the coordinates a normalised generator image has equal to zero.
-    """
-
-    __slots__ = (
-        "cells", "p", "n", "derived_ech", "derived_pivots", "coset_coords", "member_spaces",
-        "central_pivots",
-    )
-
-    def __init__(self, algebra: LeibnizAlgebra):
-        self.cells = algebra._cells
-        self.p = p = algebra.field.modulus
-        self.n = n = algebra.dim
-        lower = lower_central_series(algebra)
-        upper = upper_central_series(algebra)
-        derived = lower[1] if len(lower) > 1 else algebra.derived()
-        self.derived_ech, self.derived_pivots = derived._res_rows, derived.pivots
-        self.coset_coords = list(derived.complement_coords())
-        self.member_spaces = [
-            (s._res_rows, s.pivots, _modp.nullspace(s._res_rows, p, n))
-            for s in lower[1:] + upper[1:]
-        ]
-        center = upper[1] if len(upper) > 1 else upper[0]
-        self.central_pivots = center.intersect(derived).pivots
-
-    def coset(self, v):
-        reduced = _modp.reduce_mod(v, self.derived_ech, self.derived_pivots, self.p)
-        return [reduced[c] for c in self.coset_coords]
-
-    def membership_profile(self, v):
-        return tuple(
-            _modp.contains(v, ech, piv, self.p) for ech, piv, _ in self.member_spaces
-        )
-
-    def square_is_zero(self, v) -> bool:
-        return not any(_modp.bracket(self.cells, v, v, self.p))
-
-    def mult_data(self, v):
-        """(rank L_v, rank R_v, nilindex L_v, nilindex R_v)."""
-        cells, p, n = self.cells, self.p, self.n
-        basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        lrows = [_modp.bracket(cells, v, e, p) for e in basis]
-        rrows = [_modp.bracket(cells, e, v, p) for e in basis]
-        return (
-            _modp.rank(lrows, p, n),
-            _modp.rank(rrows, p, n),
-            _nilindex(lrows, p, n),
-            _nilindex(rrows, p, n),
-        )
 
 
 def _nilindex(op_rows, p: int, n: int) -> int:
     """Smallest m <= n+1 with op^m = 0; op given by rows = images of basis."""
-    current = [row[:] for row in op_rows]
+    current = op_rows
     for m in range(1, n + 2):
         if not any(any(r) for r in current):
             return m
-        nxt = []
-        for row in current:
-            acc = [0] * n
-            for i, c in enumerate(row):
-                if c:
-                    src = op_rows[i]
-                    for k in range(n):
-                        if src[k]:
-                            acc[k] = (acc[k] + c * src[k]) % p
-            nxt.append(acc)
-        current = nxt
+        current = [_modp.combine(row, op_rows, p, n) for row in current]
     return n + 2
 
 
-def _search_isomorphism(
-    a: LeibnizAlgebra, b: LeibnizAlgebra, side_b: _SearchSide | None = None
-):
-    """Complete generator-image search; a matrix (rows = basis images) or None.
+def _operator_rows(cells, left, right, p: int):
+    """Rows of L_left + R_right read from the cells: row i is [left, e_i] + [e_i, right]."""
+    n = len(cells)
+    rows = [[0] * n for _ in range(n)]
+    for j in range(n):
+        c = left[j]
+        if c:
+            for row, cell in zip(rows, cells[j]):
+                for k, a in cell:
+                    row[k] = (row[k] + c * a) % p
+        c = right[j]
+        if c:
+            for row, cells_i in zip(rows, cells):
+                for k, a in cells_i[j]:
+                    row[k] = (row[k] + c * a) % p
+    return rows
 
-    ``side_b`` is ``_SearchSide(b)`` when the caller already holds it.
-    """
-    side_a = _SearchSide(a)
-    if side_b is None:
-        side_b = _SearchSide(b)
+
+def _search_isomorphism(side_a: _Side, side_b: _Side):
+    """Complete generator-image search; a matrix (rows = basis images) or None."""
     p = side_a.p
     n = side_a.n
     gens = side_a.coset_coords
@@ -626,55 +627,31 @@ def _gen_relations(cells, p: int, elems, gen_vec):
     return _modp.left_kernel(rows, p, len(cells))
 
 
-def _relation_equations(side_b: _SearchSide, kernel, elem_imgs):
-    """The relations of ``_gen_relations`` as linear equations on the image v."""
-    cells, p, n = side_b.cells, side_b.p, side_b.n
+def _relation_equations(side_b: _Side, kernel, elem_imgs):
+    """The relations of ``_gen_relations`` as linear equations on the image v.
+
+    With G, L and C the combinations of the element images by the three
+    blocks of a relation, it reads [v, G] + [L, v] + C = 0; by bilinearity
+    the coefficient of v_i is [e_i, G] + [L, e_i].
+    """
+    p, n = side_b.p, side_b.n
     m = len(elem_imgs)
-    basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    # rword[u][i] = [e_i, E_u] (for words [g, e_u] evaluated at v: sum_i v_i rword)
-    # lword[u][i] = [E_u, e_i] (for words [e_u, g])
-    rword = [[_modp.bracket(cells, e, img, p) for e in basis] for img in elem_imgs]
-    lword = [[_modp.bracket(cells, img, e, p) for e in basis] for img in elem_imgs]
     sys_rows, sys_rhs = [], []
     for kappa in kernel:
-        acc = [[0] * n for _ in range(n)]  # acc[i][k]: coefficient of v_i in equation k
-        for u in range(m):
-            cg = kappa[u]
-            cl = kappa[m + u]
-            if cg:
-                wu = rword[u]
-                for i in range(n):
-                    src = wu[i]
-                    row = acc[i]
-                    for k in range(n):
-                        if src[k]:
-                            row[k] = (row[k] + cg * src[k]) % p
-            if cl:
-                wu = lword[u]
-                for i in range(n):
-                    src = wu[i]
-                    row = acc[i]
-                    for k in range(n):
-                        if src[k]:
-                            row[k] = (row[k] + cl * src[k]) % p
-        const = [0] * n
-        for u in range(m):
-            ce = kappa[2 * m + u]
-            if ce:
-                img = elem_imgs[u]
-                for k in range(n):
-                    if img[k]:
-                        const[k] = (const[k] + ce * img[k]) % p
+        right = _modp.combine(kappa[:m], elem_imgs, p, n)
+        left = _modp.combine(kappa[m : 2 * m], elem_imgs, p, n)
+        const = _modp.combine(kappa[2 * m :], elem_imgs, p, n)
+        coeff_rows = _operator_rows(side_b.cells, left, right, p)
         for k in range(n):
-            row = [acc[i][k] for i in range(n)]
-            rhs = (-const[k]) % p
+            row = [r[k] for r in coeff_rows]
+            rhs = -const[k] % p
             if any(row) or rhs:
                 sys_rows.append(row)
                 sys_rhs.append(rhs)
     return sys_rows, sys_rhs
 
 
-def _constrained_candidates(side_b: _SearchSide, rows, rhs):
+def _constrained_candidates(side_b: _Side, rows, rhs):
     """Solutions v of rows . v = rhs that are zero at the central pivots and
     lie outside [B, B], enumerated over the affine solution space.
 
@@ -688,13 +665,9 @@ def _constrained_candidates(side_b: _SearchSide, rows, rhs):
     if solution is None:
         return
     x0, null_basis = solution
+    shifted = [x0] + null_basis
     for combo in itertools.product(range(p), repeat=len(null_basis)):
-        v = list(x0)
-        for c, direction in zip(combo, null_basis):
-            if c:
-                for i in range(n):
-                    if direction[i]:
-                        v[i] = (v[i] + c * direction[i]) % p
+        v = _modp.combine((1,) + combo, shifted, p, n)
         if any(side_b.coset(v)):
             yield v
 
@@ -704,13 +677,4 @@ def _assemble_matrix(closure: _Closure, elem_imgs, p: int, n: int):
     inv = _modp.matinv([list(e) for e in closure.elems], p)
     if inv is None:
         raise InternalError("closure elements must form a basis")
-    matrix = []
-    for row in inv:
-        acc = [0] * n
-        for c, img in zip(row, elem_imgs):
-            if c:
-                for k in range(n):
-                    if img[k]:
-                        acc[k] = (acc[k] + c * img[k]) % p
-        matrix.append(acc)
-    return matrix
+    return [_modp.combine(row, elem_imgs, p, n) for row in inv]

@@ -73,13 +73,7 @@ def _random_cocycle(rng: random.Random, algebra: LeibnizAlgebra) -> list[list[in
     p = algebra.field.modulus
     n = algebra.dim
     basis = _cocycle_space(algebra)
-    flat = [0] * (n * n)
-    for vec in basis:
-        c = rng.randrange(p)
-        if c:
-            for idx in range(n * n):
-                if vec[idx]:
-                    flat[idx] = (flat[idx] + c * vec[idx]) % p
+    flat = _modp.combine([rng.randrange(p) for _ in basis], basis, p, n * n)
     return [[flat[i * n + j] for j in range(n)] for i in range(n)]
 
 

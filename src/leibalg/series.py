@@ -96,7 +96,7 @@ def is_cyclic(algebra: LeibnizAlgebra) -> tuple[bool, Vector | None]:
         return True, None
     if algebra.dim == 1:
         return True, algebra.basis_vector(0)
-    derived = lower[1] if len(lower) > 1 else algebra.derived()
+    derived = lower[1]
     if derived.dim != algebra.dim - 1:
         return False, None
     witness = next(

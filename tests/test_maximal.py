@@ -9,6 +9,7 @@ from leibalg import (
     GF,
     QQ,
     FieldMismatch,
+    Fingerprint,
     LeibnizAlgebra,
     NeedsFiniteField,
     NotNilpotent,
@@ -22,9 +23,12 @@ from leibalg import (
     frattini_by_intersection,
     instantiate,
     is_isomorphic,
+    list_catalog,
+    nilpotency_data,
+    sample_params,
 )
-from leibalg.maximal import _search_isomorphism
-from leibalg.randomgen import change_of_basis, random_invertible_matrix
+from leibalg.maximal import _search_isomorphism, _Side
+from leibalg.randomgen import change_of_basis, random_invertible_matrix, random_nilpotent_algebra
 
 
 def cc1(field, tau, lam, eps):
@@ -32,6 +36,48 @@ def cc1(field, tau, lam, eps):
         3,
         field,
         [(1, 1, {3: 1}), (2, 2, {3: tau}), (1, 2, {3: lam}), (2, 1, {3: eps})],
+    )
+
+
+def count_series(monkeypatch):
+    """Record (kind, algebra) for every central series computed from now on."""
+    import leibalg.maximal as maximal_module
+    import leibalg.series as series_module
+
+    seen = []
+    for kind in ("lower", "upper"):
+        name = f"{kind}_central_series"
+        real = getattr(series_module, name)
+
+        def counting(algebra, kind=kind, real=real):
+            seen.append((kind, algebra))
+            return real(algebra)
+
+        for module in (series_module, maximal_module):
+            monkeypatch.setattr(module, name, counting)
+    return seen
+
+
+def public_fingerprint(algebra):
+    """The Fingerprint from the public calls, squares counted over all vectors."""
+    prof = nilpotency_data(algebra)
+    field, n = algebra.field, algebra.dim
+    square_profile = None
+    if field.is_finite() and field.modulus**n <= 4096:
+        zero = sum(
+            not any(algebra.bracket(v, v))
+            for v in map(algebra.vector, itertools.product(range(field.modulus), repeat=n))
+        )
+        square_profile = (zero, field.modulus**n - zero)
+    return Fingerprint(
+        dim=n,
+        lower_dims=prof.lower_dims,
+        upper_dims=prof.upper_dims,
+        leib_dim=algebra.leib_ideal().dim,
+        center_dim=algebra.center().dim,
+        left_center_dim=algebra.left_center().dim,
+        derived_dim=algebra.derived().dim,
+        square_profile=square_profile,
     )
 
 
@@ -162,6 +208,39 @@ class TestFingerprint:
         profiles = {fingerprint(m.induced).upper_dims for m in maxes}
         assert len(profiles) > 1
 
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=str)
+    def test_matches_the_public_invariants(self, field):
+        algebras = [
+            LeibnizAlgebra.from_table(0, field, []),
+            LeibnizAlgebra.from_table(1, field, []),
+            LeibnizAlgebra.from_table(2, field, [(1, 2, {2: 1})]),  # [x, y] = y
+            LeibnizAlgebra.from_table(2, field, [(1, 2, {2: 1}), (2, 1, {2: -1})]),
+            # sl2 on (h, e, f): perfect, so its lower series has one term
+            LeibnizAlgebra.from_table(
+                3,
+                field,
+                [
+                    (1, 2, {2: 2}), (2, 1, {2: -2}), (1, 3, {3: -2}), (3, 1, {3: 2}),
+                    (2, 3, {1: 1}), (3, 2, {1: -1}),
+                ],
+            ),
+        ]
+        for entry in list_catalog():
+            params = sample_params(entry.name, field)
+            if params is not None:
+                algebras.append(instantiate(entry.name, field, params))
+        if field.is_finite():
+            rng = random.Random(field.modulus)
+            for dim in (2, 3, 4, 4, 5, 5):
+                tower = random_nilpotent_algebra(rng, field, dim)
+                algebras.append(tower)
+                algebras += [m.induced for m in enumerate_maximal(tower)]
+        for algebra in algebras:
+            assert algebra.check_leibniz() == []
+            assert fingerprint(algebra) == public_fingerprint(algebra), algebra.table
+        sl2 = fingerprint(algebras[4])
+        assert (sl2.lower_dims, sl2.derived_dim, sl2.center_dim) == ((3,), 3, 0)
+
 
 class TestIsIsomorphic:
     def test_identity(self):
@@ -253,8 +332,8 @@ class TestIsIsomorphic:
         # the raw search must prove it by exhaustion
         a = cc1(GF(3), 1, 0, 0)
         b = cc1(GF(3), 2, 0, 0)
-        assert _search_isomorphism(a, b) is None
-        assert _search_isomorphism(a, a) is not None
+        assert _search_isomorphism(_Side(a), _Side(b)) is None
+        assert _search_isomorphism(_Side(a), _Side(a)) is not None
 
     def test_unknown_over_rationals(self):
         # equal fingerprints, different tables: no search over Q
@@ -328,31 +407,46 @@ class TestProperties:
         assert check_p1(algebra) == (True, None)
 
     def test_p1_builds_the_reference_data_once(self, monkeypatch):
-        import leibalg.maximal as maximal_module
-
-        seen = []
-        real_fingerprint, real_side = maximal_module.fingerprint, maximal_module._SearchSide
-
-        def counting_fingerprint(algebra):
-            seen.append(("fingerprint", algebra))
-            return real_fingerprint(algebra)
-
-        def counting_side(algebra):
-            seen.append(("side", algebra))
-            return real_side(algebra)
-
-        monkeypatch.setattr(maximal_module, "fingerprint", counting_fingerprint)
-        monkeypatch.setattr(maximal_module, "_SearchSide", counting_side)
+        # the first maximal's two central series are computed once per
+        # check_p1, however many maximals are compared against it
+        seen = count_series(monkeypatch)
         field = GF(5)
         algebra = instantiate("A1_6dim", field, {"c": -3, "d": 1, "g": 2, "rhat": 1, "shat": 1})
         ok, _ = check_p1(algebra)
         assert ok
         first = enumerate_maximal(algebra)[0].induced
-        for kind in ("fingerprint", "side"):
+        for kind in ("lower", "upper"):
             with_first = [alg for k, alg in seen if k == kind and alg.table == first.table]
-            others = [alg for k, alg in seen if k == kind and alg.table != first.table]
+            others = [
+                alg
+                for k, alg in seen
+                if k == kind and alg.dim == first.dim and alg.table != first.table
+            ]
             assert len(with_first) == 1
             assert len(others) >= 2
+
+    def test_searched_pair_builds_each_series_once(self, monkeypatch):
+        # one is_isomorphic call that reaches the search computes each
+        # algebra's lower and upper central series once, and reads the
+        # centre and [A, A] off them
+        rng = random.Random(9)
+        field = GF(3)
+        a = instantiate("cex_A8", field, {})
+        b = change_of_basis(a, random_invertible_matrix(rng, field, 5))
+        seen = count_series(monkeypatch)
+        for name in ("center", "derived"):
+            real = getattr(LeibnizAlgebra, name)
+
+            def counting(self, name=name, real=real):
+                seen.append((name, self))
+                return real(self)
+
+            monkeypatch.setattr(LeibnizAlgebra, name, counting)
+        verdict = is_isomorphic(a, b)
+        assert verdict.reason == "explicit isomorphism found"
+        assert sorted((k, id(alg)) for k, alg in seen) == sorted(
+            (k, id(alg)) for k in ("lower", "upper") for alg in (a, b)
+        )
 
     def test_p1_negative_with_witness(self):
         ok, witness = check_p1(instantiate("cex_A8", GF(3), {}))

@@ -4,9 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from leibalg import GF, Subspace
+from leibalg import GF, LeibnizAlgebra, Subspace, list_catalog
 from leibalg.cli import main
-from leibalg.reproduce import enumerate_subspaces, run_structural_suite
+from leibalg.reproduce import (
+    ClaimSkipped,
+    build_claims,
+    enumerate_subspaces,
+    run_structural_suite,
+)
 
 GOLDEN = Path(__file__).resolve().parents[1] / "verification_report.txt"
 
@@ -76,6 +81,46 @@ def test_structural_suite_enumerates_each_towers_maximals_once(monkeypatch):
     monkeypatch.setattr(maximal, "enumerate_maximal", counting)
     run_structural_suite(GF(3), 12, 4, seed=2)
     assert len(calls) == 12
+
+
+def test_structural_suite_runs_nilpotency_data_once_per_tower(monkeypatch):
+    # the central-ideal quotients read their coclass off the lower series
+    from leibalg import series
+
+    calls = []
+    nilpotency_data = series.nilpotency_data
+
+    def counting(algebra):
+        calls.append(algebra)
+        return nilpotency_data(algebra)
+
+    monkeypatch.setattr(series, "nilpotency_data", counting)
+    evidence = run_structural_suite(GF(3), 12, 4, seed=2)
+    assert "; 3 central ideals dropped the coclass;" in evidence
+    assert len(calls) == 12
+
+
+def test_identity_claim_walks_the_identity_once(monkeypatch):
+    # catalog.instantiate walks it; the claim reads the recorded result
+    walks = []
+    check_leibniz = LeibnizAlgebra.check_leibniz
+
+    def counting(self):
+        walks.append(self)
+        return check_leibniz(self)
+
+    monkeypatch.setattr(LeibnizAlgebra, "check_leibniz", counting)
+    claims = [c for c in build_claims([3, 5], seed=0) if c.claim_id.startswith("identity.")]
+    assert len(claims) == 2 * len(list_catalog())
+    for claim in claims:
+        walks.clear()
+        try:
+            evidence = claim.run()
+        except ClaimSkipped:
+            assert walks == []
+            continue
+        assert evidence.endswith("; all identity residuals vanish")
+        assert len(walks) == 1, claim.claim_id
 
 
 def test_report_matches_the_committed_one(capsys):
