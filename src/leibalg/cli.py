@@ -14,14 +14,7 @@ import sys
 
 from . import catalog, constraints, maximal, reproduce, series
 from .core import LeibnizAlgebra
-from .errors import (
-    ConstraintViolated,
-    IncompleteAssignment,
-    InternalError,
-    LeibalgError,
-    NoSuchEntry,
-    ParseError,
-)
+from .errors import InternalError, LeibalgError, ParseError
 from .fields import Field
 from .formats import format_algebra, parse_algebra, parse_parametric, parse_relations
 
@@ -45,9 +38,17 @@ def _default_seed() -> str:
     return os.environ.get("LEIBALG_SEED", "0")
 
 
+def _read(path: str) -> str:
+    """The text of an input file; a file that cannot be read is an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
 def _load_algebra(path: str) -> LeibnizAlgebra:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_algebra(handle.read())
+    return parse_algebra(_read(path))
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -246,18 +247,15 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as handle:
-        parametric = parse_parametric(handle.read())
+    parametric = parse_parametric(_read(args.file))
     for poly in constraints.leibniz_constraints(parametric):
         print(poly)
     return EXIT_OK
 
 
 def cmd_verify_relations(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as handle:
-        parametric = parse_parametric(handle.read())
-    with open(args.relations, "r", encoding="utf-8") as handle:
-        relations = parse_relations(handle.read(), parametric.variables)
+    parametric = parse_parametric(_read(args.file))
+    relations = parse_relations(_read(args.relations), parametric.variables)
     field = Field.parse(args.field)
     report = constraints.verify_implied_relations(
         parametric, relations, trials=args.trials, field=field, seed=args.seed
@@ -316,13 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ParseError, NoSuchEntry, ConstraintViolated, IncompleteAssignment) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except LeibalgError as exc:
+    except (LeibalgError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

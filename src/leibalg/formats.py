@@ -9,10 +9,24 @@ The v1 algebra format is consumed and produced bit-exactly::
     [1,1] = 1*3          # [e1,e1] = 1*e3; terms "coeff*index" joined by '+'
     [2,1] = 1*3 + 1*4
 
-Omitted products are zero and ``#`` starts a comment.  The parametric
-format allows parameter names as coefficient factors (``[3,3] = gamma*6``)
-and an optional ``params`` line fixing the variable order.  A relations
-file holds one polynomial per line in the same scalar/monomial syntax.
+Both table formats share one grammar.  ``#`` starts a comment and blank
+lines are skipped.  The first line is the header ``leibalg v1``; every
+other line is a keyword line or a product line.  A keyword line starts
+with one of the exact words ``field``, ``params``, ``dim`` or ``basis``
+(``dimension 2`` is not one), and each keyword appears at most once.
+``dim`` is required: an integer >= 0 that comes before any product line.
+A product line ``[i,j] = t + t + ...`` names each cell at most once, with
+1 <= i, j <= dim; a term is ``coeff*k``, or ``k`` for coefficient 1, with
+1 <= k <= dim, and ``0`` is the empty sum.  Omitted products are zero.
+
+The algebra format requires ``field``, takes no ``params``, and its
+optional ``basis`` line names exactly dim vectors.  The parametric format
+allows parameter names as coefficient factors (``[3,3] = gamma*6``) and an
+optional ``params`` line of distinct names fixing the variable order;
+without it the variables are ordered by first appearance.  Its ``field``
+and ``basis`` lines are read past: parametric coefficients are
+field-independent rationals.  A relations file holds one polynomial per
+line in the same scalar/monomial syntax.
 """
 
 from __future__ import annotations
@@ -29,7 +43,6 @@ from .poly import MultiPoly
 _HEADER = "leibalg v1"
 
 _PRODUCT_RE = re.compile(r"\[(\d+)\s*,\s*(\d+)\]\s*=\s*(.+)")
-_NUMBER_RE = re.compile(r"-?\d+(?:/\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
@@ -40,82 +53,119 @@ def _logical_lines(text: str):
             yield lineno, line
 
 
-def _check_header(lines):
+def _read_v1(text: str, keywords: tuple[str, ...]):
+    """Check the grammar both table formats share; see the module docstring.
+
+    Returns ``(values, dim, products)``.  ``values`` maps each keyword line
+    present to ``(lineno, rest of the line)``; ``products`` lists
+    ``(lineno, i, j, [(coeff_text, k), ...])`` with 1-based indices.
+    """
+    lines = list(_logical_lines(text))
     if not lines or lines[0][1] != _HEADER:
-        lineno = lines[0][0] if lines else 1
-        raise ParseError(f"expected header {_HEADER!r}", lineno)
-    return lines[1:]
-
-
-def parse_algebra(text: str) -> LeibnizAlgebra:
-    """Parse the v1 structure-constant format."""
-    lines = _check_header(list(_logical_lines(text)))
-    field: Field | None = None
+        raise ParseError(f"expected header {_HEADER!r}", lines[0][0] if lines else 1)
+    values: dict[str, tuple[int, str]] = {}
     dim: int | None = None
-    labels: list[str] | None = None
-    entries: list[tuple[int, int, dict]] = []
+    products = []
     seen: set[tuple[int, int]] = set()
-    for lineno, line in lines:
-        if line.startswith("field"):
-            try:
-                field = Field.parse(line[len("field") :])
-            except LeibalgError as exc:
-                raise ParseError(str(exc), lineno) from None
-        elif line.startswith("dim"):
-            try:
-                dim = int(line[len("dim") :].strip())
-            except ValueError:
-                raise ParseError(f"bad dimension {line!r}", lineno) from None
-        elif line.startswith("basis"):
-            labels = line.split()[1:]
-        else:
-            m = _PRODUCT_RE.fullmatch(line)
-            if not m:
-                raise ParseError(f"unrecognized line {line!r}", lineno)
-            if field is None or dim is None:
-                raise ParseError("field and dim must precede product lines", lineno)
-            i, j = int(m.group(1)), int(m.group(2))
-            if not (1 <= i <= dim and 1 <= j <= dim):
-                raise ParseError(f"product index [{i},{j}] outside 1..{dim}", lineno)
-            if (i, j) in seen:
-                raise ParseError(f"product [{i},{j}] specified twice", lineno)
-            seen.add((i, j))
-            vec: dict[int, object] = {}
-            for coeff_text, k in _split_terms(m.group(3), lineno):
-                if not 1 <= k <= dim:
-                    raise ParseError(f"basis index {k} outside 1..{dim}", lineno)
+    for lineno, line in lines[1:]:
+        word = line.split(None, 1)[0]
+        if word in keywords:
+            if word in values:
+                first = values[word][0]
+                raise ParseError(f"second {word} line, the first is line {first}", lineno)
+            rest = line[len(word) :].strip()
+            values[word] = (lineno, rest)
+            if word == "dim":
                 try:
-                    coeff = field(coeff_text)
-                except LeibalgError as exc:
-                    raise ParseError(str(exc), lineno) from None
-                vec[k] = vec.get(k, field.zero()) + coeff
-            entries.append((i, j, vec))
-    if field is None:
-        raise ParseError("missing field line")
+                    dim = int(rest)
+                except ValueError:
+                    raise ParseError(f"bad dimension {line!r}", lineno) from None
+                if dim < 0:
+                    raise ParseError(f"negative dimension {dim}", lineno)
+            continue
+        m = _PRODUCT_RE.fullmatch(line)
+        if not m:
+            raise ParseError(f"unrecognized line {line!r}", lineno)
+        if dim is None:
+            raise ParseError("dim must precede product lines", lineno)
+        i, j = int(m.group(1)), int(m.group(2))
+        if not (1 <= i <= dim and 1 <= j <= dim):
+            raise ParseError(f"product index [{i},{j}] outside 1..{dim}", lineno)
+        if (i, j) in seen:
+            raise ParseError(f"product [{i},{j}] specified twice", lineno)
+        seen.add((i, j))
+        products.append((lineno, i, j, _split_terms(m.group(3), dim, lineno)))
     if dim is None:
         raise ParseError("missing dim line")
-    if labels is not None and len(labels) != dim:
-        raise ParseError(f"basis line names {len(labels)} vectors, dim is {dim}")
-    return LeibnizAlgebra.from_table(dim, field, entries, labels)
+    return values, dim, products
 
 
-def _split_terms(rhs: str, lineno: int):
-    rhs = rhs.strip()
+def _split_terms(rhs: str, dim: int, lineno: int) -> list[tuple[str, int]]:
     if rhs == "0":
-        return
+        return []
+    terms = []
     for chunk in rhs.split("+"):
         chunk = chunk.strip()
         if not chunk:
             raise ParseError("empty term", lineno)
-        if "*" in chunk:
-            coeff_text, _, index_text = chunk.rpartition("*")
-        else:
-            coeff_text, index_text = "1", chunk
+        coeff_text, star, index_text = chunk.rpartition("*")
         try:
-            k = int(index_text.strip())
+            k = int(index_text)
         except ValueError:
-            raise ParseError(f"bad basis index {index_text!r}", lineno) from None
-        yield coeff_text.strip(), k
+            raise ParseError(f"bad basis index {index_text.strip()!r}", lineno) from None
+        if not 1 <= k <= dim:
+            raise ParseError(f"basis index {k} outside 1..{dim}", lineno)
+        terms.append((coeff_text.strip() if star else "1", k))
+    return terms
+
+
+def _names_in_order(texts) -> tuple[str, ...]:
+    """The identifiers in ``texts``, each once, in order of first appearance."""
+    return tuple(dict.fromkeys(name for text in texts for name in _IDENT_RE.findall(text)))
+
+
+def _product_lines(table, coeff_texts) -> list[str]:
+    """The ``[i,j] = ...`` lines of a table of coefficients.
+
+    ``table[i][j][k]`` is the coefficient of e_k in [e_i, e_j], and
+    ``coeff_texts`` lists the texts of one coefficient, none for zero.
+    """
+    lines = []
+    for i, row in enumerate(table, start=1):
+        for j, cell in enumerate(row, start=1):
+            terms = [f"{c}*{k}" for k, coeff in enumerate(cell, start=1) for c in coeff_texts(coeff)]
+            if terms:
+                lines.append(f"[{i},{j}] = " + " + ".join(terms))
+    return lines
+
+
+def parse_algebra(text: str) -> LeibnizAlgebra:
+    """Parse the v1 structure-constant format."""
+    values, dim, products = _read_v1(text, ("field", "dim", "basis"))
+    if "field" not in values:
+        raise ParseError("missing field line")
+    lineno, literal = values["field"]
+    try:
+        field = Field.parse(literal)
+    except LeibalgError as exc:
+        raise ParseError(str(exc), lineno) from None
+    labels = None
+    if "basis" in values:
+        lineno, names = values["basis"]
+        labels = names.split()
+        if len(labels) != dim:
+            raise ParseError(f"basis line names {len(labels)} vectors, dim is {dim}", lineno)
+    entries = []
+    for lineno, i, j, terms in products:
+        vec: dict[int, object] = {}
+        for coeff_text, k in terms:
+            try:
+                coeff = field(coeff_text)
+            except LeibalgError as exc:
+                raise ParseError(str(exc), lineno) from None
+            vec[k] = vec.get(k, field.zero()) + coeff
+        entries.append((i, j, vec))
+    return LeibnizAlgebra.from_table(dim, field, entries, labels)
 
 
 def format_algebra(algebra: LeibnizAlgebra) -> str:
@@ -126,13 +176,7 @@ def format_algebra(algebra: LeibnizAlgebra) -> str:
         f"dim {algebra.dim}",
         "basis " + " ".join(algebra.labels),
     ]
-    n = algebra.dim
-    for i in range(n):
-        for j in range(n):
-            cell = algebra.table[i][j]
-            terms = [f"{cell[k]}*{k + 1}" for k in range(n) if cell[k]]
-            if terms:
-                out.append(f"[{i + 1},{j + 1}] = " + " + ".join(terms))
+    out += _product_lines(algebra.table, lambda c: [c] if c else [])
     return "\n".join(out) + "\n"
 
 
@@ -140,92 +184,55 @@ def format_algebra(algebra: LeibnizAlgebra) -> str:
 # polynomials and parametric tables
 # ---------------------------------------------------------------------------
 
-def _tokenize_poly(text: str, lineno: int | None = None):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in "+-*":
-            tokens.append(ch)
-            pos += 1
-            continue
-        m = re.match(r"\d+(?:/\d+)?", text[pos:])
-        if m:
-            tokens.append(Fraction(m.group(0)))
-            pos += len(m.group(0))
-            continue
-        m = _IDENT_RE.match(text, pos)
-        if m:
-            tokens.append(m.group(0))
-            pos = m.end()
-            continue
-        raise ParseError(f"bad character {ch!r} in polynomial {text!r}", lineno)
-    return tokens
+_TOKEN_RE = re.compile(rf"\s*(?:(\d+(?:/\d+)?)|({_IDENT_RE.pattern})|(\S))")
 
 
 def parse_poly(text: str, variables) -> MultiPoly:
-    """Parse sums of '*'-joined factors (rationals and variable names)."""
+    """Parse sums of '*'-joined factors (rationals and variable names).
+
+    A '+' or '-' right after a factor ends the term; any other is a unary
+    sign of the next term.
+    """
     variables = tuple(variables)
-    tokens = _tokenize_poly(text)
-    if not tokens:
-        raise ParseError(f"empty polynomial {text!r}")
     result = MultiPoly.zero(variables)
-    sign = Fraction(1)
-    factors: list = []
+    term = None  # the product of the current term's factors so far
+    sign = 1
     expect_factor = True
-
-    def flush():
-        nonlocal result, factors, sign
-        if not factors:
-            raise ParseError(f"dangling operator in {text!r}")
-        term = MultiPoly.constant(variables, sign)
-        for f in factors:
-            if isinstance(f, Fraction):
-                term = term * f
-            else:
-                if f not in variables:
-                    raise ParseError(f"unknown variable {f!r} in {text!r}")
-                term = term * MultiPoly.variable(variables, f)
-        result = result + term
-        factors = []
-        sign = Fraction(1)
-
-    for tok in tokens:
-        if tok == "+" or tok == "-":
-            if expect_factor:
-                # unary sign
-                if tok == "-":
-                    sign = -sign
-                continue
-            flush()
-            sign = Fraction(-1) if tok == "-" else Fraction(1)
-            expect_factor = True
-        elif tok == "*":
+    for number, name, other in _TOKEN_RE.findall(text):
+        if number or name:
+            if not expect_factor:
+                raise ParseError(f"missing operator in {text!r}")
+            if name and name not in variables:
+                raise ParseError(f"unknown variable {name!r} in {text!r}")
+            try:
+                factor = MultiPoly.variable(variables, name) if name else Fraction(number)
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {text!r}") from None
+            term = factor if term is None else term * factor
+            expect_factor = False
+        elif other == "*":
             if expect_factor:
                 raise ParseError(f"misplaced '*' in {text!r}")
             expect_factor = True
-        else:
+        elif other in ("+", "-"):
             if not expect_factor:
-                raise ParseError(f"missing operator in {text!r}")
-            factors.append(tok)
-            expect_factor = False
-    flush()
-    return result
+                result = result + sign * term
+                term, sign = None, 1
+                expect_factor = True
+            if other == "-":
+                sign = -sign
+        else:
+            raise ParseError(f"bad character {other!r} in polynomial {text!r}")
+    if term is None:
+        raise ParseError(f"missing term in polynomial {text!r}")
+    return result + sign * term
 
 
 def parse_relations(text: str, variables=None) -> list[MultiPoly]:
     """One polynomial per line; variables inferred in order of appearance."""
     lines = list(_logical_lines(text))
     if variables is None:
-        ordered: list[str] = []
-        for _, line in lines:
-            for name in _IDENT_RE.findall(line):
-                if name not in ordered:
-                    ordered.append(name)
-        variables = tuple(ordered)
+        variables = _names_in_order(line for _, line in lines)
     out = []
     for lineno, line in lines:
         try:
@@ -237,68 +244,23 @@ def parse_relations(text: str, variables=None) -> list[MultiPoly]:
 
 def parse_parametric(text: str) -> ParametricAlgebra:
     """Parse the parametric extension of the v1 format."""
-    lines = _check_header(list(_logical_lines(text)))
-    dim: int | None = None
-    declared: list[str] | None = None
-    raw_cells: list[tuple[int, int, int, str, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, line in lines:
-        if line.startswith("field"):
-            continue  # parametric coefficients are field-independent rationals
-        if line.startswith("params"):
-            declared = line.split()[1:]
-        elif line.startswith("dim"):
-            try:
-                dim = int(line[len("dim") :].strip())
-            except ValueError:
-                raise ParseError(f"bad dimension {line!r}", lineno) from None
-        elif line.startswith("basis"):
-            continue
-        else:
-            m = _PRODUCT_RE.fullmatch(line)
-            if not m:
-                raise ParseError(f"unrecognized line {line!r}", lineno)
-            if dim is None:
-                raise ParseError("dim must precede product lines", lineno)
-            i, j = int(m.group(1)), int(m.group(2))
-            if not (1 <= i <= dim and 1 <= j <= dim):
-                raise ParseError(f"product index [{i},{j}] outside 1..{dim}", lineno)
-            if (i, j) in seen:
-                raise ParseError(f"product [{i},{j}] specified twice", lineno)
-            seen.add((i, j))
-            rhs = m.group(3).strip()
-            if rhs == "0":
-                continue
-            for chunk in rhs.split("+"):
-                chunk = chunk.strip()
-                coeff_text, _, index_text = chunk.rpartition("*")
-                if not coeff_text:
-                    coeff_text, index_text = "1", chunk
-                try:
-                    k = int(index_text.strip())
-                except ValueError:
-                    raise ParseError(f"bad basis index {index_text!r}", lineno) from None
-                if not 1 <= k <= dim:
-                    raise ParseError(f"basis index {k} outside 1..{dim}", lineno)
-                raw_cells.append((i, j, k, coeff_text.strip(), lineno))
-    if dim is None:
-        raise ParseError("missing dim line")
-    if declared is None:
-        ordered: list[str] = []
-        for _, _, _, coeff_text, _ in raw_cells:
-            for name in _IDENT_RE.findall(coeff_text):
-                if name not in ordered:
-                    ordered.append(name)
-        declared = ordered
-    variables = tuple(declared)
+    values, dim, products = _read_v1(text, ("field", "params", "dim", "basis"))
+    if "params" in values:
+        lineno, names = values["params"]
+        variables = tuple(names.split())
+        if len(set(variables)) != len(variables):
+            raise ParseError(f"params names a variable twice: {names!r}", lineno)
+    else:
+        variables = _names_in_order(coeff for *_, terms in products for coeff, _ in terms)
     cells: dict[tuple[int, int], dict[int, MultiPoly]] = {}
-    for i, j, k, coeff_text, lineno in raw_cells:
-        try:
-            poly = parse_poly(coeff_text, variables)
-        except ParseError as exc:
-            raise ParseError(str(exc), lineno) from None
-        vec = cells.setdefault((i, j), {})
-        vec[k] = vec.get(k, MultiPoly.zero(variables)) + poly
+    for lineno, i, j, terms in products:
+        for coeff_text, k in terms:
+            try:
+                poly = parse_poly(coeff_text, variables)
+            except ParseError as exc:
+                raise ParseError(str(exc), lineno) from None
+            vec = cells.setdefault((i, j), {})
+            vec[k] = vec.get(k, MultiPoly.zero(variables)) + poly
     return ParametricAlgebra.from_table(dim, variables, cells)
 
 
@@ -320,15 +282,5 @@ def _monomial_strings(poly: MultiPoly) -> list[str]:
 
 def format_parametric(p: ParametricAlgebra) -> str:
     out = [_HEADER, "params " + " ".join(p.variables), f"dim {p.dim}"]
-    for i in range(p.dim):
-        for j in range(p.dim):
-            terms = []
-            for k in range(p.dim):
-                poly = p.entries[i][j][k]
-                if poly.is_zero():
-                    continue
-                for mono in _monomial_strings(poly):
-                    terms.append(f"{mono}*{k + 1}")
-            if terms:
-                out.append(f"[{i + 1},{j + 1}] = " + " + ".join(terms))
+    out += _product_lines(p.entries, _monomial_strings)
     return "\n".join(out) + "\n"

@@ -75,7 +75,7 @@ from .errors import (
 )
 from .fields import FieldElement
 from .linalg import Subspace, _span_residues
-from .series import lower_central_series, upper_central_series
+from .series import lower_central_series, nilpotency_data, upper_central_series
 
 _SQUARE_PROFILE_LIMIT = 4096
 
@@ -121,9 +121,9 @@ def fingerprint(algebra: LeibnizAlgebra) -> Fingerprint:
 class _Side:
     """One algebra of an isomorphism decision, with each invariant built once.
 
-    The lower and upper central series are computed once, and everything
-    else is read off their terms: the fingerprint, with
-    Z(A) = ``_second(upper)`` and [A, A] = ``_second(lower)``, and over
+    The lower and upper central series are computed once, by
+    ``nilpotency_data``, and everything else is read off their terms: the
+    fingerprint, with Z(A) and [A, A] taken from the profile, and over
     GF(p), once a search needs them, the search data.  ``member_spaces``
     holds, per series term, its residue rows, pivots and annihilating
     covectors (v lies in the term iff every covector vanishes on v).
@@ -137,15 +137,14 @@ class _Side:
         self.cells = algebra._cells
         self.p = algebra.field.modulus
         self.n = algebra.dim
-        self.lower = lower_central_series(algebra)
-        self.upper = upper_central_series(algebra)
-        self.derived = _second(self.lower)
+        self.profile = nilpotency_data(algebra)
+        self.derived = self.profile.derived
         self.fingerprint = Fingerprint(
             dim=algebra.dim,
-            lower_dims=tuple(t.dim for t in self.lower),
-            upper_dims=tuple(t.dim for t in self.upper),
+            lower_dims=self.profile.lower_dims,
+            upper_dims=self.profile.upper_dims,
             leib_dim=algebra.leib_ideal().dim,
-            center_dim=_second(self.upper).dim,
+            center_dim=self.profile.center.dim,
             left_center_dim=algebra.left_center().dim,
             derived_dim=self.derived.dim,
             square_profile=_square_profile(algebra),
@@ -160,12 +159,12 @@ class _Side:
         p, n = self.p, self.n
         return [
             (s._res_rows, s.pivots, _modp.nullspace(s._res_rows, p, n))
-            for s in self.lower[1:] + self.upper[1:]
+            for s in self.profile.lower[1:] + self.profile.upper[1:]
         ]
 
     @cached_property
     def central_pivots(self) -> list[int]:
-        return _second(self.upper).intersect(self.derived).pivots
+        return self.profile.center.intersect(self.derived).pivots
 
     def coset(self, v):
         derived = self.derived
@@ -192,16 +191,6 @@ class _Side:
             _nilindex(lrows, p, n),
             _nilindex(rrows, p, n),
         )
-
-
-def _second(terms: list[Subspace]) -> Subspace:
-    """The second term of a central series, or its only one.
-
-    That is [A, A] for the lower series and Z(A) for the upper one: a
-    series stops after one term exactly when A = 0, A = [A, A] or
-    Z(A) = 0.
-    """
-    return terms[1] if len(terms) > 1 else terms[0]
 
 
 def _square_profile(algebra: LeibnizAlgebra) -> tuple[int, int] | None:

@@ -20,7 +20,7 @@ from typing import Callable
 
 from . import _modp, catalog, constraints, maximal, randomgen, series
 from .core import LeibnizAlgebra
-from .errors import ConstraintViolated, LeibalgError
+from .errors import ConstraintViolated, LeibalgError, NeedsFiniteField
 from .fields import GF, QQ, Field
 from .formats import parse_relations
 from .linalg import Subspace
@@ -159,6 +159,8 @@ def enumerate_subspaces(space: Subspace, min_dim: int) -> list[Subspace]:
     dimension k, in ascending k, rows already canonical.  GF(p) only.
     """
     field = space.field
+    if not field.is_finite():
+        raise NeedsFiniteField("subspace enumeration needs GF(p)")
     p, n = field.modulus, space.ambient_dim
     basis = space._res_rows
     d = space.dim
@@ -209,8 +211,9 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
             len(prof.lower_dims) == len(prof.upper_dims),
             f"series step counts differ: {prof.lower_dims} vs {prof.upper_dims}",
         )
-        derived = algebra.derived()
-        _require(series.frattini(algebra) == derived, "frattini shortcut mismatch")
+        derived = prof.derived
+        frattini = series.frattini(algebra)
+        _require(frattini == derived, "frattini shortcut mismatch")
         maximals = maximal.enumerate_maximal(algebra)
         _require(
             maximal._intersection(algebra, maximals) == derived,
@@ -226,14 +229,14 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
         p2, _ = maximal._check_p2(maximals)
         if p2 and prof.cls is not None and prof.cls >= 1:
             p2_holds += 1
-            upper = series.upper_central_series(algebra)
+            upper = prof.upper
             z_prev = upper[prof.cls - 1] if prof.cls - 1 < len(upper) else upper[-1]
             _require(
-                z_prev == series.frattini(algebra),
+                z_prev == frattini,
                 "under the series-profile property the next-to-last upper "
                 "term must equal the Frattini subalgebra",
             )
-        center = algebra.center()
+        center = prof.center
         for ideal in enumerate_subspaces(center, 2):
             central_ideals += 1
             q = algebra.quotient(ideal).algebra
@@ -387,13 +390,23 @@ def build_claims(field_primes: list[int], seed: int) -> list[Claim]:
         "relations.table6",
         "sampling confirms the three closure relations of the generic "
         "six-dimensional table, both directions",
-        _relations_table6_claim(seed),
+        _relations_claim(
+            catalog.parametric_table6,
+            "gamma - d + f\ngamma + d + fhat\ngamma - dhat - f\n",
+            catalog.TABLE6_VARIABLES,
+            seed,
+        ),
     )
     add(
         "relations.table1",
         "sampling confirms bhat = -b, chat = -c, gamma = 0 for the "
         "four-dimensional symbolic table, both directions",
-        _relations_table1_claim(seed),
+        _relations_claim(
+            catalog.parametric_table1,
+            "bhat + b\nchat + c\ngamma\n",
+            catalog.TABLE1_VARIABLES,
+            seed,
+        ),
     )
 
     # 9. randomized structural suite
@@ -581,33 +594,13 @@ def _cex_p1_claim() -> str:
     )
 
 
-def _relations_table6_claim(seed: int):
+def _relations_claim(build_table, relations_text: str, variables, seed: int):
+    """Sampling confirms the relations of a parametric table, both directions."""
+
     def run() -> str:
-        p = catalog.parametric_table6()
-        relations = parse_relations(
-            "gamma - d + f\ngamma + d + fhat\ngamma - dhat - f\n",
-            catalog.TABLE6_VARIABLES,
-        )
+        relations = parse_relations(relations_text, variables)
         report = constraints.verify_implied_relations(
-            p, relations, trials=100, field=GF(101), seed=seed
-        )
-        _require(report.ok, f"relation verification failed: {report}")
-        return (
-            f"100 locus samples annihilate every constraint and each single "
-            f"relation violation breaks one (seed {seed})"
-        )
-
-    return run
-
-
-def _relations_table1_claim(seed: int):
-    def run() -> str:
-        p = catalog.parametric_table1()
-        relations = parse_relations(
-            "bhat + b\nchat + c\ngamma\n", catalog.TABLE1_VARIABLES
-        )
-        report = constraints.verify_implied_relations(
-            p, relations, trials=100, field=GF(101), seed=seed
+            build_table(), relations, trials=100, field=GF(101), seed=seed
         )
         _require(report.ok, f"relation verification failed: {report}")
         return (

@@ -9,7 +9,7 @@ coclass = dim - class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import LeibnizAlgebra
 from .errors import InternalError, NotNilpotent
@@ -18,13 +18,37 @@ from .linalg import Subspace, Vector
 
 @dataclass(frozen=True)
 class SeriesProfile:
-    """Dimension profiles of both central series plus class and coclass."""
+    """Dimension profiles of both central series plus class and coclass.
+
+    ``lower`` and ``upper`` keep the terms the profile was built from; they
+    take no part in equality or printing.  [A, A] and Z(A) are read off them.
+    """
 
     lower_dims: tuple[int, ...]
     upper_dims: tuple[int, ...]
     nilpotent: bool
     cls: int | None
     coclass: int | None
+    lower: tuple[Subspace, ...] = field(compare=False, repr=False)
+    upper: tuple[Subspace, ...] = field(compare=False, repr=False)
+
+    @property
+    def derived(self) -> Subspace:
+        return _second(self.lower)
+
+    @property
+    def center(self) -> Subspace:
+        return _second(self.upper)
+
+
+def _second(terms) -> Subspace:
+    """The second term of a central series, or its only one.
+
+    That is [A, A] for the lower series and Z(A) for the upper one: a
+    series stops after one term exactly when A = 0, A = [A, A] or
+    Z(A) = 0.
+    """
+    return terms[1] if len(terms) > 1 else terms[0]
 
 
 def lower_central_series(algebra: LeibnizAlgebra) -> list[Subspace]:
@@ -68,6 +92,8 @@ def nilpotency_data(algebra: LeibnizAlgebra) -> SeriesProfile:
         nilpotent=nilpotent,
         cls=cls,
         coclass=coclass,
+        lower=tuple(lower),
+        upper=tuple(upper),
     )
 
 
@@ -77,9 +103,10 @@ def frattini(algebra: LeibnizAlgebra) -> Subspace:
     The intersection-of-maximals characterization is computed separately
     (over finite fields) for cross-validation.
     """
-    if not lower_central_series(algebra)[-1].is_zero():
+    lower = lower_central_series(algebra)
+    if not lower[-1].is_zero():
         raise NotNilpotent("Frattini shortcut phi(A) = [A, A] needs nilpotency")
-    return algebra.derived()
+    return _second(lower)
 
 
 def is_cyclic(algebra: LeibnizAlgebra) -> tuple[bool, Vector | None]:

@@ -59,6 +59,22 @@ class TestVerify:
     def test_missing_file(self):
         assert main(["verify", "/nonexistent/file.alg"]) == 2
 
+    def test_directory_is_an_input_error(self, tmp_path, capsys):
+        assert main(["verify", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read ")
+
+    def test_non_utf8_file_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.alg"
+        path.write_bytes("leibalg v1\nfield Q\ndim 1\nbasis \xe9\n".encode("latin-1"))
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read ")
+
+    def test_negative_dim_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "neg.alg"
+        path.write_text("leibalg v1\nfield Q\ndim -1\n")
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 3: negative dimension -1\n"
+
 
 class TestAnalyze:
     def test_output_lines(self, heisenberg_file, capsys):
@@ -187,6 +203,12 @@ class TestDeriveAndRelations:
         assert sorted(lines) == sorted(
             ["gamma - f - dhat", "gamma - d + f", "gamma + d + fhat"]
         )
+
+    def test_derive_rejects_a_second_dim_line(self, tmp_path, capsys):
+        path = tmp_path / "twodims.palg"
+        path.write_text("leibalg v1\ndim 2\n[1,1] = a*2\ndim 1\n")
+        assert main(["derive", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 4: second dim line, the first is line 2\n"
 
     def test_verify_relations(self, tmp_path, capsys):
         from leibalg.catalog import parametric_table6

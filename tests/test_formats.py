@@ -17,7 +17,7 @@ from leibalg import (
     parse_relations,
     sample_params,
 )
-from leibalg.catalog import parametric_table6
+from leibalg.catalog import parametric_table1, parametric_table6
 
 SAMPLE = """leibalg v1
 field GF(3)          # or: field Q
@@ -84,11 +84,51 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_algebra("leibalg v1\nfield GF(6)\ndim 2\n")
 
+    def test_field_line_may_follow_the_products(self):
+        algebra = parse_algebra("leibalg v1\ndim 2\n[1,1] = 1*2\nfield GF(3)\n")
+        assert algebra.field == GF(3)
+        assert algebra.bracket([1, 0], [1, 0]) == algebra.vector([0, 1])
+
+    def test_basis_count_mismatch_reports_its_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_algebra("leibalg v1\nfield Q\ndim 2\nbasis x y z\n")
+        assert err.value.line == 4
+
+
+# Bodies after "leibalg v1\nfield Q\n", with the line each parser rejects.
+# ``params`` is no keyword of the algebra format, so parse_algebra stops at
+# the first params line.
+MALFORMED = {
+    "negative dim": ("dim -1\n", 3, 3),
+    "repeated dim": ("dim 2\ndim 2\n", 4, 4),
+    "repeated field": ("field Q\ndim 2\n", 3, 3),
+    "repeated params": ("params a\nparams a\ndim 2\n", 3, 4),
+    "repeated basis": ("dim 2\nbasis x y\nbasis x y\n", 5, 5),
+    "keyword prefix dimension": ("dimension 2\n", 3, 3),
+    "keyword prefix dim2": ("dim2\n", 3, 3),
+    "keyword prefix fieldx": ("dim 2\nfieldx GF(3)\n", 4, 4),
+    "keyword prefix basisfoo": ("dim 2\nbasisfoo x y\n", 4, 4),
+    "duplicate params names": ("params a a\ndim 2\n", 3, 3),
+    "empty term": ("dim 2\n[1,1] = 1*2 + + 1*1\n", 4, 4),
+    "zero denominator": ("dim 2\n[1,1] = 1/0*2\n", 4, 4),
+    "product before dim": ("[1,1] = 1*2\ndim 2\n", 3, 3),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED.values(), ids=MALFORMED.keys())
+@pytest.mark.parametrize("parse", [parse_algebra, parse_parametric])
+def test_malformed_tables_are_rejected_with_a_line_number(parse, case):
+    body, algebra_line, parametric_line = case
+    with pytest.raises(ParseError) as err:
+        parse("leibalg v1\nfield Q\n" + body)
+    assert err.value.line == (algebra_line if parse is parse_algebra else parametric_line)
+    assert str(err.value).startswith(f"line {err.value.line}: ")
+
 
 class TestRoundTrip:
     def test_catalog_entries_bit_exact(self):
         for entry in list_catalog():
-            for field in (GF(3), GF(5), QQ):
+            for field in (GF(3), GF(5), GF(7), QQ):
                 params = sample_params(entry.name, field)
                 if params is None:
                     continue
@@ -120,13 +160,19 @@ class TestParametricFormat:
         parametric = parse_parametric(text)
         assert parametric.variables == ("a", "b")
 
-    def test_roundtrip_table6(self):
-        p = parametric_table6()
+    @staticmethod
+    def check_roundtrip(p):
         text = format_parametric(p)
         back = parse_parametric(text)
         assert back.variables == p.variables
         assert back.entries == p.entries
         assert format_parametric(back) == text
+
+    def test_roundtrip_table6(self):
+        self.check_roundtrip(parametric_table6())
+
+    def test_roundtrip_table1(self):
+        self.check_roundtrip(parametric_table1())
 
     def test_constraints_from_file(self):
         text = format_parametric(parametric_table6())
@@ -148,6 +194,20 @@ class TestRelationsFormat:
     def test_rational_coefficients(self):
         rels = parse_relations("2*x - 1/2*y\n")
         assert str(rels[0]) == "2*x - 1/2*y"
+
+    def test_signs(self):
+        x_plus_y, minus_two_x, x_times_minus_y = parse_relations(
+            "x - - y\n2*-x\n+x * -y\n", ("x", "y")
+        )
+        assert str(x_plus_y) == "x + y"
+        assert str(minus_two_x) == "-2*x"
+        assert str(x_times_minus_y) == "-x*y"
+
+    @pytest.mark.parametrize("text", ["x y", "x * * y", "x -", "-", "x $ y", "1/0*x", "z"])
+    def test_malformed_line_reports_its_number(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_relations("x + y\n" + text + "\n", ("x", "y"))
+        assert err.value.line == 2
 
     def test_unknown_character(self):
         with pytest.raises(ParseError):

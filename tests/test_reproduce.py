@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from leibalg import GF, LeibnizAlgebra, Subspace, list_catalog
+from leibalg import GF, QQ, LeibnizAlgebra, NeedsFiniteField, Subspace, list_catalog
 from leibalg.cli import main
 from leibalg.reproduce import (
     ClaimSkipped,
@@ -49,6 +49,10 @@ class TestEnumerateSubspaces:
             assert sub == Subspace.span(field, 7, sub.rows)
             assert sub.rows == Subspace.span(field, 7, sub.rows).rows
             assert space.contains_space(sub)
+
+    def test_rational_space_is_refused(self):
+        with pytest.raises(NeedsFiniteField):
+            enumerate_subspaces(Subspace.full(QQ, 2), 1)
 
     @pytest.mark.parametrize("p,d", [(2, 4), (5, 2), (3, 3)])
     def test_counts_every_dimension(self, p, d):
@@ -98,6 +102,38 @@ def test_structural_suite_runs_nilpotency_data_once_per_tower(monkeypatch):
     evidence = run_structural_suite(GF(3), 12, 4, seed=2)
     assert "; 3 central ideals dropped the coclass;" in evidence
     assert len(calls) == 12
+
+
+def test_structural_suite_reads_each_towers_series_off_its_profile(monkeypatch):
+    # [A, A], Z(A) and the upper terms come from the tower's profile; the
+    # Frattini shortcut runs once per tower
+    from leibalg import series
+
+    calls = []
+    for name in ("frattini", "upper_central_series"):
+        real = getattr(series, name)
+
+        def counting(algebra, name=name, real=real):
+            calls.append(name)
+            return real(algebra)
+
+        monkeypatch.setattr(series, name, counting)
+    for name in ("center", "derived"):
+        real = getattr(LeibnizAlgebra, name)
+
+        def counting(self, name=name, real=real):
+            calls.append(name)
+            return real(self)
+
+        monkeypatch.setattr(LeibnizAlgebra, name, counting)
+    evidence = run_structural_suite(GF(3), 12, 4, seed=2)
+    assert "; 11 with the series-profile property" in evidence
+    assert "; 4 codim-1-center splits verified" in evidence
+    assert calls.count("frattini") == 12
+    assert calls.count("upper_central_series") == 12
+    assert calls.count("derived") == 0
+    # only split_codim1_center, once per split
+    assert calls.count("center") == 4
 
 
 def test_identity_claim_walks_the_identity_once(monkeypatch):

@@ -1,5 +1,7 @@
 """Central series, class, coclass, Frattini subalgebra, cyclicity."""
 
+import dataclasses
+
 import pytest
 
 from leibalg import (
@@ -97,6 +99,36 @@ class TestNilpotencyData:
             prof = nilpotency_data(algebra)
             assert prof.nilpotent == (prof.lower_dims[-1] == 0)
             assert prof.nilpotent == (prof.upper_dims[-1] == algebra.dim)
+
+    @pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+    def test_keeps_its_terms_out_of_equality_and_printing(self, field):
+        # sl2 is perfect and the solvable plane has Z(A) = 0, so one of their
+        # series has a single term; the zero algebra has two such series
+        sl2 = LeibnizAlgebra.from_table(
+            3,
+            field,
+            [
+                (1, 2, {2: 2}), (2, 1, {2: -2}), (1, 3, {3: -2}), (3, 1, {3: 2}),
+                (2, 3, {1: 1}), (3, 2, {1: -1}),
+            ],
+        )
+        algebras = [
+            sl2,
+            solvable_plane(field),
+            LeibnizAlgebra.from_table(0, field, []),
+            instantiate("abelian", field, {"n": 3}),
+            instantiate("heisenberg3", field, {}),
+            instantiate("cyclic_example4", field, {}),
+        ]
+        for algebra in algebras:
+            prof = nilpotency_data(algebra)
+            assert prof.derived == algebra.derived()
+            assert prof.center == algebra.center()
+            assert [t.dim for t in prof.lower] == list(prof.lower_dims)
+            assert [t.dim for t in prof.upper] == list(prof.upper_dims)
+            bare = dataclasses.replace(prof, lower=(), upper=())
+            assert bare == prof and hash(bare) == hash(prof)
+            assert repr(bare) == repr(prof) and "lower=" not in repr(prof)
 
     def test_equal_strict_steps_on_catalog(self):
         for name, params in (
