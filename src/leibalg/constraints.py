@@ -9,30 +9,26 @@ residuals come from the one identity walk of ``core``
 extracted list is canonical: monic, deduplicated up to scalar multiples,
 and sorted by graded-lex key.
 
-verify_implied_relations checks a claimed relation set against the
-extracted constraints by exact seeded sampling in both directions:
-(a) points satisfying the relations annihilate every constraint, and
-(b) for each relation, a point violating only that relation breaks some
-constraint.  No Groebner machinery is used; the relation sets handled
-here are linear, so sampled points on the zero locus come from a plain
-linear solve over the free variables.
+verify_implied_relations decides, exactly over Q, whether a claimed set
+of linear relations has the same zero set as the extracted constraints:
+(a) the relations imply every constraint, (b) the constraints imply every
+relation, and no relation is redundant.  Linear polynomials are compared
+as rows of an affine row space with the elimination of ``linalg``;
+nonlinear constraints are handled in direction (a) by substitution.  No
+Groebner machinery is used.
 """
 
 from __future__ import annotations
 
-import random
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import LeibnizAlgebra, _identity_residual
-from .errors import IncompleteAssignment, LeibalgError
-from .fields import Field, FieldElement
-from .linalg import rref
+from .errors import IncompleteAssignment, NotApplicable
+from .fields import QQ, Field, FieldElement
+from .linalg import Subspace
 from .poly import MultiPoly
-
-
-class Inconclusive(LeibalgError):
-    """Sampling could not produce a point violating exactly one relation."""
 
 
 @dataclass(frozen=True)
@@ -132,160 +128,148 @@ def eval_at(
 
 
 # ---------------------------------------------------------------------------
-# sampling verification of claimed relation sets
+# exact verification of claimed relation sets
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RelationCheck:
-    relation: MultiPoly
+    """One of the three checks of a relation set."""
+
     status: str  # "pass" | "fail"
     detail: str
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    field: Field
-    seed: int
-    trials: int
-    locus_status: str  # "pass" | "fail"
-    locus_detail: str
-    relation_checks: tuple[RelationCheck, ...]
+    relations_imply_constraints: RelationCheck
+    constraints_imply_relations: RelationCheck
+    minimal: RelationCheck
+
+    @property
+    def named_checks(self) -> tuple[tuple[str, RelationCheck], ...]:
+        return (
+            ("relations => constraints", self.relations_imply_constraints),
+            ("constraints => relations", self.constraints_imply_relations),
+            ("minimal", self.minimal),
+        )
 
     @property
     def ok(self) -> bool:
-        return self.locus_status == "pass" and all(
-            rc.status == "pass" for rc in self.relation_checks
-        )
+        return all(check.status == "pass" for _, check in self.named_checks)
 
 
-def _random_element(rng: random.Random, field: Field) -> FieldElement:
-    if field.is_finite():
-        return field(rng.randrange(field.modulus))
-    return field(Fraction(rng.randint(-50, 50)))
-
-
-def _linear_data(poly: MultiPoly):
-    """Split a linear polynomial into ({var: coeff}, constant)."""
-    coeffs: dict[str, Fraction] = {}
-    const = Fraction(0)
-    for exp, c in poly.terms.items():
-        degree = sum(exp)
-        if degree == 0:
-            const += c
-        elif degree == 1:
-            var = poly.variables[exp.index(1)]
-            coeffs[var] = coeffs.get(var, Fraction(0)) + c
-        else:
-            raise LeibalgError(
-                f"relation {poly} is not linear; sampling solver handles "
-                "linear relation sets only"
-            )
-    return coeffs, const
-
-
-def _sample_on_locus(
-    rng: random.Random,
-    relations: list[MultiPoly],
-    variables: tuple[str, ...],
-    field: Field,
-) -> dict[str, FieldElement] | None:
-    """One random point satisfying every relation.
-
-    The relations are reduced to echelon form over the field; pivot
-    variables become targets solved by back-substitution from randomly
-    sampled free variables.  Returns None when the system is inconsistent
-    (empty locus).
-    """
-    nvars = len(variables)
-    rows = []
-    for rel in relations:
-        coeffs, const = _linear_data(rel)
-        rows.append([field(coeffs.get(v, 0)) for v in variables] + [-field(const)])
-    ech, pivots = rref(rows, field, nvars + 1)
-    if nvars in pivots:
+def _affine_row(poly: MultiPoly) -> list[Fraction] | None:
+    """``[coefficients | constant]`` of a polynomial of degree <= 1, else None."""
+    if poly.total_degree() > 1:
         return None
-    pivot_set = set(pivots)
-    assignment = {
-        v: _random_element(rng, field)
-        for idx, v in enumerate(variables)
-        if idx not in pivot_set
-    }
-    for row, pc in zip(ech, pivots):
-        val = row[nvars]
-        for idx in range(nvars):
+    row = [Fraction(0)] * (len(poly.variables) + 1)
+    for exp, c in poly.terms.items():
+        row[exp.index(1) if any(exp) else -1] = c
+    return row
+
+
+def _pivot_solution(space: Subspace, variables: tuple[str, ...]) -> dict[str, MultiPoly]:
+    """Each pivot variable of a consistent echelon system, in terms of the free ones."""
+    n = len(variables)
+    solution = {}
+    for row, pc in zip(space.rows, space.pivots):
+        value = MultiPoly.constant(variables, -row[n].value)
+        for idx in range(n):
             if idx != pc and row[idx]:
-                val = val - row[idx] * assignment[variables[idx]]
-        assignment[variables[pc]] = val
-    return assignment
+                value = value - row[idx].value * MultiPoly.variable(variables, variables[idx])
+        solution[variables[pc]] = value
+    return solution
 
 
 def verify_implied_relations(
     p: ParametricAlgebra,
     relations: list[MultiPoly],
-    trials: int,
-    field: Field,
-    seed: int = 0,
+    *,
+    trials=None,
+    field=None,
+    seed=None,
 ) -> VerificationReport:
-    """Two-sided sampling check of a claimed relation set.
+    """Exact check over Q that linear relations cut out the Leibniz locus of p.
 
-    Direction (a): `trials` sampled points on the relations' zero locus must
-    annihilate every extracted constraint.  Direction (b): for each relation,
-    a sampled point satisfying all the others but violating it must leave
-    some constraint nonzero; failure to find such a point raises
-    Inconclusive.
+    Each linear polynomial becomes the row ``[coefficients | constant]``.
+    Over a consistent system, one linear polynomial vanishes on the zero set
+    of others exactly when its row lies in their span, so the two
+    directions are row containments: (a) every linear constraint lies in
+    the span of the relations, (b) every relation lies in the span of the
+    linear constraints.  A nonlinear constraint is checked in direction (a)
+    by substituting the relations' solution for their pivot variables,
+    which must give the zero polynomial; direction (b) is then decided by
+    the linear constraints alone, and NotApplicable is raised when they do
+    not span every relation.  Relations with no common zero (their rows
+    span ``[0 ... 0 | 1]``) fail (a); a relation in the span of the others
+    fails minimality.
+
+    ``trials``, ``field`` and ``seed`` are deprecated and ignored.
     """
-    rng = random.Random(seed)
-    constraints = leibniz_constraints(p)
-    variables = p.variables
-
-    locus_status, locus_detail = "pass", f"{trials} locus samples annihilate all constraints"
-    for _ in range(trials):
-        point = _sample_on_locus(rng, relations, variables, field)
-        if point is None:
-            locus_status = "fail"
-            locus_detail = "could not solve the relations for sample points"
-            break
-        bad = next(
-            (c for c in constraints if bool(c.eval(point, field))),
-            None,
+    if (trials, field, seed) != (None, None, None):
+        warnings.warn(
+            "verify_implied_relations is exact over Q; trials, field and seed are ignored",
+            DeprecationWarning,
+            stacklevel=2,
         )
-        if bad is not None:
-            locus_status = "fail"
-            values = {v: str(point[v]) for v in sorted(point)}
-            locus_detail = f"constraint {bad} nonzero at locus point {values}"
-            break
-
-    checks = []
-    for idx, rel in enumerate(relations):
-        others = relations[:idx] + relations[idx + 1 :]
-        found = None
-        for _ in range(trials):
-            point = (
-                _sample_on_locus(rng, others, variables, field)
-                if others
-                else {v: _random_element(rng, field) for v in variables}
-            )
-            if point is None:
-                continue
-            if bool(rel.eval(point, field)):
-                found = point
-                break
-        if found is None:
-            raise Inconclusive(f"no sample violating only {rel}")
-        broken = next((c for c in constraints if bool(c.eval(found, field))), None)
-        if broken is None:
-            checks.append(
-                RelationCheck(rel, "fail", "violating point satisfies all constraints")
-            )
+    width = len(p.variables) + 1
+    rows = []
+    for rel in relations:
+        row = _affine_row(rel)
+        if row is None:
+            raise NotApplicable(f"relation {rel} is not linear")
+        rows.append(row)
+    spanned = Subspace.span(QQ, width, rows)
+    linear, nonlinear = [], []
+    for poly in leibniz_constraints(p):
+        row = _affine_row(poly)
+        if row is None:
+            nonlinear.append(poly)
         else:
-            checks.append(
-                RelationCheck(rel, "pass", f"violation breaks constraint {broken}")
+            linear.append((poly, row))
+    covered = Subspace.span(QQ, width, [row for _, row in linear])
+
+    if spanned.contains([0] * (width - 1) + [1]):
+        forward = RelationCheck(
+            "fail", "the relations have no common zero: their rows span [0 ... 0 | 1]"
+        )
+    else:
+        bad = next((poly for poly, row in linear if not spanned.contains(row)), None)
+        if bad is None and nonlinear:
+            solution = _pivot_solution(spanned, p.variables)
+            bad = next((q for q in nonlinear if not q.substitute(solution).is_zero()), None)
+        if bad is None:
+            detail = "every linear constraint is a combination of the relations"
+            if nonlinear:
+                detail += f" and the {len(nonlinear)} others vanish on their solution"
+            forward = RelationCheck("pass", detail)
+        else:
+            forward = RelationCheck(
+                "fail", f"constraint {bad} does not vanish on the relations' zero set"
             )
-    return VerificationReport(
-        field=field,
-        seed=seed,
-        trials=trials,
-        locus_status=locus_status,
-        locus_detail=locus_detail,
-        relation_checks=tuple(checks),
-    )
+
+    missed = next((rel for rel, row in zip(relations, rows) if not covered.contains(row)), None)
+    if missed is None:
+        converse = RelationCheck(
+            "pass", f"every relation is a combination of the {len(linear)} linear constraints"
+        )
+    elif nonlinear:
+        raise NotApplicable(
+            f"the linear constraints do not imply relation {missed}, and the "
+            f"converse through the nonlinear constraint {nonlinear[0]} is not decided"
+        )
+    else:
+        converse = RelationCheck("fail", f"relation {missed} is not implied by the constraints")
+
+    if spanned.dim == len(relations):
+        minimal = RelationCheck("pass", f"the {len(relations)} relations are independent")
+    else:
+        redundant = next(
+            rel
+            for idx, (rel, row) in enumerate(zip(relations, rows))
+            if Subspace.span(QQ, width, rows[:idx]).contains(row)
+        )
+        minimal = RelationCheck(
+            "fail", f"relation {redundant} is a combination of the ones before it"
+        )
+    return VerificationReport(forward, converse, minimal)

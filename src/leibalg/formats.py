@@ -22,11 +22,13 @@ A product line ``[i,j] = t + t + ...`` names each cell at most once, with
 The algebra format requires ``field``, takes no ``params``, and its
 optional ``basis`` line names exactly dim vectors.  The parametric format
 allows parameter names as coefficient factors (``[3,3] = gamma*6``) and an
-optional ``params`` line of distinct names fixing the variable order;
-without it the variables are ordered by first appearance.  Its ``field``
-and ``basis`` lines are read past: parametric coefficients are
+optional ``params`` line of distinct identifiers fixing the variable
+order; without it the variables are ordered by first appearance.  Its
+``field`` and ``basis`` lines are read past: parametric coefficients are
 field-independent rationals.  A relations file holds one polynomial per
-line in the same scalar/monomial syntax.
+line in the same scalar/monomial syntax.  A coefficient or polynomial is a
+sum of terms, each a product of factors joined by ``*``; a ``*`` with no
+factor after it (``a*``, so also ``[1,1] = a**2``) is an error.
 """
 
 from __future__ import annotations
@@ -225,6 +227,8 @@ def parse_poly(text: str, variables) -> MultiPoly:
             raise ParseError(f"bad character {other!r} in polynomial {text!r}")
     if term is None:
         raise ParseError(f"missing term in polynomial {text!r}")
+    if expect_factor:
+        raise ParseError(f"trailing '*' in {text!r}")
     return result + sign * term
 
 
@@ -248,6 +252,9 @@ def parse_parametric(text: str) -> ParametricAlgebra:
     if "params" in values:
         lineno, names = values["params"]
         variables = tuple(names.split())
+        bad = next((v for v in variables if not _IDENT_RE.fullmatch(v)), None)
+        if bad is not None:
+            raise ParseError(f"params name {bad!r} is not an identifier", lineno)
         if len(set(variables)) != len(variables):
             raise ParseError(f"params names a variable twice: {names!r}", lineno)
     else:

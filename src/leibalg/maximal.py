@@ -60,7 +60,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, fields as dataclass_fields
-from contextvars import ContextVar
 from functools import cached_property
 
 from . import _modp
@@ -323,12 +322,6 @@ class MaximalPairWitness:
     detail: str
 
 
-# While check_p1 compares every maximal subalgebra against the first, the
-# first one's record; is_isomorphic uses it when that algebra is its second
-# argument.
-_reference: ContextVar[_Side | None] = ContextVar("_reference", default=None)
-
-
 def is_isomorphic(a: LeibnizAlgebra, b: LeibnizAlgebra) -> IsoVerdict:
     """Decide isomorphism; complete over GF(p) within the search bounds.
 
@@ -339,14 +332,22 @@ def is_isomorphic(a: LeibnizAlgebra, b: LeibnizAlgebra) -> IsoVerdict:
     """
     if a.field != b.field:
         raise FieldMismatch("isomorphism test needs a common field")
+    return _fast_verdict(a, b) or _decide(_Side(a), _Side(b))
+
+
+def _fast_verdict(a: LeibnizAlgebra, b: LeibnizAlgebra) -> IsoVerdict | None:
+    """The verdict when the dimensions differ or the tables are equal, else None."""
     if a.dim != b.dim:
         return IsoVerdict("no", reason="dimensions differ", invariant=("dim", a.dim, b.dim))
     if a == b:
         identity = tuple(a.basis_vector(i) for i in range(a.dim))
         return IsoVerdict("yes", matrix=identity, reason="identical structure constants")
-    side_a, side_b = _Side(a), _reference.get()
-    if side_b is None or side_b.algebra is not b:
-        side_b = _Side(b)
+    return None
+
+
+def _decide(side_a: _Side, side_b: _Side) -> IsoVerdict:
+    """Isomorphism of two algebras of one field and dimension, by their records."""
+    a, b = side_a.algebra, side_b.algebra
     fa, fb = side_a.fingerprint, side_b.fingerprint
     diff = _first_fingerprint_diff(fa, fb)
     if diff is not None:
@@ -400,14 +401,11 @@ def check_p1(
     if len(maximals) <= 1:
         return True, None
     first = maximals[0]
-    token = _reference.set(_Side(first.induced))
-    try:
-        for m in maximals[1:]:
-            verdict = is_isomorphic(m.induced, first.induced)
-            if verdict.status != "yes":
-                return False, MaximalPairWitness(first, m, verdict.reason)
-    finally:
-        _reference.reset(token)
+    reference = _Side(first.induced)
+    for m in maximals[1:]:
+        verdict = _fast_verdict(m.induced, first.induced) or _decide(_Side(m.induced), reference)
+        if verdict.status != "yes":
+            return False, MaximalPairWitness(first, m, verdict.reason)
     if len(maximals) >= 3:
         rng = random.Random(spot_seed)
         i, j = rng.sample(range(1, len(maximals)), 2)

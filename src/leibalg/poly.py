@@ -130,20 +130,23 @@ class MultiPoly:
             tuple((exp, (c.numerator, c.denominator)) for exp, c in items),
         )
 
-    def substitute(self, assignment: dict[str, Fraction | int]) -> "MultiPoly":
-        """Substitute rational values for a subset of the variables."""
-        idx = {name: self.variables.index(name) for name in assignment}
-        terms: dict[Exponent, Fraction] = {}
+    def substitute(self, assignment: dict[str, "MultiPoly | Fraction | int"]) -> "MultiPoly":
+        """Substitute rationals, or polynomials over the same variables, for some variables."""
+        values = {
+            self.variables.index(name): (
+                value if isinstance(value, MultiPoly) else MultiPoly.constant(self.variables, value)
+            )
+            for name, value in assignment.items()
+        }
+        result = MultiPoly.zero(self.variables)
         for exp, c in self.terms.items():
-            coeff = c
-            new_exp = list(exp)
-            for name, i in idx.items():
-                if exp[i]:
-                    coeff *= Fraction(assignment[name]) ** exp[i]
-                    new_exp[i] = 0
-            key = tuple(new_exp)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return MultiPoly(self.variables, terms)
+            kept = tuple(0 if i in values else e for i, e in enumerate(exp))
+            term = MultiPoly(self.variables, {kept: c})
+            for i, value in values.items():
+                for _ in range(exp[i]):
+                    term = term * value
+            result = result + term
+        return result
 
     def restrict_variables(self, variables) -> "MultiPoly":
         """Re-express over a sub-list of variables (others must not occur)."""

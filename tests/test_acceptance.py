@@ -186,23 +186,19 @@ def test_criterion_07_counterexamples():
 
 
 def test_criterion_08_constraint_derivations():
-    """Sampling confirms both relation sets, both directions, seeded."""
+    """Both relation sets are exactly the identity constraints over Q."""
     start = time.perf_counter()
     relations6 = parse_relations(
         "gamma - d + f\ngamma + d + fhat\ngamma - dhat - f\n", TABLE6_VARIABLES
     )
-    report6 = verify_implied_relations(
-        parametric_table6(), relations6, trials=100, field=GF(101), seed=SEED
-    )
+    report6 = verify_implied_relations(parametric_table6(), relations6)
     assert report6.ok
     relations1 = parse_relations("bhat + b\nchat + c\ngamma\n", TABLE1_VARIABLES)
-    report1 = verify_implied_relations(
-        parametric_table1(), relations1, trials=100, field=GF(101), seed=SEED
-    )
+    report1 = verify_implied_relations(parametric_table1(), relations1)
     assert report1.ok
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"constraint derivations took {elapsed:.2f}s"
-    _register(8, f"both relation sets confirmed, 100 samples each way, {elapsed:.2f}s")
+    _register(8, f"both relation sets exact over Q, both directions, minimal, {elapsed:.2f}s")
 
 
 def test_criterion_09_structural_suite():

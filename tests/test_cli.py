@@ -190,6 +190,13 @@ class TestCatalogCommands:
     def test_unknown_entry(self):
         assert main(["catalog", "check", "nope", "--field", "Q"]) == 2
 
+    def test_make_into_a_directory_is_an_input_error(self, tmp_path, capsys):
+        code = main(["catalog", "make", "heisenberg3", "--field", "Q", "-o", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot write table: ")
+
 
 class TestDeriveAndRelations:
     def test_derive(self, tmp_path, capsys):
@@ -210,45 +217,48 @@ class TestDeriveAndRelations:
         assert main(["derive", str(path)]) == 2
         assert capsys.readouterr().err == "error: line 4: second dim line, the first is line 2\n"
 
-    def test_verify_relations(self, tmp_path, capsys):
+    @pytest.fixture
+    def table6_file(self, tmp_path):
         from leibalg.catalog import parametric_table6
         from leibalg.formats import format_parametric
 
         table = tmp_path / "table6.palg"
         table.write_text(format_parametric(parametric_table6()))
-        rels = tmp_path / "rels.txt"
-        rels.write_text("gamma - d + f\ngamma + d + fhat\ngamma - dhat - f\n")
-        code = main(
-            [
-                "verify-relations", str(table),
-                "--relations", str(rels),
-                "--trials", "25",
-                "--field", "GF(101)",
-                "--seed", "4",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "locus pass" in out
+        return str(table)
 
-    def test_verify_relations_fake(self, tmp_path):
-        from leibalg.catalog import parametric_table6
-        from leibalg.formats import format_parametric
-
-        table = tmp_path / "table6.palg"
-        table.write_text(format_parametric(parametric_table6()))
+    def verify_relations(self, table, tmp_path, text, *extra):
         rels = tmp_path / "rels.txt"
-        rels.write_text("gamma - d - f\ngamma + d + fhat\ngamma - dhat - f\n")
-        assert (
-            main(
-                [
-                    "verify-relations", str(table),
-                    "--relations", str(rels),
-                    "--trials", "25",
-                ]
-            )
-            == 1
-        )
+        rels.write_text(text)
+        return main(["verify-relations", table, "--relations", str(rels), *extra])
+
+    def test_verify_relations(self, table6_file, tmp_path, capsys):
+        text = "gamma - d + f\ngamma + d + fhat\ngamma - dhat - f\n"
+        assert self.verify_relations(table6_file, tmp_path, text) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "pass relations => constraints: every linear constraint is a combination of the relations",
+            "pass constraints => relations: every relation is a combination of the 3 linear constraints",
+            "pass minimal: the 3 relations are independent",
+        ]
+
+    @pytest.mark.parametrize(
+        "text, failing",
+        [
+            ("gamma - d - f\ngamma + d + fhat\ngamma - dhat - f\n", "relations => constraints"),
+            ("gamma - d + f\ngamma + d + fhat\n", "relations => constraints"),
+            ("gamma - d + f\ngamma + d + fhat\ngamma - dhat - f\nalpha\n", "constraints => relations"),
+        ],
+        ids=["wrong", "incomplete", "not forced"],
+    )
+    def test_verify_relations_fails(self, table6_file, tmp_path, capsys, text, failing):
+        assert self.verify_relations(table6_file, tmp_path, text) == 1
+        assert f"fail {failing}: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag", [["--trials", "5"], ["--field", "GF(101)"], ["--seed", "0"]]
+    )
+    def test_sampling_flags_are_gone(self, table6_file, tmp_path, flag):
+        text = "gamma - d + f\ngamma + d + fhat\ngamma - dhat - f\n"
+        assert self.verify_relations(table6_file, tmp_path, text, *flag) == 2
 
 
 class TestReproduce:

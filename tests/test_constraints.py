@@ -1,4 +1,4 @@
-"""Symbolic constraint extraction and sampling verification."""
+"""Symbolic constraint extraction and exact verification of relation sets."""
 
 import itertools
 import random
@@ -8,9 +8,9 @@ import pytest
 
 from leibalg import (
     GF,
-    QQ,
     IncompleteAssignment,
     MultiPoly,
+    NotApplicable,
     ParametricAlgebra,
     eval_at,
     leibniz_constraints,
@@ -24,7 +24,8 @@ from leibalg.catalog import (
     parametric_table1,
     parametric_table6,
 )
-from leibalg.constraints import Inconclusive, raw_leibniz_residuals
+from leibalg.constraints import raw_leibniz_residuals
+from leibalg.formats import parse_parametric
 
 
 class TestMultiPoly:
@@ -65,6 +66,16 @@ class TestMultiPoly:
         y = MultiPoly.variable(self.VARS, "y")
         poly = x * y + 2 * x
         assert poly.substitute({"y": Fraction(3)}) == 5 * x
+
+    def test_substitute_polynomials(self):
+        x = MultiPoly.variable(self.VARS, "x")
+        y = MultiPoly.variable(self.VARS, "y")
+        z = MultiPoly.variable(self.VARS, "z")
+        poly = x * x * y + 2 * x - z
+        # x -> y - 1, z -> 2: (y - 1)^2 y + 2(y - 1) - 2
+        expected = y * y * y - 2 * y * y + 3 * y - 4
+        assert poly.substitute({"x": y - 1, "z": 2}) == expected
+        assert (x * y - y * x).substitute({"x": z * z}).is_zero()
 
     def test_str_roundtrip(self):
         poly = parse_poly("gamma - d + f", TABLE6_VARIABLES)
@@ -221,53 +232,103 @@ class TestEvalAt:
 
 
 class TestVerifyRelations:
-    RELS6 = ("gamma - d + f", "gamma + d + fhat", "gamma - dhat - f")
+    RELS6 = "gamma - d + f\ngamma + d + fhat\ngamma - dhat - f\n"
+    RELS1 = "bhat + b\nchat + c\ngamma\n"
 
-    def test_table6_both_directions(self):
-        p = parametric_table6()
-        relations = [parse_poly(t, p.variables) for t in self.RELS6]
-        report = verify_implied_relations(p, relations, 100, GF(101), seed=1)
+    # constraints a, a*b and a*a: the linear one forces every relation {a}
+    QUADRATIC_FORCED = "leibalg v1\ndim 4\n[1,1] = 1*2\n[2,1] = a*3\n[1,2] = b*3\n[3,1] = a*4\n"
+    # constraints a and b*c: the linear one cannot force b or c
+    QUADRATIC_OPEN = "leibalg v1\ndim 6\n[1,1] = 1*2\n[2,1] = a*3\n[4,4] = b*5\n[5,4] = c*6\n"
+
+    @staticmethod
+    def statuses(report):
+        return (
+            report.relations_imply_constraints.status,
+            report.constraints_imply_relations.status,
+            report.minimal.status,
+        )
+
+    @pytest.mark.parametrize(
+        "table, text",
+        [(parametric_table6, RELS6), (parametric_table1, RELS1)],
+        ids=["table6", "table1"],
+    )
+    def test_paper_relations_are_exact(self, table, text):
+        p = table()
+        report = verify_implied_relations(p, parse_relations(text, p.variables))
         assert report.ok
-        assert report.locus_status == "pass"
-        assert all(rc.status == "pass" for rc in report.relation_checks)
+        assert self.statuses(report) == ("pass", "pass", "pass")
+        assert report.minimal.detail == "the 3 relations are independent"
 
-    def test_table1_both_directions(self):
-        p = parametric_table1()
-        relations = parse_relations("bhat + b\nchat + c\ngamma\n", p.variables)
-        report = verify_implied_relations(p, relations, 100, GF(101), seed=1)
-        assert report.ok
-
-    def test_fake_relation_fails_locus(self):
+    def test_wrong_relation_fails_relations_imply_constraints(self):
         p = parametric_table6()
-        relations = [
-            parse_poly(t, p.variables)
-            for t in ("gamma - d - f", "gamma + d + fhat", "gamma - dhat - f")
-        ]
-        report = verify_implied_relations(p, relations, 100, GF(101), seed=1)
+        text = self.RELS6.replace("gamma - d + f", "gamma - d - f")
+        report = verify_implied_relations(p, parse_relations(text, p.variables))
         assert not report.ok
-        assert report.locus_status == "fail"
+        assert report.relations_imply_constraints.status == "fail"
+        assert "gamma - d + f" in report.relations_imply_constraints.detail
+        assert report.constraints_imply_relations.status == "fail"
+        assert "gamma - d - f" in report.constraints_imply_relations.detail
 
-    def test_redundant_relation_inconclusive(self):
-        # a relation listed twice: no point can violate only one copy
+    def test_missing_relation_fails_relations_imply_constraints(self):
+        # without gamma the relations no longer force the constraint gamma
+        p = parametric_table1()
+        report = verify_implied_relations(p, parse_relations("bhat + b\nchat + c\n", p.variables))
+        assert self.statuses(report) == ("fail", "pass", "pass")
+        assert report.relations_imply_constraints.detail.startswith("constraint gamma ")
+
+    def test_relation_not_forced_fails_constraints_imply_relations(self):
+        # b = 0 holds on the relations' zero set but the identity does not force it
+        p = parametric_table1()
+        report = verify_implied_relations(p, parse_relations(self.RELS1 + "b\n", p.variables))
+        assert self.statuses(report) == ("pass", "fail", "pass")
+        assert report.constraints_imply_relations.detail == "relation b is not implied by the constraints"
+
+    @pytest.mark.parametrize("extra", ["gamma - d + f", "2*gamma + f + fhat"])
+    def test_redundant_relation_fails_minimality(self, extra):
+        # a repeated relation, or the sum of two others
         p = parametric_table6()
-        relations = [
-            parse_poly("gamma - d + f", p.variables),
-            parse_poly("gamma - d + f", p.variables),
-            parse_poly("gamma + d + fhat", p.variables),
-            parse_poly("gamma - dhat - f", p.variables),
-        ]
-        with pytest.raises(Inconclusive):
-            verify_implied_relations(p, relations, 20, GF(101), seed=1)
+        relations = parse_relations(self.RELS6 + extra, p.variables)
+        report = verify_implied_relations(p, relations)
+        assert self.statuses(report) == ("pass", "pass", "fail")
+        assert report.minimal.detail.startswith(f"relation {relations[-1]} is a combination")
 
-    def test_deterministic_given_seed(self):
+    def test_inconsistent_relations_fail(self):
         p = parametric_table1()
-        relations = parse_relations("bhat + b\nchat + c\ngamma\n", p.variables)
-        r1 = verify_implied_relations(p, relations, 50, GF(101), seed=9)
-        r2 = verify_implied_relations(p, relations, 50, GF(101), seed=9)
-        assert r1 == r2
+        text = "bhat + b\nchat + c\ngamma\ngamma - 1\n"
+        report = verify_implied_relations(p, parse_relations(text, p.variables))
+        assert not report.ok
+        assert report.relations_imply_constraints.status == "fail"
+        assert "no common zero" in report.relations_imply_constraints.detail
 
-    def test_rational_sampling(self):
+    def test_quadratic_constraints_are_exact_in_direction_a(self):
+        p = parse_parametric(self.QUADRATIC_FORCED)
+        assert [str(c) for c in leibniz_constraints(p)] == ["a", "a*b", "a*a"]
+        report = verify_implied_relations(p, parse_relations("a\n", p.variables))
+        assert self.statuses(report) == ("pass", "pass", "pass")
+        assert "the 2 others vanish on their solution" in report.relations_imply_constraints.detail
+        p = parse_parametric(self.QUADRATIC_OPEN)
+        assert [str(c) for c in leibniz_constraints(p)] == ["a", "b*c"]
+        report = verify_implied_relations(p, parse_relations("a\n", p.variables))
+        assert self.statuses(report) == ("fail", "pass", "pass")
+        assert report.relations_imply_constraints.detail.startswith("constraint b*c ")
+
+    @pytest.mark.parametrize("text", ["a\nb\n", "a + b\nb\n"])
+    def test_unforced_relation_beside_a_quadratic_constraint_is_not_applicable(self, text):
+        p = parse_parametric(self.QUADRATIC_OPEN)
+        with pytest.raises(NotApplicable, match=r"constraint b\*c"):
+            verify_implied_relations(p, parse_relations(text, p.variables))
+
+    def test_nonlinear_relation_is_not_applicable(self):
         p = parametric_table1()
-        relations = parse_relations("bhat + b\nchat + c\ngamma\n", p.variables)
-        report = verify_implied_relations(p, relations, 20, QQ, seed=3)
-        assert report.ok
+        with pytest.raises(NotApplicable, match="not linear"):
+            verify_implied_relations(p, parse_relations("b*bhat\n", p.variables))
+
+    def test_sampling_keywords_are_deprecated_and_ignored(self):
+        p = parametric_table1()
+        relations = parse_relations(self.RELS1, p.variables)
+        with pytest.warns(DeprecationWarning):
+            old = verify_implied_relations(p, relations, trials=5, field=GF(101), seed=3)
+        assert old == verify_implied_relations(p, relations)
+        with pytest.raises(TypeError):
+            verify_implied_relations(p, relations, 5)

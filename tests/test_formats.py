@@ -112,6 +112,7 @@ MALFORMED = {
     "empty term": ("dim 2\n[1,1] = 1*2 + + 1*1\n", 4, 4),
     "zero denominator": ("dim 2\n[1,1] = 1/0*2\n", 4, 4),
     "product before dim": ("[1,1] = 1*2\ndim 2\n", 3, 3),
+    "double star": ("dim 2\n[1,1] = 2**2\n", 4, 4),
 }
 
 
@@ -123,6 +124,22 @@ def test_malformed_tables_are_rejected_with_a_line_number(parse, case):
         parse("leibalg v1\nfield Q\n" + body)
     assert err.value.line == (algebra_line if parse is parse_algebra else parametric_line)
     assert str(err.value).startswith(f"line {err.value.line}: ")
+
+
+def test_a_parameter_with_a_double_star_is_no_coefficient():
+    # [1,1] = a**2 splits into the coefficient "a*" and the index 2
+    with pytest.raises(ParseError) as err:
+        parse_parametric("leibalg v1\ndim 2\n[1,1] = a**2\n")
+    assert err.value.line == 3
+    assert "trailing '*'" in str(err.value)
+
+
+@pytest.mark.parametrize("names", ["1 x", "x y-z", "x 2b"])
+def test_params_names_must_be_identifiers(names):
+    with pytest.raises(ParseError) as err:
+        parse_parametric(f"leibalg v1\nparams {names}\ndim 2\n[1,1] = x*2\n")
+    assert err.value.line == 2
+    assert "not an identifier" in str(err.value)
 
 
 class TestRoundTrip:
@@ -203,7 +220,9 @@ class TestRelationsFormat:
         assert str(minus_two_x) == "-2*x"
         assert str(x_times_minus_y) == "-x*y"
 
-    @pytest.mark.parametrize("text", ["x y", "x * * y", "x -", "-", "x $ y", "1/0*x", "z"])
+    @pytest.mark.parametrize(
+        "text", ["x y", "x * * y", "x -", "-", "x $ y", "1/0*x", "z", "x*", "x + 2*y *"]
+    )
     def test_malformed_line_reports_its_number(self, text):
         with pytest.raises(ParseError) as err:
             parse_relations("x + y\n" + text + "\n", ("x", "y"))
