@@ -43,6 +43,7 @@ from .errors import (
     NotNilpotent,
     ParseError,
     SearchBoundExceeded,
+    UnknownVariable,
 )
 from .fields import GF, QQ, Field, FieldElement, is_square, sqrt
 from .formats import (
@@ -112,6 +113,7 @@ __all__ = [
     "SearchBoundExceeded",
     "SeriesProfile",
     "Subspace",
+    "UnknownVariable",
     "Vector",
     "VerificationReport",
     "check_p1",

@@ -504,7 +504,10 @@ class LeibnizAlgebra:
         """
         if not is_nilpotent(self):
             raise NotApplicable("decomposition defined for nilpotent algebras")
-        z = self.center()
+        return self._split_codim1_center(self.center())
+
+    def _split_codim1_center(self, z: Subspace) -> tuple[Subspace, Subspace]:
+        """``split_codim1_center`` of a nilpotent algebra whose center ``z`` is known."""
         if z.dim != self.dim - 1:
             raise NotApplicable(
                 f"center has dimension {z.dim}, expected {self.dim - 1}"

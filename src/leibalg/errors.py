@@ -68,6 +68,10 @@ class IncompleteAssignment(LeibalgError):
     """Parameter assignment misses one or more variables."""
 
 
+class UnknownVariable(LeibalgError):
+    """A variable name that is not among a polynomial's variables."""
+
+
 class ParseError(LeibalgError):
     """Malformed text input; carries a line number when available."""
 

@@ -46,9 +46,11 @@ the induced algebras come straight from residue cells.
 Each algebra of a decision has one record, ``_Side``: its lower and upper
 central series are computed once, and the fingerprint (with Z(A) and
 [A, A] read off their terms) and, when a search runs, the search data are
-derived from them.  ``check_p1`` compares every maximal subalgebra against
-the first; it builds the first one's record once and lends it to
-``is_isomorphic`` through a context variable for the length of the loop.
+derived from them.  Each ``MaximalSubalgebra`` builds its record on first
+use and keeps it for as long as the enumeration that made it lives, so
+``check_p1`` builds one record per maximal subalgebra: the comparisons
+against the first and the transitivity spot check share them.  Nothing is
+cached on ``LeibnizAlgebra`` itself.
 
 Enumerations and pairwise checks are pure functions of immutable inputs,
 so callers may evaluate distinct maximal subalgebras concurrently; output
@@ -98,9 +100,12 @@ class Fingerprint:
 
     ``square_profile`` counts the vectors v with [v, v] = 0 and with
     [v, v] != 0.  It is computed over GF(p) when p^dim <= 4096 and is None
-    otherwise.  [cv, cv] = c^2 [v, v], so it is counted on one vector per
-    line through 0: the zero count is 1 + (p - 1) times the number of
-    vectors with first nonzero coordinate 1 whose square vanishes.
+    otherwise.  [v + z, v + z] = [v, v] for z in the two-sided centre Z(A),
+    so it is counted on the span C of the basis vectors e_c off the pivot
+    columns of Z(A), a complement of Z(A); and [cv, cv] = c^2 [v, v], so on
+    one vector of C per line through 0.  The zero count is
+    p^(dim Z(A)) (1 + (p - 1) N), N the number of those vectors whose
+    square vanishes.
     """
 
     dim: int
@@ -146,7 +151,7 @@ class _Side:
             center_dim=self.profile.center.dim,
             left_center_dim=algebra.left_center().dim,
             derived_dim=self.derived.dim,
-            square_profile=_square_profile(algebra),
+            square_profile=_square_profile(algebra, self.profile.center),
         )
 
     @cached_property
@@ -192,18 +197,22 @@ class _Side:
         )
 
 
-def _square_profile(algebra: LeibnizAlgebra) -> tuple[int, int] | None:
+def _square_profile(algebra: LeibnizAlgebra, center: Subspace) -> tuple[int, int] | None:
+    """The square profile, counted on a complement of the centre ``center``."""
     if not algebra.field.is_finite():
         return None
-    p = algebra.field.modulus
-    if p**algebra.dim > _SQUARE_PROFILE_LIMIT:
+    p, n = algebra.field.modulus, algebra.dim
+    if p**n > _SQUARE_PROFILE_LIMIT:
         return None
-    lines = sum(
-        not any(_modp.bracket(algebra._cells, v, v, p))
-        for v in _normalized_vectors(p, algebra.dim)
-    )
-    zero = 1 + (p - 1) * lines
-    return zero, p**algebra.dim - zero
+    comp = center.complement_coords()
+    v = [0] * n
+    lines = 0
+    for w in _normalized_vectors(p, len(comp)):
+        for c, a in zip(comp, w):
+            v[c] = a
+        lines += not any(_modp.bracket(algebra._cells, v, v, p))
+    zero = p**center.dim * (1 + (p - 1) * lines)
+    return zero, p**n - zero
 
 
 def _first_fingerprint_diff(a: Fingerprint, b: Fingerprint):
@@ -232,6 +241,11 @@ class MaximalSubalgebra:
     induced: LeibnizAlgebra
     hyperplane_tag: tuple[int, ...]
 
+    @cached_property
+    def _side(self) -> _Side:
+        """The isomorphism record of ``induced``, built on first use."""
+        return _Side(self.induced)
+
 
 def enumerate_maximal(algebra: LeibnizAlgebra) -> list[MaximalSubalgebra]:
     """All maximal subalgebras, sorted by hyperplane tag.
@@ -242,7 +256,11 @@ def enumerate_maximal(algebra: LeibnizAlgebra) -> list[MaximalSubalgebra]:
     """
     if not algebra.field.is_finite():
         raise NeedsFiniteField("maximal subalgebra enumeration needs GF(p)")
-    lower = lower_central_series(algebra)
+    return _enumerate_maximal(algebra, lower_central_series(algebra))
+
+
+def _enumerate_maximal(algebra: LeibnizAlgebra, lower) -> list[MaximalSubalgebra]:
+    """``enumerate_maximal`` on the lower central series the caller already has."""
     if not lower[-1].is_zero():
         raise NotNilpotent("maximal enumeration requires a nilpotent algebra")
     if len(lower) == 1:  # the zero algebra
@@ -284,10 +302,11 @@ def frattini_by_intersection(algebra: LeibnizAlgebra) -> Subspace:
 
 
 def _intersection(algebra: LeibnizAlgebra, maximals) -> Subspace:
-    acc = algebra.full_space()
-    for m in maximals:
-        acc = acc.intersect(m.subspace)
-    return acc
+    """The common zeros of the annihilating covectors of the maximal subspaces."""
+    field, n = algebra.field, algebra.dim
+    p = field.modulus
+    covectors = [f for m in maximals for f in _modp.nullspace(m.subspace._res_rows, p, n)]
+    return _span_residues(field, n, _modp.nullspace(covectors, p, n))
 
 
 # ---------------------------------------------------------------------------
@@ -393,23 +412,26 @@ def check_p1(
 ) -> tuple[bool, MaximalPairWitness | None]:
     """All maximal subalgebras pairwise isomorphic?
 
-    Compares every maximal subalgebra against the first (tag order), whose
-    fingerprint and search data are built once, then spot-verifies
-    transitivity on one seeded random pair.
+    Compares every maximal subalgebra against the first (tag order), then
+    spot-verifies transitivity on one seeded random pair.  Each maximal
+    subalgebra's fingerprint and search data are built once.
     """
-    maximals = enumerate_maximal(algebra)
+    return _check_p1(enumerate_maximal(algebra), spot_seed)
+
+
+def _check_p1(maximals, spot_seed: int) -> tuple[bool, MaximalPairWitness | None]:
     if len(maximals) <= 1:
         return True, None
     first = maximals[0]
-    reference = _Side(first.induced)
     for m in maximals[1:]:
-        verdict = _fast_verdict(m.induced, first.induced) or _decide(_Side(m.induced), reference)
+        verdict = _fast_verdict(m.induced, first.induced) or _decide(m._side, first._side)
         if verdict.status != "yes":
             return False, MaximalPairWitness(first, m, verdict.reason)
     if len(maximals) >= 3:
         rng = random.Random(spot_seed)
         i, j = rng.sample(range(1, len(maximals)), 2)
-        verdict = is_isomorphic(maximals[i].induced, maximals[j].induced)
+        a, b = maximals[i], maximals[j]
+        verdict = _fast_verdict(a.induced, b.induced) or _decide(a._side, b._side)
         if verdict.status != "yes":
             raise InternalError(
                 "transitivity spot check failed although all maximal "

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import FieldMismatch, IncompleteAssignment, LeibalgError
+from .errors import FieldMismatch, IncompleteAssignment, LeibalgError, UnknownVariable
 from .fields import Field, FieldElement
 
 Exponent = tuple[int, ...]
@@ -51,10 +51,8 @@ class MultiPoly:
     @classmethod
     def variable(cls, variables, name: str) -> "MultiPoly":
         variables = tuple(variables)
-        if name not in variables:
-            raise LeibalgError(f"unknown variable {name!r}")
         exp = [0] * len(variables)
-        exp[variables.index(name)] = 1
+        exp[_position(variables, name)] = 1
         return cls(variables, {tuple(exp): Fraction(1)})
 
     # -- arithmetic ----------------------------------------------------------
@@ -133,7 +131,7 @@ class MultiPoly:
     def substitute(self, assignment: dict[str, "MultiPoly | Fraction | int"]) -> "MultiPoly":
         """Substitute rationals, or polynomials over the same variables, for some variables."""
         values = {
-            self.variables.index(name): (
+            _position(self.variables, name): (
                 value if isinstance(value, MultiPoly) else MultiPoly.constant(self.variables, value)
             )
             for name, value in assignment.items()
@@ -151,7 +149,7 @@ class MultiPoly:
     def restrict_variables(self, variables) -> "MultiPoly":
         """Re-express over a sub-list of variables (others must not occur)."""
         variables = tuple(variables)
-        positions = [self.variables.index(v) for v in variables]
+        positions = [_position(self.variables, v) for v in variables]
         keep = set(positions)
         terms = {}
         for exp, c in self.terms.items():
@@ -220,3 +218,10 @@ class MultiPoly:
             else:
                 pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(pieces)
+
+
+def _position(variables: tuple[str, ...], name: str) -> int:
+    """Index of ``name`` among ``variables``; UnknownVariable if absent."""
+    if name not in variables:
+        raise UnknownVariable(f"unknown variable {name!r}; variables are {', '.join(variables)}")
+    return variables.index(name)

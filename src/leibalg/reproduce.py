@@ -212,14 +212,14 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
             f"series step counts differ: {prof.lower_dims} vs {prof.upper_dims}",
         )
         derived = prof.derived
-        frattini = series.frattini(algebra)
+        frattini = series._frattini(prof.lower)
         _require(frattini == derived, "frattini shortcut mismatch")
-        maximals = maximal.enumerate_maximal(algebra)
+        maximals = maximal._enumerate_maximal(algebra, prof.lower)
         _require(
             maximal._intersection(algebra, maximals) == derived,
             "intersection of maximals differs from the derived subalgebra",
         )
-        cyclic, witness = series.is_cyclic(algebra)
+        cyclic, witness = series._is_cyclic(algebra, prof.lower)
         _require(
             cyclic == (derived.dim == algebra.dim - 1),
             "cyclicity must match codimension-one derived subalgebra",
@@ -255,7 +255,7 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
                 f"central ideal of dim {ideal.dim} must drop the coclass",
             )
         if center.dim == algebra.dim - 1:
-            i_space, j_space = algebra.split_codim1_center()
+            i_space, j_space = algebra._split_codim1_center(center)
             _require(i_space.dim == 2, "split part must be two-dimensional")
             _require(
                 i_space.sum_with(j_space).dim == algebra.dim,
@@ -445,14 +445,15 @@ def _identity_claim(name: str, field: Field):
 def _example4_claim(field: Field):
     def run() -> str:
         algebra = catalog.instantiate("cyclic_example4", field, {})
-        _require(algebra.center() == _span_of_labels(algebra, 3), "center must be span{x4}")
-        upper = series.upper_central_series(algebra)
-        _require(upper[2] == _span_of_labels(algebra, 2, 3), "second center must be span{x3,x4}")
         prof = series.nilpotency_data(algebra)
+        _require(prof.center == _span_of_labels(algebra, 3), "center must be span{x4}")
+        _require(
+            prof.upper[2] == _span_of_labels(algebra, 2, 3), "second center must be span{x3,x4}"
+        )
         _require(prof.cls == 4 and prof.coclass == 0, f"class/coclass {prof.cls}/{prof.coclass}")
-        maxes = maximal.enumerate_maximal(algebra)
+        maxes = maximal._enumerate_maximal(algebra, prof.lower)
         _require(len(maxes) == 1, f"expected a single maximal subalgebra, got {len(maxes)}")
-        ok, _ = maximal.check_p1(algebra)
+        ok, _ = maximal._check_p1(maxes, 0)
         _require(ok, "P1 must hold trivially")
         return "center, second center, class 4, coclass 0, one maximal subalgebra"
 
@@ -467,7 +468,7 @@ def _cc1_positive_claim(field: Field, tau: int, lam: int, eps: int):
         maxes = maximal.enumerate_maximal(algebra)
         expected = (p * p - 1) // (p - 1)
         _require(len(maxes) == expected, f"{len(maxes)} maximals, expected {expected}")
-        ok, witness = maximal.check_p1(algebra)
+        ok, witness = maximal._check_p1(maxes, 0)
         _require(ok, f"P1 failed: {witness}")
         disc = (field(lam) + field(eps)) ** 2 - 4 * field(tau)
         return (
@@ -511,12 +512,12 @@ def _cc2dim4_claim(field: Field, name: str, params: dict):
         algebra = catalog.instantiate(name, field, params)
         prof = series.nilpotency_data(algebra)
         _require(prof.coclass == 2, f"coclass {prof.coclass}, expected 2")
-        ok, witness = maximal.check_p1(algebra)
+        maxes = maximal._enumerate_maximal(algebra, prof.lower)
+        ok, witness = maximal._check_p1(maxes, 0)
         _require(ok, f"P1 failed: {witness}")
-        ref = reference_cyclic_plane(field)
-        maxes = maximal.enumerate_maximal(algebra)
+        ref = maximal._Side(reference_cyclic_plane(field))
         for m in maxes:
-            verdict = maximal.is_isomorphic(m.induced, ref)
+            verdict = maximal._fast_verdict(m.induced, ref.algebra) or maximal._decide(m._side, ref)
             _require(
                 verdict.status == "yes",
                 f"maximal {m.hyperplane_tag} not isomorphic to the r*r = s form",
@@ -537,11 +538,11 @@ def _cc2dim6_claim(field: Field, name: str):
         algebra = catalog.instantiate(name, field, params)
         prof = series.nilpotency_data(algebra)
         _require(prof.coclass == 2, f"coclass {prof.coclass}, expected 2")
-        upper = series.upper_central_series(algebra)
-        _require(upper[2].dim == 3, f"second center dim {upper[2].dim}, expected 3")
-        ok, witness = maximal.check_p1(algebra)
+        z2 = prof.upper[2]
+        _require(z2.dim == 3, f"second center dim {z2.dim}, expected 3")
+        maxes = maximal._enumerate_maximal(algebra, prof.lower)
+        ok, witness = maximal._check_p1(maxes, 0)
         _require(ok, f"P1 failed: {witness}")
-        maxes = maximal.enumerate_maximal(algebra)
         return f"coclass 2, dim Z2 = 3, P1 over {len(maxes)} maximal subalgebras"
 
     return run

@@ -103,7 +103,11 @@ def frattini(algebra: LeibnizAlgebra) -> Subspace:
     The intersection-of-maximals characterization is computed separately
     (over finite fields) for cross-validation.
     """
-    lower = lower_central_series(algebra)
+    return _frattini(lower_central_series(algebra))
+
+
+def _frattini(lower) -> Subspace:
+    """``frattini`` on the lower central series the caller already has."""
     if not lower[-1].is_zero():
         raise NotNilpotent("Frattini shortcut phi(A) = [A, A] needs nilpotency")
     return _second(lower)
@@ -116,7 +120,11 @@ def is_cyclic(algebra: LeibnizAlgebra) -> tuple[bool, Vector | None]:
     outside [A, A], verified to generate by iterated bracketing.  Algebras of
     dimension <= 1 count as cyclic with a trivial witness.
     """
-    lower = lower_central_series(algebra)
+    return _is_cyclic(algebra, lower_central_series(algebra))
+
+
+def _is_cyclic(algebra: LeibnizAlgebra, lower) -> tuple[bool, Vector | None]:
+    """``is_cyclic`` on the lower central series the caller already has."""
     if not lower[-1].is_zero():
         raise NotNilpotent("cyclicity test defined for nilpotent algebras")
     if algebra.dim == 0:

@@ -12,6 +12,7 @@ from leibalg import (
     MultiPoly,
     NotApplicable,
     ParametricAlgebra,
+    UnknownVariable,
     eval_at,
     leibniz_constraints,
     parse_poly,
@@ -76,6 +77,17 @@ class TestMultiPoly:
         expected = y * y * y - 2 * y * y + 3 * y - 4
         assert poly.substitute({"x": y - 1, "z": 2}) == expected
         assert (x * y - y * x).substitute({"x": z * z}).is_zero()
+
+    def test_unknown_variable_is_named(self):
+        x = MultiPoly.variable(self.VARS, "x")
+        with pytest.raises(UnknownVariable, match="'w'"):
+            x.substitute({"w": 1})
+        with pytest.raises(UnknownVariable, match="'w'"):
+            x.restrict_variables(("x", "w"))
+        with pytest.raises(UnknownVariable, match="'w'"):
+            MultiPoly.variable(self.VARS, "w")
+        with pytest.raises(UnknownVariable, match="'nope'"):
+            parametric_table1().specialize({"nope": 1})
 
     def test_str_roundtrip(self):
         poly = parse_poly("gamma - d + f", TABLE6_VARIABLES)

@@ -425,6 +425,41 @@ class TestProperties:
             assert len(with_first) == 1
             assert len(others) >= 2
 
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("A1_6dim", {"c": -3, "d": 1, "g": 2, "rhat": 1, "shat": 1}),
+            ("A3_6dim", None),
+            ("cc1_case2", {"tau": 1, "lambda": 1, "epsilon": 0}),
+        ],
+    )
+    def test_p1_builds_one_record_per_maximal(self, monkeypatch, name, params):
+        # the comparisons against the first maximal and the transitivity
+        # spot check share one record per maximal; a maximal whose table
+        # equals the first one's is decided without a record
+        import leibalg.maximal as maximal_module
+
+        records = []
+
+        class CountingSide(_Side):
+            def __init__(self, algebra):
+                records.append(algebra)
+                super().__init__(algebra)
+
+        field = GF(5)
+        algebra = instantiate(name, field, params or sample_params(name, field))
+        maximals = enumerate_maximal(algebra)
+        monkeypatch.setattr(maximal_module, "_Side", CountingSide)
+        assert check_p1(algebra) == (True, None)
+        assert len(maximals) == 6
+        assert len(set(map(id, records))) == len(records)
+        distinct = {m.induced for m in maximals}
+        if len(distinct) == len(maximals):
+            assert len(records) == len(maximals)
+            assert set(records) == distinct
+        else:
+            assert len(records) < len(maximals)
+
     def test_searched_pair_builds_each_series_once(self, monkeypatch):
         # one is_isomorphic call that reaches the search computes each
         # algebra's lower and upper central series once, and reads the

@@ -72,19 +72,27 @@ def test_structural_suite_at_the_seed_of_the_seed_one_claims():
     assert "2852 central ideals dropped the coclass" in evidence
 
 
+def count_calls(monkeypatch, module, names, calls):
+    """Replace module.<name> by a wrapper that appends the name to ``calls``."""
+    for name in names:
+        real = getattr(module, name)
+
+        def counting(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+
 def test_structural_suite_enumerates_each_towers_maximals_once(monkeypatch):
+    # on the lower series of the tower's profile
     from leibalg import maximal
 
     calls = []
-    enumerate_maximal = maximal.enumerate_maximal
-
-    def counting(algebra):
-        calls.append(algebra)
-        return enumerate_maximal(algebra)
-
-    monkeypatch.setattr(maximal, "enumerate_maximal", counting)
+    count_calls(monkeypatch, maximal, ("enumerate_maximal", "_enumerate_maximal"), calls)
     run_structural_suite(GF(3), 12, 4, seed=2)
-    assert len(calls) == 12
+    assert calls.count("_enumerate_maximal") == 12
+    assert calls.count("enumerate_maximal") == 0
 
 
 def test_structural_suite_runs_nilpotency_data_once_per_tower(monkeypatch):
@@ -105,35 +113,62 @@ def test_structural_suite_runs_nilpotency_data_once_per_tower(monkeypatch):
 
 
 def test_structural_suite_reads_each_towers_series_off_its_profile(monkeypatch):
-    # [A, A], Z(A) and the upper terms come from the tower's profile; the
-    # Frattini shortcut runs once per tower
-    from leibalg import series
+    # [A, A], Z(A), the upper terms and the lower series handed to the
+    # Frattini shortcut, the cyclicity test and the maximal enumeration all
+    # come from the tower's profile: the lower series is built once per
+    # tower and once per central-ideal quotient
+    from leibalg import maximal, series
 
     calls = []
-    for name in ("frattini", "upper_central_series"):
-        real = getattr(series, name)
-
-        def counting(algebra, name=name, real=real):
-            calls.append(name)
-            return real(algebra)
-
-        monkeypatch.setattr(series, name, counting)
-    for name in ("center", "derived"):
-        real = getattr(LeibnizAlgebra, name)
-
-        def counting(self, name=name, real=real):
-            calls.append(name)
-            return real(self)
-
-        monkeypatch.setattr(LeibnizAlgebra, name, counting)
+    count_calls(
+        monkeypatch,
+        series,
+        ("frattini", "_frattini", "is_cyclic", "_is_cyclic", "upper_central_series",
+         "lower_central_series"),
+        calls,
+    )
+    monkeypatch.setattr(maximal, "lower_central_series", series.lower_central_series)
+    count_calls(monkeypatch, LeibnizAlgebra, ("center", "derived", "split_codim1_center"), calls)
     evidence = run_structural_suite(GF(3), 12, 4, seed=2)
     assert "; 11 with the series-profile property" in evidence
+    assert "; 3 central ideals dropped the coclass;" in evidence
     assert "; 4 codim-1-center splits verified" in evidence
-    assert calls.count("frattini") == 12
+    assert calls.count("_frattini") == 12
+    assert calls.count("_is_cyclic") == 12
     assert calls.count("upper_central_series") == 12
-    assert calls.count("derived") == 0
-    # only split_codim1_center, once per split
-    assert calls.count("center") == 4
+    for name in ("frattini", "is_cyclic", "center", "derived", "split_codim1_center"):
+        assert calls.count(name) == 0, name
+    assert calls.count("lower_central_series") == 12 + 3
+
+
+def test_cc2dim4_claim_builds_one_reference_record(monkeypatch):
+    # one record per maximal subalgebra and one for the r*r = s reference
+    from leibalg import maximal, reproduce
+
+    records, references = [], []
+    real_reference = reproduce.reference_cyclic_plane
+
+    class CountingSide(maximal._Side):
+        def __init__(self, algebra):
+            records.append(algebra)
+            super().__init__(algebra)
+
+    def reference_cyclic_plane(field):
+        references.append(real_reference(field))
+        return references[-1]
+
+    monkeypatch.setattr(maximal, "_Side", CountingSide)
+    monkeypatch.setattr(reproduce, "reference_cyclic_plane", reference_cyclic_plane)
+    claims = [c for c in build_claims([3, 5], seed=0) if c.claim_id.startswith("cc2dim4.")]
+    assert len(claims) == 9
+    for claim in claims:
+        records.clear()
+        references.clear()
+        evidence = claim.run()
+        maximals = int(evidence.split("all ")[1].split()[0])
+        assert len(references) == 1, claim.claim_id
+        assert sum(r is references[0] for r in records) == 1, claim.claim_id
+        assert len(records) == maximals + 1, claim.claim_id
 
 
 def test_identity_claim_walks_the_identity_once(monkeypatch):

@@ -145,8 +145,13 @@ def ref_is_ideal(algebra, u: Subspace):
 
 
 def ref_square_profile(algebra):
-    """(# v with [v, v] = 0, # with [v, v] != 0) over every vector, on ints."""
+    """(# v with [v, v] = 0, # with [v, v] != 0) over every vector, on ints.
+
+    None past the 4096 vectors the fingerprint counts.
+    """
     p, n = algebra.field.modulus, algebra.dim
+    if p**n > 4096:
+        return None
     t = [[[c.value for c in cell] for cell in row] for row in algebra.table]
     zero = 0
     for v in itertools.product(range(p), repeat=n):
@@ -484,10 +489,28 @@ def test_residue_objects_agree_with_boxed_rebuilds(p, dims, count):
         phi = [[rng.randrange(-p, 2 * p) for _ in range(n)] for _ in range(n)]
         assert_table_rebuild(central_extension(algebra, phi))
 
-        if p**n <= 4096:
-            assert fingerprint(algebra).square_profile == ref_square_profile(algebra)
-        else:
-            assert fingerprint(algebra).square_profile is None
+        assert fingerprint(algebra).square_profile == ref_square_profile(algebra)
+
+
+# (p, tower dims, towers) for the square profile, every p^dim within 4096
+SQUARE_FIELDS = [(2, (3, 8), 10), (3, (3, 6), 10), (5, (3, 5), 8), (7, (3, 4), 8)]
+
+
+@pytest.mark.parametrize("p,dims,count", SQUARE_FIELDS)
+def test_square_profile_counts_every_vector(p, dims, count):
+    # the fingerprint counts on a complement of the two-sided centre; the
+    # reference counts every vector of GF(p)^n
+    _, algebras = towers(p, dims, count)
+    center_dims = []
+    one_sided = 0
+    for algebra in algebras:
+        for a in [algebra] + [m.induced for m in enumerate_maximal(algebra)]:
+            assert fingerprint(a).square_profile == ref_square_profile(a)
+            center = a.center()
+            center_dims.append(center.dim)
+            one_sided += a.left_center() != center
+    assert max(center_dims) >= 2
+    assert one_sided
 
 
 @pytest.fixture
