@@ -11,9 +11,17 @@ boxed loops of ``linalg`` and ``core``.
 
 Structure constants are held as sparse cells: ``cells[i][j]`` is the tuple
 of (k, c) pairs with c != 0 in [e_i, e_j] = sum_k c e_k.
+
+There is one elimination routine, ``rref``, and the other linear algebra
+is plain functions over it: ``nullspace``, ``left_kernel``,
+``solve_affine``, ``rank``, membership (``reduce_mod`` and ``contains``
+against an echelon form) and ``coordinates``, the unique coefficients of
+targets over independent rows.  No state is kept between calls.
 """
 
 from __future__ import annotations
+
+from .errors import InternalError
 
 
 def bracket(cells, u, v, p: int):
@@ -122,77 +130,18 @@ def contains(v, ech, pivots, p: int) -> bool:
     return not any(reduce_mod(v, ech, pivots, p))
 
 
-def matinv(rows, p: int):
-    """Inverse of a square matrix given by rows, or None if singular."""
-    n = len(rows)
-    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    ech, pivots = rref(aug, p, 2 * n)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [r[n:] for r in ech]
+def coordinates(rows, targets, p: int, n: int):
+    """Each target's coefficients over the independent ``rows``, by one rref.
 
-
-class SpanTracker:
-    """Incremental echelon span with expression recovery over inserted vectors."""
-
-    __slots__ = ("p", "n", "rows", "shadows", "pivots", "count")
-
-    def __init__(self, p: int, n: int):
-        self.p = p
-        self.n = n
-        self.rows: list[list[int]] = []
-        self.shadows: list[list[int]] = []
-        self.pivots: list[int] = []
-        self.count = 0
-
-    def express(self, v):
-        """Coefficients of v over the inserted vectors, or None if outside."""
-        p = self.p
-        w = list(v)
-        combo = [0] * self.count
-        for row, shadow, pc in zip(self.rows, self.shadows, self.pivots):
-            c = w[pc] % p
-            if c:
-                w = [(a - c * b) % p for a, b in zip(w, row)]
-                for idx, s in enumerate(shadow):
-                    if s:
-                        combo[idx] = (combo[idx] + c * s) % p
-        if any(w):
-            return None
-        return combo
-
-    def add(self, v) -> bool:
-        """Insert v; returns False when v is dependent (and does not insert)."""
-        p = self.p
-        w = list(v)
-        shadow = [0] * self.count + [1]
-        for idx in range(self.count):
-            self.shadows[idx].append(0)
-        for row, srow, pc in zip(self.rows, self.shadows, self.pivots):
-            c = w[pc] % p
-            if c:
-                w = [(a - c * b) % p for a, b in zip(w, row)]
-                for k, s in enumerate(srow):
-                    if s:
-                        shadow[k] = (shadow[k] - c * s) % p
-        pivot = next((i for i, a in enumerate(w) if a % p), None)
-        if pivot is None:
-            for idx in range(self.count):
-                self.shadows[idx].pop()
-            return False
-        inv = pow(w[pivot], -1, p)
-        w = [(inv * a) % p for a in w]
-        shadow = [(inv * a) % p for a in shadow]
-        for i in range(len(self.rows)):
-            c = self.rows[i][pivot]
-            if c:
-                self.rows[i] = [(a - c * b) % p for a, b in zip(self.rows[i], w)]
-                srow = self.shadows[i]
-                for k, s in enumerate(shadow):
-                    if s:
-                        srow[k] = (srow[k] - c * s) % p
-        self.rows.append(w)
-        self.shadows.append(shadow)
-        self.pivots.append(pivot)
-        self.count += 1
-        return True
+    Eliminates the n x (len(rows) + len(targets)) matrix whose columns are
+    the rows and then the targets: the rows are independent exactly when
+    each of their columns is a pivot, and a target lies in their span
+    exactly when its column is not; its coefficients are then read off that
+    column of the echelon form.  Raises ``InternalError`` otherwise.
+    """
+    m = len(rows)
+    columns = [[r[k] for r in rows] + [t[k] for t in targets] for k in range(n)]
+    ech, pivots = rref(columns, p, m + len(targets))
+    if pivots != list(range(m)):
+        raise InternalError("rows must be independent and span every target")
+    return [[row[c] for row in ech] for c in range(m, m + len(targets))]

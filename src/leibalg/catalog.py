@@ -15,6 +15,7 @@ verification driver uses.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,7 +29,7 @@ from .poly import MultiPoly
 @dataclass(frozen=True)
 class ParamSpec:
     name: str
-    kind: str  # "scalar" (field element) | "size" (positive integer)
+    kind: str  # "scalar" (field element) | "size" (int >= 0, or its decimal string)
     description: str
 
 
@@ -67,12 +68,13 @@ def _coerce_params(entry: CatalogEntry, field: Field, params: dict) -> dict:
     for spec in entry.params:
         value = params[spec.name]
         if spec.kind == "size":
-            if isinstance(value, FieldElement):
-                raise ConstraintViolated(f"parameter {spec.name} must be an integer")
-            n = int(value)
-            if n < 0:
+            if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+                value = int(value)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConstraintViolated(f"parameter {spec.name} must be an integer, not {value!r}")
+            if value < 0:
                 raise ConstraintViolated(f"parameter {spec.name} must be >= 0")
-            out[spec.name] = n
+            out[spec.name] = value
         else:
             out[spec.name] = field(value)
     return out

@@ -147,10 +147,10 @@ def cmd_analyze(args) -> int:
     print(f"nilpotent {str(prof.nilpotent).lower()}")
     print(f"class {prof.cls if prof.cls is not None else '-'}")
     print(f"coclass {prof.coclass if prof.coclass is not None else '-'}")
-    print(f"center_dim {algebra.center().dim}")
+    print(f"center_dim {prof.center.dim}")
     print(f"leib_dim {algebra.leib_ideal().dim}")
     if prof.nilpotent:
-        cyclic, _ = series.is_cyclic(algebra)
+        cyclic, _ = series._is_cyclic(algebra, prof.lower)
     else:
         cyclic = False
     print(f"cyclic {str(cyclic).lower()}")
@@ -171,7 +171,7 @@ def cmd_maximals(args) -> int:
     algebra = _load_algebra(args.file)
     for m in maximal.enumerate_maximal(algebra):
         tag = ",".join(str(c) for c in m.hyperplane_tag)
-        print(f"[{tag}] {_fingerprint_digest(maximal.fingerprint(m.induced))}")
+        print(f"[{tag}] {_fingerprint_digest(m._side.fingerprint)}")
     return EXIT_OK
 
 

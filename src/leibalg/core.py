@@ -264,11 +264,18 @@ class LeibnizAlgebra:
 
     # -- derived structure --------------------------------------------------
 
+    def _check_subspace(self, s: Subspace) -> None:
+        """Raise BadVector unless ``s`` lies in this algebra's space; O(1)."""
+        if (s.field is not self.field and s.field != self.field) or s.ambient_dim != self.dim:
+            raise BadVector("subspace does not live in this algebra")
+
     def span_products(self, left: Subspace, right: Subspace) -> Subspace:
         """Canonical span of {[u, v] : u in basis(left), v in basis(right)}.
 
         Bilinearity makes basis products sufficient.
         """
+        self._check_subspace(left)
+        self._check_subspace(right)
         cells = self._cells
         if cells is not None:
             p = self.field.modulus
@@ -341,6 +348,7 @@ class LeibnizAlgebra:
         Each nonzero cell is read once per covector, and zero and repeated
         equations are dropped before the nullspace.
         """
+        self._check_subspace(w)
         n = self.dim
         cells = self._cells
         if cells is not None:
@@ -372,6 +380,7 @@ class LeibnizAlgebra:
         return Subspace.span(self.field, n, nullspace(rows, self.field, n))
 
     def is_ideal(self, u: Subspace) -> bool:
+        self._check_subspace(u)
         cells = self._cells
         if cells is not None:
             n, p = self.dim, self.field.modulus
@@ -405,6 +414,7 @@ class LeibnizAlgebra:
         ideal's non-pivot coordinates, which makes the construction
         deterministic and canonical.
         """
+        self._check_subspace(ideal)
         if not self.is_ideal(ideal):
             raise NotAnIdeal("quotient requires a two-sided ideal")
         comp = ideal.complement_coords()
@@ -437,8 +447,7 @@ class LeibnizAlgebra:
 
     def restrict(self, s: Subspace) -> "LeibnizAlgebra":
         """Induced algebra on the echelon basis of a bracket-closed subspace."""
-        if s.field != self.field or s.ambient_dim != self.dim:
-            raise BadVector("subspace does not live in this algebra")
+        self._check_subspace(s)
         m = s.dim
         cells = self._cells
         if cells is not None:

@@ -39,9 +39,17 @@ of six-dimensional nilpotent Lie algebras.
 The search runs on the integer residues of ``_modp`` throughout: the
 algebras' sparse residue cells, the residue rows of their subspaces, and
 the one residue bracket ``_modp.bracket``, which ``core`` uses for GF(p) as
-well; only a found matrix is boxed.  Maximal subalgebras are built on
-residues too: the hyperplane pullbacks are spanned from residue rows, and
-the induced algebras come straight from residue cells.
+well; only a found matrix is boxed.  Its linear algebra is the
+``rref``-based functions of ``_modp``.  The bracket closure of each
+generator prefix of the source is recorded once as a recipe, ``_Closure``:
+the products that are new elements, and the coefficients of the others over
+the elements, all from one ``_modp.coordinates``.  A candidate is replayed
+by bracketing its images along the recipe, comparing the dependent
+products, and one rank check that the images are independent.  A found
+matrix is the coordinates of the standard basis over the closure elements,
+applied to their images.  Maximal subalgebras are built on residues too:
+the hyperplane pullbacks are spanned from residue rows, and the induced
+algebras come straight from residue cells.
 
 Each algebra of a decision has one record, ``_Side``: its lower and upper
 central series are computed once, and the fingerprint (with Z(A) and
@@ -65,7 +73,6 @@ from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property
 
 from . import _modp
-from ._modp import SpanTracker
 from .core import LeibnizAlgebra
 from .errors import (
     FieldMismatch,
@@ -466,53 +473,55 @@ class _Closure:
 
     ``steps`` processes every ordered pair of closure elements exactly once,
     in a fixed order; ``("new", i, j, None)`` appends the product as a new
-    element and ``("dep", i, j, coeffs)`` records its expression over the
-    elements inserted so far.
+    element and ``("dep", i, j, coeffs)`` records its coefficients over the
+    elements, which are independent: unique, and zero past the elements
+    inserted before the step.  A product is tested against the echelon form
+    of the elements so far, rebuilt after each of the at most n insertions,
+    and all coefficients come from one ``_modp.coordinates`` at the end.
     """
 
-    __slots__ = ("elems", "steps", "gen_count")
+    __slots__ = ("elems", "steps")
 
     def __init__(self, cells, p: int, gen_vecs):
+        n = len(cells)
         elems = [list(g) for g in gen_vecs]
-        tracker = SpanTracker(p, len(cells))
-        for g in elems:
-            if not tracker.add(g):
-                raise InternalError("generators must be independent")
+        ech, pivots = _modp.rref(elems, p, n)
         steps = []
         t = 0
         while t < len(elems):
             pair_list = [(i, t) for i in range(t + 1)] + [(t, j) for j in range(t)]
             for i, j in pair_list:
                 w = _modp.bracket(cells, elems[i], elems[j], p)
-                coeffs = tracker.express(w)
-                if coeffs is None:
-                    tracker.add(w)
+                if _modp.contains(w, ech, pivots, p):
+                    steps.append(("dep", i, j, w))
+                else:
                     elems.append(w)
                     steps.append(("new", i, j, None))
-                else:
-                    steps.append(("dep", i, j, coeffs))
+                    ech, pivots = _modp.rref(elems, p, n)
             t += 1
+        deps = [w for kind, _, _, w in steps if kind == "dep"]
+        coeffs = iter(_modp.coordinates(elems, deps, p, n))
         self.elems = elems
-        self.steps = steps
-        self.gen_count = len(gen_vecs)
+        self.steps = [
+            (kind, i, j, next(coeffs) if kind == "dep" else None) for kind, i, j, _ in steps
+        ]
 
     def replay(self, cells, p: int, gen_images):
-        """Images of all closure elements, or None when any check fails."""
+        """Images of all closure elements, or None when any check fails.
+
+        The images must satisfy every "dep" step and be independent; a set
+        is independent exactly when each element is independent of the ones
+        before it, so one rank check at the end covers every "new" step.
+        """
         n = len(cells)
         imgs = [list(g) for g in gen_images]
-        tracker = SpanTracker(p, n)
-        for g in imgs:
-            if not tracker.add(g):
-                return None
-        for kind, i, j, data in self.steps:
+        for kind, i, j, coeffs in self.steps:
             w = _modp.bracket(cells, imgs[i], imgs[j], p)
             if kind == "new":
-                if not tracker.add(w):
-                    return None
                 imgs.append(w)
-            elif w != _modp.combine(data, imgs, p, n):
+            elif w != _modp.combine(coeffs, imgs, p, n):
                 return None
-        return imgs
+        return imgs if _modp.rank(imgs, p, n) == len(imgs) else None
 
 
 def _nilindex(op_rows, p: int, n: int) -> int:
@@ -683,7 +692,8 @@ def _constrained_candidates(side_b: _Side, rows, rhs):
 
 def _assemble_matrix(closure: _Closure, elem_imgs, p: int, n: int):
     """Matrix sending the standard basis of the source to images in the target."""
-    inv = _modp.matinv([list(e) for e in closure.elems], p)
-    if inv is None:
-        raise InternalError("closure elements must form a basis")
-    return [_modp.combine(row, elem_imgs, p, n) for row in inv]
+    identity = [[int(i == r) for i in range(n)] for r in range(n)]
+    return [
+        _modp.combine(row, elem_imgs, p, n)
+        for row in _modp.coordinates(closure.elems, identity, p, n)
+    ]

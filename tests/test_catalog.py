@@ -45,6 +45,22 @@ class TestListing:
         with pytest.raises(ConstraintViolated):
             instantiate("heisenberg3", GF(3), {"bogus": 1})
 
+    @pytest.mark.parametrize(
+        "value", [2.5, "2.5", "x", "", " 3", "0x3", True, GF(3)(2)], ids=repr
+    )
+    def test_size_parameter_must_be_an_integer(self, value):
+        for call in (instantiate, validate_params):
+            with pytest.raises(ConstraintViolated, match="parameter n must be an integer"):
+                call("abelian", GF(3), {"n": value})
+
+    @pytest.mark.parametrize("value", [2, "2", "+2"])
+    def test_size_parameter_accepts_decimal_integers(self, value):
+        assert instantiate("abelian", GF(3), {"n": value}).dim == 2
+
+    def test_negative_size_parameter(self):
+        with pytest.raises(ConstraintViolated, match="parameter n must be >= 0"):
+            instantiate("abelian", GF(3), {"n": "-1"})
+
 
 class TestCoclassOneFamily:
     def test_valid_over_gf3(self):

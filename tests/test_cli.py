@@ -8,12 +8,28 @@ from pathlib import Path
 
 import pytest
 
-from leibalg import GF, QQ, format_algebra, instantiate, parse_algebra
+from leibalg import GF, QQ, LeibnizAlgebra, format_algebra, instantiate, parse_algebra
 from leibalg import cli as cli_module
+from leibalg import maximal as maximal_module
+from leibalg import series as series_module
 from leibalg.cli import main
 from leibalg.randomgen import random_nilpotent_algebra
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def count_calls(monkeypatch, *targets):
+    """Record the name of each call to the given (owner, name) attributes."""
+    calls = []
+    for owner, name in targets:
+        real = getattr(owner, name)
+
+        def counting(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 @pytest.fixture
@@ -90,12 +106,47 @@ class TestAnalyze:
         assert "lie true" in out
 
 
+    def test_builds_each_series_once(self, tmp_path, monkeypatch, capsys):
+        # Z(A) and the cyclicity test are read off the profile's series terms
+        path = tmp_path / "cyclic4.alg"
+        path.write_text(format_algebra(instantiate("cyclic_example4", GF(5), {})))
+        calls = count_calls(
+            monkeypatch,
+            (series_module, "lower_central_series"),
+            (series_module, "upper_central_series"),
+            (LeibnizAlgebra, "center"),
+        )
+        assert main(["analyze", str(path)]) == 0
+        assert calls == ["lower_central_series", "upper_central_series"]
+        assert capsys.readouterr().out.splitlines() == [
+            "field GF(5)",
+            "dim 4",
+            "lower [4, 3, 2, 1, 0]",
+            "upper [0, 1, 2, 3, 4]",
+            "nilpotent true",
+            "class 4",
+            "coclass 0",
+            "center_dim 1",
+            "leib_dim 3",
+            "cyclic true",
+            "lie false",
+        ]
+
+
 class TestMaximals:
     def test_lists_tags(self, heisenberg_file, capsys):
         assert main(["maximals", heisenberg_file]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4
         assert lines[0].startswith("[0,1]")
+
+    def test_builds_one_record_per_maximal(self, heisenberg_file, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, (maximal_module, "_Side"))
+        assert main(["maximals", heisenberg_file]) == 0
+        assert calls == ["_Side"] * 4
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "[0,1] dim=2 lower=[2, 0] upper=[0, 2] leib=0 z=2 zl=2 der=0 sq=9/0"
+        )
 
 
 class TestIso:
@@ -189,6 +240,14 @@ class TestCatalogCommands:
 
     def test_unknown_entry(self):
         assert main(["catalog", "check", "nope", "--field", "Q"]) == 2
+
+    @pytest.mark.parametrize("value", ["x", "2.5"])
+    def test_make_rejects_a_size_that_is_not_an_integer(self, capsys, value):
+        code = main(["catalog", "make", "abelian", "--field", "GF(3)", "--param", f"n={value}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: parameter n must be an integer, not {value!r}\n"
 
     def test_make_into_a_directory_is_an_input_error(self, tmp_path, capsys):
         code = main(["catalog", "make", "heisenberg3", "--field", "Q", "-o", str(tmp_path)])

@@ -10,6 +10,7 @@ from leibalg import (
     GF,
     QQ,
     BadIndex,
+    BadVector,
     DuplicateEntry,
     FieldMismatch,
     LeibnizAlgebra,
@@ -309,6 +310,59 @@ class TestIdealsQuotients:
                 q = algebra.quotient(ideal)
                 assert q.algebra.dim == algebra.dim - ideal.dim
                 assert q.algebra.check_leibniz() == []
+
+
+FOREIGN_SUBSPACES = {
+    "other_prime": lambda: Subspace.span(GF(7), 3, [[0, 0, 1]]),
+    "rationals": lambda: Subspace.span(QQ, 3, [[0, 0, 1]]),
+    "wrong_dim": lambda: Subspace.span(GF(5), 4, [[0, 0, 0, 1]]),
+}
+
+
+class TestForeignSubspaces:
+    """Every method taking a subspace rejects one that is not in the algebra."""
+
+    @pytest.fixture(params=sorted(FOREIGN_SUBSPACES))
+    def foreign(self, request):
+        return FOREIGN_SUBSPACES[request.param]()
+
+    def assert_rejected(self, call):
+        with pytest.raises(BadVector, match="subspace does not live in this algebra"):
+            call()
+
+    def test_span_products(self, foreign):
+        algebra = heisenberg(GF(5))
+        full = algebra.full_space()
+        self.assert_rejected(lambda: algebra.span_products(foreign, full))
+        self.assert_rejected(lambda: algebra.span_products(full, foreign))
+
+    def test_is_ideal(self, foreign):
+        algebra = heisenberg(GF(5))
+        self.assert_rejected(lambda: algebra.is_ideal(foreign))
+
+    def test_centralizer_mod(self, foreign):
+        algebra = heisenberg(GF(5))
+        self.assert_rejected(lambda: algebra.centralizer_mod(foreign))
+
+    def test_quotient(self, foreign):
+        algebra = heisenberg(GF(5))
+        self.assert_rejected(lambda: algebra.quotient(foreign))
+
+    def test_restrict(self, foreign):
+        algebra = heisenberg(GF(5))
+        self.assert_rejected(lambda: algebra.restrict(foreign))
+
+    def test_rational_algebra_rejects_a_prime_field_subspace(self):
+        algebra = heisenberg(QQ)
+        foreign = Subspace.span(GF(5), 3, [[0, 0, 1]])
+        for call in (
+            lambda: algebra.span_products(foreign, foreign),
+            lambda: algebra.is_ideal(foreign),
+            lambda: algebra.centralizer_mod(foreign),
+            lambda: algebra.quotient(foreign),
+            lambda: algebra.restrict(foreign),
+        ):
+            self.assert_rejected(call)
 
 
 class TestDirectSum:

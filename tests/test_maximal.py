@@ -10,6 +10,7 @@ from leibalg import (
     QQ,
     FieldMismatch,
     Fingerprint,
+    InternalError,
     LeibnizAlgebra,
     NeedsFiniteField,
     NotNilpotent,
@@ -27,7 +28,8 @@ from leibalg import (
     nilpotency_data,
     sample_params,
 )
-from leibalg.maximal import _search_isomorphism, _Side
+from leibalg import _modp
+from leibalg.maximal import _Closure, _search_isomorphism, _Side
 from leibalg.randomgen import change_of_basis, random_invertible_matrix, random_nilpotent_algebra
 
 
@@ -586,3 +588,80 @@ class TestFrattiniIntersection:
         ):
             algebra = instantiate(name, GF(3), params)
             assert frattini_by_intersection(algebra) == frattini(algebra)
+
+
+def closure_algebras():
+    """Seeded towers over GF(2), GF(3), GF(5) and the maximals of catalog algebras."""
+    rng = random.Random(13)
+    for p in (2, 3, 5):
+        for dim in range(2, 7):
+            for _ in range(4):
+                yield random_nilpotent_algebra(rng, GF(p), dim)
+    for name in ("A19", "cex_A8", "A1_6dim", "A3_6dim", "cc2_split4"):
+        field = GF(5)
+        params = sample_params(name, field)
+        for m in enumerate_maximal(instantiate(name, field, params)):
+            yield m.induced
+
+
+class TestClosure:
+    def test_coordinates_recover_random_combinations(self):
+        rng = random.Random(4)
+        for p in (2, 3, 5):
+            for n in range(1, 7):
+                for m in range(n + 1):
+                    rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+                    if _modp.rank(rows, p, n) < m:
+                        continue
+                    combos = [[rng.randrange(p) for _ in range(m)] for _ in range(3)]
+                    targets = [_modp.combine(c, rows, p, n) for c in combos]
+                    assert _modp.coordinates(rows, targets, p, n) == combos
+
+    def test_coordinates_reject_dependent_rows_and_outside_targets(self):
+        with pytest.raises(InternalError):
+            _modp.coordinates([[1, 2, 0], [2, 4, 0]], [], 5, 3)
+        with pytest.raises(InternalError):
+            _modp.coordinates([[1, 2, 0]], [[0, 0, 1]], 5, 3)
+        assert _modp.coordinates([[1, 2, 0]], [[3, 1, 0]], 5, 3) == [[3]]
+
+    def test_recipe_on_every_generator_prefix(self):
+        closures = 0
+        for algebra in closure_algebras():
+            side = _Side(algebra)
+            p, n, cells = side.p, side.n, side.cells
+            gens = [[int(i == g) for i in range(n)] for g in side.coset_coords]
+            for k in range(1, len(gens) + 1):
+                closure = _Closure(cells, p, gens[:k])
+                elems = closure.elems
+                assert elems[:k] == gens[:k]
+                assert _modp.rank(elems, p, n) == len(elems)
+                pairs = [(i, j) for _, i, j, _ in closure.steps]
+                assert sorted(pairs) == sorted(itertools.product(range(len(elems)), repeat=2))
+                inserted = k
+                for kind, i, j, coeffs in closure.steps:
+                    w = _modp.bracket(cells, elems[i], elems[j], p)
+                    if kind == "new":
+                        assert coeffs is None
+                        assert elems[inserted] == w
+                        inserted += 1
+                    else:
+                        assert _modp.combine(coeffs, elems, p, n) == w
+                        assert not any(coeffs[inserted:])
+                assert inserted == len(elems)
+                assert closure.replay(cells, p, gens[:k]) == elems
+                closures += 1
+        assert closures > 100
+
+    def test_replay_rejects_dependent_images(self):
+        # every "dep" step holds for the images e1, e1, so only the final
+        # rank check can reject them
+        for algebra in (
+            instantiate("abelian", GF(3), {"n": 2}),
+            instantiate("heisenberg3", GF(3), {}),
+        ):
+            side = _Side(algebra)
+            p, n = side.p, side.n
+            gens = [[int(i == g) for i in range(n)] for g in side.coset_coords]
+            closure = _Closure(side.cells, p, gens)
+            assert closure.replay(side.cells, p, gens) == closure.elems
+            assert closure.replay(side.cells, p, [gens[0], gens[0]]) is None
