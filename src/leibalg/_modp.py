@@ -1,13 +1,21 @@
-"""The integer residue kernel: every GF(p) computation of the package.
+"""The exact elimination kernel: every linear algebra of the package.
 
-Vectors are plain lists or tuples of ints in [0, p); no FieldElement
-boxing.  Only prime moduli are used, so inverses come from pow(x, -1, p).
-Residues are the representation of every GF(p) object: a prime-field
-``Subspace`` holds its echelon rows as residue tuples and a prime-field
-``LeibnizAlgebra`` its structure constants as residue cells, both handed to
-these functions directly; their boxed views (``Subspace.rows``,
-``LeibnizAlgebra.table``) are built on first read.  The rationals keep the
-boxed loops of ``linalg`` and ``core``.
+Vectors are plain lists or tuples of raw field values, with no
+FieldElement boxing, and every function takes the field's characteristic
+``p``.  Over GF(p) (p > 0) the values are ints, handed out as residues in
+[0, p), and the pivot inverse is pow(x, -1, p); only prime moduli are
+used.  Over Q (p == 0) they are Fractions, nothing is reduced, and the
+pivot inverse is 1 / x.  The branch between the two is taken per row or
+per call, never per entry, and the kernel's own 0s and 1s are Fractions
+over Q, so each value it hands out is one ``FieldElement`` boxes as is.
+
+Raw values are the representation of every GF(p) object and of every
+``Subspace``: a ``Subspace`` holds its echelon rows as raw tuples and a
+prime-field ``LeibnizAlgebra`` its structure constants as residue cells,
+both handed to these functions directly; their boxed views
+(``Subspace.rows``, ``LeibnizAlgebra.table``) are built on first read.
+``bracket`` is GF(p) only: the rational algebras of ``core`` still
+compute on FieldElements.
 
 Structure constants are held as sparse cells: ``cells[i][j]`` is the tuple
 of (k, c) pairs with c != 0 in [e_i, e_j] = sum_k c e_k.
@@ -21,7 +29,16 @@ targets over independent rows.  No state is kept between calls.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import InternalError
+
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+
+
+def _zero_one(p: int):
+    """The field's 0 and 1: ints over GF(p), Fractions over Q (p == 0)."""
+    return (0, 1) if p else (_Q_ZERO, _Q_ONE)
 
 
 def bracket(cells, u, v, p: int):
@@ -41,37 +58,50 @@ def bracket(cells, u, v, p: int):
 
 
 def combine(coeffs, rows, p: int, n: int):
-    """sum_i coeffs[i] rows[i] as n residues; zero coefficients and entries skipped."""
-    acc = [0] * n
+    """sum_i coeffs[i] rows[i] as n field values; zero terms skipped."""
+    acc = [_zero_one(p)[0]] * n
     for c, row in zip(coeffs, rows):
         if c:
             for k, a in enumerate(row):
                 if a:
-                    acc[k] = (acc[k] + c * a) % p
-    return acc
+                    acc[k] += c * a
+    return [a % p for a in acc] if p else acc
 
 
 def rref(rows, p: int, ncols: int):
-    """Reduced row echelon form; returns (rows, pivot columns)."""
+    """Reduced row echelon form; returns (rows, pivot columns).
+
+    Over GF(p) the entries may be any ints: each is read mod p.  The one
+    branch on the field is taken per row, in the pivot test and where a row
+    is scaled or eliminated.
+    """
     work = [list(r) for r in rows]
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
         pivot_row = None
         for i in range(r, len(work)):
-            if work[i][col] % p:
+            if work[i][col] % p if p else work[i][col]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = pow(work[r][col], -1, p)
-        work[r] = [(inv * a) % p for a in work[r]]
+        row_r = work[r]
+        if p:
+            inv = pow(row_r[col], -1, p)
+            row_r = work[r] = [inv * a % p for a in row_r]
+        else:
+            inv = _Q_ONE / row_r[col]
+            row_r = work[r] = [inv * a for a in row_r]
         for i in range(len(work)):
-            if i != r and work[i][col] % p:
+            if i != r:
                 c = work[i][col]
-                row_r = work[r]
-                work[i] = [(a - c * b) % p for a, b in zip(work[i], row_r)]
+                if p:
+                    if c % p:
+                        work[i] = [(a - c * b) % p for a, b in zip(work[i], row_r)]
+                elif c:
+                    work[i] = [a - c * b for a, b in zip(work[i], row_r)]
         pivots.append(col)
         r += 1
         if r == len(work):
@@ -83,13 +113,15 @@ def nullspace(rows, p: int, ncols: int):
     """Canonical basis of {x : M x = 0}."""
     ech, pivots = rref(rows, p, ncols)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    zero, one = _zero_one(p)
     basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
         for row, pc in zip(ech, pivots):
-            v[pc] = (-row[fc]) % p
+            v[pc] = -row[fc] % p if p else -row[fc]
         basis.append(v)
     return basis
 
@@ -107,7 +139,7 @@ def solve_affine(rows, rhs, p: int, ncols: int):
     ech, pivots = rref(aug, p, ncols + 1)
     if ncols in pivots:
         return None
-    x0 = [0] * ncols
+    x0 = [_zero_one(p)[0]] * ncols
     for row, pc in zip(ech, pivots):
         x0[pc] = row[ncols]
     return x0, nullspace([r[:ncols] for r in ech], p, ncols)
@@ -118,11 +150,15 @@ def rank(rows, p: int, ncols: int) -> int:
 
 
 def reduce_mod(v, ech, pivots, p: int):
+    """v minus its components along the echelon rows, at their pivot columns."""
     w = list(v)
     for row, pc in zip(ech, pivots):
-        c = w[pc] % p
+        c = w[pc]
         if c:
-            w = [(a - c * b) % p for a, b in zip(w, row)]
+            if p:
+                w = [(a - c * b) % p for a, b in zip(w, row)]
+            else:
+                w = [a - c * b for a, b in zip(w, row)]
     return w
 
 

@@ -20,8 +20,10 @@ operation below computes on those cells and on the residue rows of
 ``Subspace`` through ``_modp``, and quotients, restrictions and direct sums
 are built straight from cells.  The boxed ``table`` is built on first read;
 vectors passed in or handed out by ``bracket`` are FieldElements, coerced or
-boxed at the call.  Over Q the identity check reads raw Fractions; the
-other operations compute on FieldElements.
+boxed at the call.  Over Q the identity check reads raw Fractions, and the
+other operations compute their brackets on the FieldElements of ``table``;
+their elimination runs through ``Subspace`` and ``linalg``, on the same
+``_modp`` kernel as GF(p), with Fractions.
 
 Algebras, vectors, and subspaces are immutable; every operation here is a
 pure function of its inputs and safe for concurrent use.

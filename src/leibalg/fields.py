@@ -74,7 +74,7 @@ class Field:
     Field compares and hashes equal to it.
     """
 
-    __slots__ = ("kind", "modulus", "_hash")
+    __slots__ = ("kind", "modulus", "characteristic", "_hash")
 
     def __init__(self, kind: str, modulus: int | None = None):
         if kind == RATIONALS:
@@ -94,14 +94,11 @@ class Field:
             raise ConstructionError(f"unknown field kind {kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "characteristic", 0 if kind == RATIONALS else modulus)
         object.__setattr__(self, "_hash", hash((kind, modulus)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
-
-    @property
-    def characteristic(self) -> int:
-        return 0 if self.kind == RATIONALS else self.modulus  # type: ignore[return-value]
 
     def is_finite(self) -> bool:
         return self.kind == PRIME

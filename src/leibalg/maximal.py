@@ -419,9 +419,10 @@ def check_p1(
 ) -> tuple[bool, MaximalPairWitness | None]:
     """All maximal subalgebras pairwise isomorphic?
 
-    Compares every maximal subalgebra against the first (tag order), then
-    spot-verifies transitivity on one seeded random pair.  Each maximal
-    subalgebra's fingerprint and search data are built once.
+    Compares every distinct induced table against the first maximal's (tag
+    order), then spot-verifies transitivity on one seeded random pair.  Each
+    distinct table is decided once, and its fingerprint and search data are
+    built once, on the first maximal that carries it.
     """
     return _check_p1(enumerate_maximal(algebra), spot_seed)
 
@@ -430,14 +431,20 @@ def _check_p1(maximals, spot_seed: int) -> tuple[bool, MaximalPairWitness | None
     if len(maximals) <= 1:
         return True, None
     first = maximals[0]
+    # the first maximal of each distinct table, in tag order; a later one is
+    # isomorphic to the first exactly when its representative is
+    carrier = {first.induced: first}
     for m in maximals[1:]:
-        verdict = _fast_verdict(m.induced, first.induced) or _decide(m._side, first._side)
+        if m.induced in carrier:
+            continue
+        carrier[m.induced] = m
+        verdict = _decide(m._side, first._side)
         if verdict.status != "yes":
             return False, MaximalPairWitness(first, m, verdict.reason)
     if len(maximals) >= 3:
         rng = random.Random(spot_seed)
         i, j = rng.sample(range(1, len(maximals)), 2)
-        a, b = maximals[i], maximals[j]
+        a, b = carrier[maximals[i].induced], carrier[maximals[j].induced]
         verdict = _fast_verdict(a.induced, b.induced) or _decide(a._side, b._side)
         if verdict.status != "yes":
             raise InternalError(

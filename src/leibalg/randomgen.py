@@ -25,7 +25,6 @@ from . import _modp
 from .core import LeibnizAlgebra, _identity_residual
 from .errors import BadVector, NeedsFiniteField
 from .fields import Field
-from .linalg import Subspace
 
 
 def random_nilpotent_algebra(rng: random.Random, field: Field, dim: int) -> LeibnizAlgebra:
@@ -111,32 +110,19 @@ def random_invertible_matrix(rng: random.Random, field: Field, n: int):
 def change_of_basis(algebra: LeibnizAlgebra, matrix) -> LeibnizAlgebra:
     """Structure constants in the basis f_i = sum_j matrix[i][j] e_j.
 
-    The result is isomorphic to the input by construction; useful for
-    exercising the isomorphism search on scrambled presentations.
+    ``matrix`` must be invertible, with one row per basis vector.  The
+    result is isomorphic to the input by construction; useful for
+    exercising the isomorphism search on scrambled presentations.  All n^2
+    products [f_i, f_j] are expressed in the new basis by one elimination.
     """
-    basis = Subspace.span(algebra.field, algebra.dim, matrix)
-    if basis.dim != algebra.dim:
-        raise ValueError("basis change matrix must be invertible")
+    field, n = algebra.field, algebra.dim
+    if len(matrix) != n:
+        raise BadVector(f"basis change matrix has {len(matrix)} rows for dim {n}")
     new_rows = [algebra.vector(row) for row in matrix]
-    table = []
-    for u in new_rows:
-        row = []
-        for v in new_rows:
-            w = algebra.bracket(u, v)
-            # coordinates of w over new_rows: solve via the echelon span,
-            # then translate from echelon rows back to the given rows.
-            coords = _coords_over(new_rows, w, algebra)
-            row.append(coords)
-        table.append(row)
-    return LeibnizAlgebra(algebra.field, table)
-
-
-def _coords_over(rows, target, algebra: LeibnizAlgebra):
-    from .linalg import solve
-
-    n = algebra.dim
-    columns = [[rows[r][c] for r in range(len(rows))] for c in range(n)]
-    coords = solve(columns, list(target), algebra.field, len(rows))
-    if coords is None:
-        raise ValueError("target outside the span of the rows")
-    return list(coords)
+    p = field.characteristic
+    raw = [[a.value for a in row] for row in new_rows]
+    if _modp.rank(raw, p, n) != n:
+        raise ValueError("basis change matrix must be invertible")
+    products = [[a.value for a in algebra.bracket(u, v)] for u in new_rows for v in new_rows]
+    coords = _modp.coordinates(raw, products, p, n)
+    return LeibnizAlgebra(field, [coords[i * n : (i + 1) * n] for i in range(n)])

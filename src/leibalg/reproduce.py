@@ -516,7 +516,10 @@ def _cc2dim4_claim(field: Field, name: str, params: dict):
         ok, witness = maximal._check_p1(maxes, 0)
         _require(ok, f"P1 failed: {witness}")
         ref = maximal._Side(reference_cyclic_plane(field))
+        carriers: dict = {}
         for m in maxes:
+            carriers.setdefault(m.induced, m)
+        for m in carriers.values():
             verdict = maximal._fast_verdict(m.induced, ref.algebra) or maximal._decide(m._side, ref)
             _require(
                 verdict.status == "yes",

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from leibalg import GF, QQ, Subspace
-from leibalg.errors import BadVector
+from leibalg.errors import BadVector, FieldMismatch
 from leibalg.linalg import matrix_rank, nullspace, rref, solve
 
 
@@ -47,6 +47,40 @@ class TestEchelon:
         field = GF(5)
         rows = [[field(1), field(1)], [field(2), field(2)]]
         assert solve(rows, [field(0), field(1)], field, 2) is None
+
+
+class TestInputChecks:
+    def test_rref_rejects_elements_of_another_prime_field(self):
+        # the GF(7) residues used to be read as GF(5) residues
+        with pytest.raises(FieldMismatch):
+            rref([[GF(7)(3), GF(7)(5)]], GF(5), 2)
+
+    def test_rref_rejects_rational_elements_over_a_prime_field(self):
+        # used to end in a TypeError from pow
+        with pytest.raises(FieldMismatch):
+            rref([[QQ(3), QQ(5)]], GF(5), 2)
+        with pytest.raises(FieldMismatch):
+            rref([[GF(5)(3), GF(5)(1)]], QQ, 2)
+
+    def test_nullspace_rejects_short_rows(self):
+        # used to end in an IndexError
+        with pytest.raises(BadVector):
+            nullspace([[GF(5)(0)]], GF(5), 2)
+        with pytest.raises(BadVector):
+            matrix_rank([[QQ(1), QQ(2), QQ(3)]], QQ, 2)
+
+    def test_solve_rejects_a_missing_right_hand_side(self):
+        # used to drop the second equation silently
+        with pytest.raises(BadVector):
+            solve([[1], [1]], [1], GF(5), 1)
+        with pytest.raises(BadVector):
+            solve([[1]], [1, 1], QQ, 1)
+        assert solve([[1], [1]], [1, 1], GF(5), 1) == (GF(5)(1),)
+        assert solve([[1], [1]], [1, 2], GF(5), 1) is None
+
+    def test_plain_ints_are_coerced(self):
+        assert rref([[2, 4], [1, 2]], GF(5), 2) == ([(GF(5)(1), GF(5)(2))], [0])
+        assert nullspace([[2, 4]], QQ, 2) == [(QQ(-2), QQ(1))]
 
 
 class TestSubspace:

@@ -142,11 +142,13 @@ def test_structural_suite_reads_each_towers_series_off_its_profile(monkeypatch):
 
 
 def test_cc2dim4_claim_builds_one_reference_record(monkeypatch):
-    # one record per maximal subalgebra and one for the r*r = s reference
+    # one record per distinct induced table and one for the r*r = s
+    # reference; a maximal whose table equals an earlier one shares its record
     from leibalg import maximal, reproduce
 
-    records, references = [], []
+    records, references, enumerated = [], [], []
     real_reference = reproduce.reference_cyclic_plane
+    real_enumerate = maximal._enumerate_maximal
 
     class CountingSide(maximal._Side):
         def __init__(self, algebra):
@@ -157,18 +159,31 @@ def test_cc2dim4_claim_builds_one_reference_record(monkeypatch):
         references.append(real_reference(field))
         return references[-1]
 
+    def enumerate_maximal(algebra, lower):
+        enumerated.append(real_enumerate(algebra, lower))
+        return enumerated[-1]
+
     monkeypatch.setattr(maximal, "_Side", CountingSide)
+    monkeypatch.setattr(maximal, "_enumerate_maximal", enumerate_maximal)
     monkeypatch.setattr(reproduce, "reference_cyclic_plane", reference_cyclic_plane)
     claims = [c for c in build_claims([3, 5], seed=0) if c.claim_id.startswith("cc2dim4.")]
     assert len(claims) == 9
+    shared = 0
     for claim in claims:
         records.clear()
         references.clear()
+        enumerated.clear()
         evidence = claim.run()
         maximals = int(evidence.split("all ")[1].split()[0])
         assert len(references) == 1, claim.claim_id
         assert sum(r is references[0] for r in records) == 1, claim.claim_id
-        assert len(records) == maximals + 1, claim.claim_id
+        own = [r for r in records if r is not references[0]]
+        assert len(set(own)) == len(own) <= maximals, claim.claim_id
+        tables = {m.induced for m in enumerated[0]}
+        assert len(enumerated[0]) == maximals
+        assert tables - {references[0]} <= set(own) <= tables, claim.claim_id
+        shared += len(tables) < maximals
+    assert shared
 
 
 def test_identity_claim_walks_the_identity_once(monkeypatch):

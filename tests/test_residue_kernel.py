@@ -1,9 +1,12 @@
-"""Prime-field algebras and subspaces are held and computed as residues.
+"""Prime-field algebras and subspaces are held and computed as residues,
+and rational subspaces run on the same kernel with Fractions.
 
 The reference functions below recompute every result with plain
 FieldElement arithmetic straight from ``algebra.table``, or with plain
-integer loops, so they share no code with the residue path of
-``core``/``linalg``/``_modp``/``maximal`` they check.
+integer loops, so they share no code with the raw-value path of
+``core``/``linalg``/``_modp``/``maximal`` they check.  The rational
+references are the boxed elimination loops ``linalg`` ran over Q before
+both fields shared the kernel.
 """
 
 import itertools
@@ -16,6 +19,7 @@ from leibalg import (
     GF,
     QQ,
     BadVector,
+    FieldMismatch,
     LeibnizAlgebra,
     NeedsFiniteField,
     Subspace,
@@ -26,9 +30,16 @@ from leibalg import (
     nilpotency_data,
     sample_params,
 )
+from leibalg import _modp
 from leibalg.fields import Field, FieldElement
+from leibalg.linalg import nullspace, rref, solve
 from leibalg.maximal import fingerprint
-from leibalg.randomgen import central_extension, random_nilpotent_algebra
+from leibalg.randomgen import (
+    central_extension,
+    change_of_basis,
+    random_invertible_matrix,
+    random_nilpotent_algebra,
+)
 from leibalg.reproduce import enumerate_subspaces
 from leibalg.series import lower_central_series, upper_central_series
 
@@ -92,8 +103,19 @@ def ref_reduce(rows, pivots, v):
     w = list(v)
     for row, pc in zip(rows, pivots):
         c = w[pc]
-        w = [a - c * b for a, b in zip(w, row)]
+        if c:
+            w = [a - c * b for a, b in zip(w, row)]
     return w
+
+
+def ref_linear_combination(space: Subspace, coeffs):
+    field, n = space.field, space.ambient_dim
+    acc = [field.zero()] * n
+    for c, row in zip(coeffs, space.rows):
+        if c:
+            for j in range(n):
+                acc[j] = acc[j] + c * row[j]
+    return tuple(acc)
 
 
 def assert_span(space: Subspace, vectors, field, n):
@@ -522,7 +544,7 @@ def no_boxing(monkeypatch):
 
     monkeypatch.setattr(Field, "__call__", boxed)
     monkeypatch.setattr(Field, "_residue", boxed)
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    for name in ("__init__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__neg__", "__truediv__", "__rtruediv__", "__pow__", "inv"):
         monkeypatch.setattr(FieldElement, name, boxed)
 
@@ -548,3 +570,178 @@ def test_verdict_path_boxes_nothing(request, p, dims, count):
                 maximals += 1
         fingerprint(algebra)
     assert quotients and maximals
+
+
+# ---------------------------------------------------------------------------
+# Q runs on the same kernel, with Fractions
+# ---------------------------------------------------------------------------
+
+def fraction_rows(rng, count, ncols):
+    """Seeded rational rows mixing zero, duplicate, scaled and sparse rows."""
+    rows = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([QQ(0)] * ncols)
+        elif kind < 0.3 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind < 0.4 and rows:
+            c = QQ(Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4)))
+            rows.append([c * a for a in rng.choice(rows)])
+        else:
+            rows.append(
+                [
+                    QQ(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) if rng.random() < 0.7 else 0)
+                    for _ in range(ncols)
+                ]
+            )
+    return rows
+
+
+def rational_matrices():
+    """(rows, ncols): empty, all-zero and full-rank cases, then seeded ones."""
+    rng = random.Random(23)
+    cases = [([], 3), ([[QQ(0)] * 3] * 2, 3), ([[QQ(2), QQ(1)], [QQ(2), QQ(1)]], 2)]
+    for n in (1, 3, 5):
+        rows = [[QQ(Fraction(rng.randint(1, 9), rng.randint(1, 9))) if j <= i else QQ(0)
+                 for j in range(n)] for i in range(n)]
+        cases.append((rows, n))
+    for _ in range(80):
+        ncols = rng.randint(1, 6)
+        cases.append((fraction_rows(rng, rng.randint(0, 8), ncols), ncols))
+    return cases
+
+
+def assert_exact(vectors):
+    """Every entry is a rational FieldElement holding a Fraction."""
+    for v in vectors:
+        for a in v:
+            assert a.__class__ is FieldElement and a.field is QQ
+            assert a.value.__class__ is Fraction, a.value
+
+
+def test_rational_kernel_matches_boxed_reference():
+    rng = random.Random(29)
+    kinds = {"empty": 0, "zero": 0, "duplicate": 0, "full": 0}
+    for rows, n in rational_matrices():
+        kinds["empty"] += not rows
+        kinds["zero"] += any(not any(r) for r in rows)
+        kinds["duplicate"] += len({tuple(r) for r in rows}) < len(rows)
+        ech, pivots = rref(rows, QQ, n)
+        assert (tuple(ech), tuple(pivots)) == ref_rref(rows, QQ, n)
+        basis = nullspace(rows, QQ, n)
+        assert basis == [tuple(v) for v in ref_nullspace(rows, QQ, n)]
+        assert_exact(ech + basis)
+
+        space = Subspace.span(QQ, n, rows)
+        assert (space.rows, space.pivots) == ref_rref(rows, QQ, n)
+        kinds["full"] += space.is_full()
+        other = Subspace.span(QQ, n, fraction_rows(rng, rng.randint(0, 4), n))
+        probes = fraction_rows(rng, 4, n) + [list(r) for r in rows] + [list(r) for r in other.rows]
+        for v in probes:
+            reduced = space.reduce(v)
+            assert reduced == tuple(ref_reduce(space.rows, space.pivots, v))
+            assert space.contains(v) == (not any(reduced))
+            assert_exact([reduced])
+        coeffs = [QQ(Fraction(rng.randint(-3, 3), rng.randint(1, 3))) for _ in space.rows]
+        combination = space.linear_combination(coeffs)
+        assert combination == ref_linear_combination(space, coeffs)
+        assert space.contains(combination)
+
+        sum_space = space.sum_with(other)
+        assert (sum_space.rows, sum_space.pivots) == ref_rref(space.rows + other.rows, QQ, n)
+        ann = space.annihilator()
+        assert (ann.rows, ann.pivots) == ref_rref(ref_nullspace(space.rows, QQ, n), QQ, n)
+        other_ann = ref_nullspace(other.rows, QQ, n)
+        joined = ref_nullspace(space.rows, QQ, n) + other_ann
+        meet = space.intersect(other)
+        assert (meet.rows, meet.pivots) == ref_rref(ref_nullspace(joined, QQ, n), QQ, n)
+        for s in (space, other, sum_space, ann, meet):
+            assert_exact(s.rows)
+            assert s == Subspace(QQ, n, s.rows, s.pivots)
+            assert hash(s) == hash(Subspace.span(QQ, n, s.rows))
+        assert_exact([combination])
+    assert all(kinds.values()), kinds
+
+
+def test_rational_boxed_entries_hold_fractions():
+    # the kernel's own zeros and ones are Fractions over Q, so a boxed entry
+    # inverts exactly: FieldElement.inv computes 1 / value
+    full = Subspace.full(QQ, 3)
+    assert full.rows[0][0].inv().value.__class__ is Fraction
+    assert full.rows[0][1].value.__class__ is Fraction
+    assert_exact(full.rows)
+    assert_exact(nullspace([[QQ(1), QQ(2), QQ(0)]], QQ, 3))
+    assert_exact([solve([[QQ(2), QQ(0), QQ(0)]], [QQ(1)], QQ, 3)])
+    assert_exact([full.linear_combination([QQ(0), QQ(0), QQ(3)])])
+    assert_exact(Subspace.span(QQ, 2, [[1, 2], [2, 4]]).rows)
+    assert_exact(full.sum_with(full).rows + full.intersect(full).rows)
+    assert_exact([full.reduce([1, 2, 3]), full.annihilator().reduce([1, 2, 3])])
+    for s in (full, Subspace.span(QQ, 3, [[0, 3, 1]])):
+        assert_exact([s.linear_combination([QQ(1)] * s.dim)])
+        assert_exact(s.annihilator().rows)
+
+
+def test_kernel_reduces_any_int_over_a_prime_field():
+    # rows may hold negative or unreduced ints; each is read mod p
+    assert _modp.rref([[7, 3], [-2, 12]], 7, 2) == _modp.rref([[0, 3], [5, 5]], 7, 2)
+    assert _modp.rref([[14, 21, -7]], 7, 3) == ([], [])
+    assert _modp.nullspace([[-1, 6]], 7, 2) == _modp.nullspace([[6, 6]], 7, 2) == [[6, 1]]
+    assert _modp.combine([-1, 8], [[1, 2], [3, 4]], 5, 2) == [3, 0]
+    assert _modp.reduce_mod([9, 4], [[1, 3]], [0], 5) == [0, 2]
+
+
+def ref_change_of_basis(algebra, matrix):
+    """Each [f_i, f_j] solved over the rows f by the boxed reference elimination."""
+    field, n = algebra.field, algebra.dim
+    rows = [algebra.vector(r) for r in matrix]
+    table = []
+    for u in rows:
+        row = []
+        for v in rows:
+            w = ref_bracket(algebra, u, v)
+            aug = [[rows[r][c] for r in range(n)] + [w[c]] for c in range(n)]
+            ech, pivots = ref_rref(aug, field, n + 1)
+            assert pivots == tuple(range(n))
+            row.append([r[n] for r in ech])
+        table.append(row)
+    return LeibnizAlgebra(field, table)
+
+
+def test_change_of_basis_matches_the_reference():
+    rng = random.Random(31)
+    for p in (2, 3, 5, 7):
+        field = GF(p)
+        for _ in range(6):
+            a = random_nilpotent_algebra(rng, field, rng.randrange(1, 6))
+            matrix = random_invertible_matrix(rng, field, a.dim)
+            assert change_of_basis(a, matrix) == ref_change_of_basis(a, matrix)
+    for entry in list_catalog()[:6]:
+        params = sample_params(entry.name, QQ)
+        if params is None:
+            continue
+        a = instantiate(entry.name, QQ, params)
+        n = a.dim
+        matrix = [[QQ(Fraction(i + 1, 2)) if i == j else QQ(j - i) * QQ(i % 2) for j in range(n)]
+                  for i in range(n)]
+        got = change_of_basis(a, matrix)
+        assert got.table == ref_change_of_basis(a, matrix).table
+        assert_exact(cell for row in got.table for cell in row)
+
+
+def test_change_of_basis_needs_one_row_per_basis_vector():
+    # four rows for a three-dimensional algebra used to give a 4-dim table
+    field = GF(5)
+    heisenberg = instantiate("heisenberg3", field, {})
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]]
+    with pytest.raises(BadVector):
+        change_of_basis(heisenberg, rows)
+    with pytest.raises(BadVector):
+        change_of_basis(heisenberg, rows[:2])
+    with pytest.raises(BadVector):
+        change_of_basis(heisenberg, [r[:2] for r in rows[:3]])
+    with pytest.raises(ValueError):
+        change_of_basis(heisenberg, [[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+    with pytest.raises(FieldMismatch):
+        change_of_basis(heisenberg, [[GF(7)(1), 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert change_of_basis(heisenberg, rows[:3]) == heisenberg
