@@ -274,6 +274,9 @@ def cmd_reproduce(args) -> int:
     claims = reproduce.build_claims(primes, args.seed)
     if args.only:
         claims = [c for c in claims if args.only in c.claim_id]
+        if not claims:
+            print(f"no claim id contains {args.only!r}", file=sys.stderr)
+            return EXIT_USAGE
     entries = reproduce.run_claims(claims)
     text = reproduce.render_report(entries, include_timing=not args.no_timing)
     if args.out:

@@ -382,25 +382,37 @@ class LeibnizAlgebra:
         return Subspace.span(self.field, n, nullspace(rows, self.field, n))
 
     def is_ideal(self, u: Subspace) -> bool:
+        """Are [A, u] and [u, A] contained in u?
+
+        Over GF(p) the nonzero cells are collected once, and for each basis
+        row r of u the images [e_i, r] and [r, e_j] are accumulated from
+        those cells alone, so a call costs O(n^2 + dim u * nnz) brackets
+        before the containment tests.
+        """
         self._check_subspace(u)
         cells = self._cells
         if cells is not None:
             n, p = self.dim, self.field.modulus
             rows, pivots = u._res_rows, u.pivots
+            nonzero = [
+                (i, j, cell) for i, row in enumerate(cells) for j, cell in enumerate(row) if cell
+            ]
             for r in rows:
-                support = [(j, rj) for j, rj in enumerate(r) if rj]
-                for i in range(n):
-                    # [e_i, r] = sum_j r_j [e_i, e_j] and [r, e_i] = sum_j r_j [e_j, e_i]
-                    right = [0] * n
-                    left = [0] * n
-                    for j, rj in support:
-                        for k, c in cells[i][j]:
-                            right[k] += rj * c
-                        for k, c in cells[j][i]:
-                            left[k] += rj * c
-                    for w in (right, left):
-                        if any(w) and not _modp.contains([a % p for a in w], rows, pivots, p):
-                            return False
+                # [e_i, r] = sum_j r_j [e_i, e_j] is images[i] and
+                # [r, e_j] = sum_i r_i [e_i, e_j] is images[n + j]
+                images: dict[int, list[int]] = {}
+                for i, j, cell in nonzero:
+                    for key, coeff in ((i, r[j]), (n + j, r[i])):
+                        if coeff:
+                            w = images.get(key)
+                            if w is None:
+                                w = images[key] = [0] * n
+                            for k, c in cell:
+                                w[k] += coeff * c
+                for w in images.values():
+                    w = [a % p for a in w]
+                    if any(w) and not _modp.contains(w, rows, pivots, p):
+                        return False
             return True
         full = self.full_space()
         return u.contains_space(self.span_products(full, u)) and u.contains_space(

@@ -56,9 +56,12 @@ central series are computed once, and the fingerprint (with Z(A) and
 [A, A] read off their terms) and, when a search runs, the search data are
 derived from them.  Each ``MaximalSubalgebra`` builds its record on first
 use and keeps it for as long as the enumeration that made it lives, so
-``check_p1`` builds one record per maximal subalgebra: the comparisons
-against the first and the transitivity spot check share them.  Nothing is
-cached on ``LeibnizAlgebra`` itself.
+the comparisons of ``check_p1`` against the first and its transitivity spot
+check share them.  Both ``check_p1`` and ``check_p2`` decide each distinct
+induced table once per call, on the first maximal in tag order that carries
+it: equal tables have equal verdicts and equal upper series, so the witness
+is unchanged.  Nothing is cached on ``LeibnizAlgebra`` itself, and no memo
+outlives a call.
 
 Enumerations and pairwise checks are pure functions of immutable inputs,
 so callers may evaluate distinct maximal subalgebras concurrently; output
@@ -455,20 +458,34 @@ def _check_p1(maximals, spot_seed: int) -> tuple[bool, MaximalPairWitness | None
 
 
 def check_p2(algebra: LeibnizAlgebra) -> tuple[bool, MaximalPairWitness | None]:
-    """Do all maximal subalgebras share one upper-series dimension profile?"""
+    """Do all maximal subalgebras share one upper-series dimension profile?
+
+    The upper series is computed once per distinct induced table; the
+    witness is the first maximal in tag order whose profile differs from
+    the first maximal's.
+    """
     return _check_p2(enumerate_maximal(algebra))
 
 
 def _check_p2(maximals) -> tuple[bool, MaximalPairWitness | None]:
     if len(maximals) <= 1:
         return True, None
-    profiles = [tuple(s.dim for s in upper_central_series(m.induced)) for m in maximals]
-    first = profiles[0]
-    for m, prof in zip(maximals[1:], profiles[1:]):
-        if prof != first:
-            detail = f"upper series dims {first} vs {prof}"
-            return False, MaximalPairWitness(maximals[0], m, detail)
+    # one upper series per distinct induced table; equal tables have equal profiles
+    first = maximals[0]
+    expected = _upper_dims(first.induced)
+    profiles = {first.induced: expected}
+    for m in maximals[1:]:
+        prof = profiles.get(m.induced)
+        if prof is None:
+            prof = profiles[m.induced] = _upper_dims(m.induced)
+        if prof != expected:
+            detail = f"upper series dims {expected} vs {prof}"
+            return False, MaximalPairWitness(first, m, detail)
     return True, None
+
+
+def _upper_dims(algebra: LeibnizAlgebra) -> tuple[int, ...]:
+    return tuple(s.dim for s in upper_central_series(algebra))
 
 
 # ---------------------------------------------------------------------------

@@ -196,72 +196,34 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
     next-to-last upper term equals the Frattini subalgebra; central ideals
     of dimension > 1 drop the coclass; codimension-one centers split off a
     two-dimensional ideal.
+
+    Every tower is drawn from the seeded rng, but each distinct table is
+    decided once per call: a tower equal to an earlier one adds that one's
+    counts, since the checks are functions of the table and draw nothing
+    from the rng.  Each quotient by a central ideal is still built, with
+    its ideal check, and the class of each distinct quotient table is
+    computed once per call, across towers.  No memo outlives the call.
     """
+    if max_dim < 2:
+        raise LeibalgError(f"towers need max_dim >= 2, got {max_dim}")
+    if count < 0:
+        raise LeibalgError(f"tower count must be >= 0, got {count}")
     rng = random.Random(seed)
+    outcomes: dict[LeibnizAlgebra, tuple[bool, int, bool]] = {}
+    quotient_classes: dict[LeibnizAlgebra, tuple[bool, int]] = {}
     splits = 0
     central_ideals = 0
     p2_holds = 0
     for _ in range(count):
         dim = rng.randrange(2, max_dim + 1)
         algebra = randomgen.random_nilpotent_algebra(rng, field, dim)
-        _require(not algebra.check_leibniz(), "random tower violated the identity")
-        prof = series.nilpotency_data(algebra)
-        _require(prof.nilpotent, "random tower must be nilpotent")
-        _require(
-            len(prof.lower_dims) == len(prof.upper_dims),
-            f"series step counts differ: {prof.lower_dims} vs {prof.upper_dims}",
-        )
-        derived = prof.derived
-        frattini = series._frattini(prof.lower)
-        _require(frattini == derived, "frattini shortcut mismatch")
-        maximals = maximal._enumerate_maximal(algebra, prof.lower)
-        _require(
-            maximal._intersection(algebra, maximals) == derived,
-            "intersection of maximals differs from the derived subalgebra",
-        )
-        cyclic, witness = series._is_cyclic(algebra, prof.lower)
-        _require(
-            cyclic == (derived.dim == algebra.dim - 1),
-            "cyclicity must match codimension-one derived subalgebra",
-        )
-        if cyclic and algebra.dim > 0:
-            _require(witness is not None, "cyclic algebras carry a witness")
-        p2, _ = maximal._check_p2(maximals)
-        if p2 and prof.cls is not None and prof.cls >= 1:
-            p2_holds += 1
-            upper = prof.upper
-            z_prev = upper[prof.cls - 1] if prof.cls - 1 < len(upper) else upper[-1]
-            _require(
-                z_prev == frattini,
-                "under the series-profile property the next-to-last upper "
-                "term must equal the Frattini subalgebra",
-            )
-        center = prof.center
-        for ideal in enumerate_subspaces(center, 2):
-            central_ideals += 1
-            q = algebra.quotient(ideal).algebra
-            q_lower = series.lower_central_series(q)
-            _require(
-                q_lower[-1].is_zero() and prof.coclass is not None,
-                "quotients of nilpotent algebras are nilpotent",
-            )
-            q_coclass = q.dim - (len(q_lower) - 1)
-            _require(
-                q_coclass <= prof.coclass,
-                "coclass may not grow under quotients",
-            )
-            _require(
-                q_coclass <= prof.coclass - 1,
-                f"central ideal of dim {ideal.dim} must drop the coclass",
-            )
-        if center.dim == algebra.dim - 1:
-            i_space, j_space = algebra._split_codim1_center(center)
-            _require(i_space.dim == 2, "split part must be two-dimensional")
-            _require(
-                i_space.sum_with(j_space).dim == algebra.dim,
-                "split parts must fill the algebra",
-            )
-            splits += 1
+        outcome = outcomes.get(algebra)
+        if outcome is None:
+            outcome = outcomes[algebra] = _check_tower(algebra, quotient_classes)
+        p2, ideals, split = outcome
+        p2_holds += p2
+        central_ideals += ideals
+        splits += split
     return (
         f"{count} towers over {field}: series step counts equal, "
         f"frattini = derived = intersection of maximals, cyclicity matches "
@@ -271,11 +233,94 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
     )
 
 
+def _check_tower(algebra: LeibnizAlgebra, quotient_classes: dict) -> tuple[bool, int, bool]:
+    """The structural checks on one tower, as its contributions to the counts.
+
+    Returns (series-profile property with class >= 1, central ideals of
+    dim >= 2, codim-1 center split).  ``quotient_classes`` maps each
+    quotient table seen so far to (nilpotent, class) of its lower series.
+    """
+    _require(not algebra.check_leibniz(), "random tower violated the identity")
+    prof = series.nilpotency_data(algebra)
+    _require(prof.nilpotent, "random tower must be nilpotent")
+    _require(
+        len(prof.lower_dims) == len(prof.upper_dims),
+        f"series step counts differ: {prof.lower_dims} vs {prof.upper_dims}",
+    )
+    derived = prof.derived
+    frattini = series._frattini(prof.lower)
+    _require(frattini == derived, "frattini shortcut mismatch")
+    maximals = maximal._enumerate_maximal(algebra, prof.lower)
+    _require(
+        maximal._intersection(algebra, maximals) == derived,
+        "intersection of maximals differs from the derived subalgebra",
+    )
+    cyclic, witness = series._is_cyclic(algebra, prof.lower)
+    _require(
+        cyclic == (derived.dim == algebra.dim - 1),
+        "cyclicity must match codimension-one derived subalgebra",
+    )
+    if cyclic and algebra.dim > 0:
+        _require(witness is not None, "cyclic algebras carry a witness")
+    p2, _ = maximal._check_p2(maximals)
+    p2_counted = p2 and prof.cls is not None and prof.cls >= 1
+    if p2_counted:
+        # the step counts are equal, so the upper series has cls + 1 terms
+        _require(
+            prof.upper[prof.cls - 1] == frattini,
+            "under the series-profile property the next-to-last upper "
+            "term must equal the Frattini subalgebra",
+        )
+    center = prof.center
+    ideals = 0
+    for ideal in enumerate_subspaces(center, 2):
+        ideals += 1
+        q = algebra.quotient(ideal).algebra
+        q_class = quotient_classes.get(q)
+        if q_class is None:
+            q_lower = series.lower_central_series(q)
+            q_class = quotient_classes[q] = (q_lower[-1].is_zero(), len(q_lower) - 1)
+        nilpotent, cls = q_class
+        _require(
+            nilpotent and prof.coclass is not None,
+            "quotients of nilpotent algebras are nilpotent",
+        )
+        q_coclass = q.dim - cls
+        _require(
+            q_coclass <= prof.coclass,
+            "coclass may not grow under quotients",
+        )
+        _require(
+            q_coclass <= prof.coclass - 1,
+            f"central ideal of dim {ideal.dim} must drop the coclass",
+        )
+    split = center.dim == algebra.dim - 1
+    if split:
+        i_space, j_space = algebra._split_codim1_center(center)
+        _require(i_space.dim == 2, "split part must be two-dimensional")
+        _require(
+            i_space.sum_with(j_space).dim == algebra.dim,
+            "split parts must fill the algebra",
+        )
+    return p2_counted, ideals, split
+
+
 # ---------------------------------------------------------------------------
 # the claim suite
 # ---------------------------------------------------------------------------
 
 def build_claims(field_primes: list[int], seed: int) -> list[Claim]:
+    """The claims for the given primes, in report order.
+
+    Raises LeibalgError when the prime list is empty or names a prime twice,
+    since either would make a report without its per-field lines or with
+    each of them twice.
+    """
+    if not field_primes:
+        raise LeibalgError("the claim suite needs at least one field")
+    repeated = sorted({p for p in field_primes if field_primes.count(p) > 1})
+    if repeated:
+        raise LeibalgError(f"fields must be distinct; repeated: {repeated}")
     claims: list[Claim] = []
     fields = [GF(p) for p in field_primes]
 

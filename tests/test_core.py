@@ -264,6 +264,37 @@ class TestIdealsQuotients:
         algebra = cyclic4(GF(5))
         assert algebra.is_ideal(algebra.zero_space())
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_is_ideal_matches_span_products_on_every_subspace(self, p):
+        # the sparse GF(p) path against [A, u] and [u, A] spanned in full, on
+        # towers, fixed forms and random tables (the identity is not needed)
+        from leibalg.randomgen import random_nilpotent_algebra
+        from leibalg.reproduce import enumerate_subspaces
+
+        field = GF(p)
+        rng = random.Random(p)
+        algebras = [heisenberg(field), cyclic4(field).quotient(
+            cyclic4(field).subspace([[0, 0, 0, 1]])).algebra]
+        algebras += [random_nilpotent_algebra(rng, field, rng.randrange(1, 4)) for _ in range(12)]
+        for _ in range(12):
+            n = rng.randrange(1, 4)
+            table = [
+                [[rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(n)]
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+            algebras.append(LeibnizAlgebra(field, table))
+        verdicts = set()
+        for algebra in algebras:
+            full = algebra.full_space()
+            for u in enumerate_subspaces(full, 0):
+                expected = u.contains_space(algebra.span_products(full, u)) and u.contains_space(
+                    algebra.span_products(u, full)
+                )
+                assert algebra.is_ideal(u) == expected, (algebra.table, u.rows)
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
     def test_quotient_heisenberg(self):
         algebra = heisenberg(GF(3))
         q = algebra.quotient(algebra.subspace([[0, 0, 1]]))

@@ -27,6 +27,7 @@ from leibalg import (
     list_catalog,
     nilpotency_data,
     sample_params,
+    upper_central_series,
 )
 from leibalg import _modp
 from leibalg.maximal import _Closure, _search_isomorphism, _Side
@@ -511,6 +512,50 @@ class TestProperties:
         ok, witness = check_p2(instantiate("cex_fourdim_A1", GF(3), {}))
         assert not ok
         assert "upper series dims" in witness.detail
+
+    def test_p2_builds_one_upper_series_per_distinct_table(self, monkeypatch):
+        # and reports the witness of the check that builds one per maximal:
+        # the first maximal in tag order whose profile differs from the first
+        from leibalg import maximal
+
+        def reference_p2(maximals):
+            profiles = [tuple(s.dim for s in upper_central_series(m.induced)) for m in maximals]
+            for m, prof in zip(maximals[1:], profiles[1:]):
+                if prof != profiles[0]:
+                    return False, (maximals[0].hyperplane_tag, m.hyperplane_tag,
+                                   f"upper series dims {profiles[0]} vs {prof}")
+            return True, None
+
+        rng = random.Random(5)
+        algebras = [instantiate("cex_fourdim_A1", GF(3), {}), cc1(GF(3), 1, 0, 0)]
+        algebras += [random_nilpotent_algebra(rng, GF(3), rng.randrange(2, 6)) for _ in range(20)]
+        calls = []
+
+        def counting(algebra):
+            calls.append(algebra)
+            return upper_central_series(algebra)
+
+        monkeypatch.setattr(maximal, "upper_central_series", counting)
+        outcomes = set()
+        shared = 0
+        for algebra in algebras:
+            maximals = enumerate_maximal(algebra)
+            expected_ok, expected_witness = reference_p2(maximals)
+            calls.clear()
+            ok, witness = maximal._check_p2(maximals)
+            assert ok == expected_ok
+            if witness is not None:
+                witness = (witness.a.hyperplane_tag, witness.b.hyperplane_tag, witness.detail)
+            assert witness == expected_witness
+            assert len(calls) == len(set(calls))
+            if ok and len(maximals) > 1:
+                assert set(calls) == {m.induced for m in maximals}
+            shared += len(calls) < len(maximals)
+            outcomes.add(ok)
+        assert outcomes == {True, False} and shared
+        _, witness = maximal._check_p2(enumerate_maximal(algebras[0]))
+        assert (witness.a.hyperplane_tag, witness.b.hyperplane_tag) == ((0, 0, 1), (0, 1, 0))
+        assert witness.detail == "upper series dims (0, 3) vs (0, 1, 3)"
 
     def test_iso_equivalence_relation_on_family(self):
         maxes = enumerate_maximal(cc1(GF(3), 1, 0, 0))

@@ -1,13 +1,26 @@
 """The claim suite: exact subspace enumeration and the committed report."""
 
+import random
 from pathlib import Path
 
 import pytest
 
-from leibalg import GF, QQ, LeibnizAlgebra, NeedsFiniteField, Subspace, list_catalog
+from leibalg import (
+    GF,
+    QQ,
+    LeibalgError,
+    LeibnizAlgebra,
+    NeedsFiniteField,
+    Subspace,
+    list_catalog,
+    maximal,
+    randomgen,
+    series,
+)
 from leibalg.cli import main
 from leibalg.reproduce import (
     ClaimSkipped,
+    _require,
     build_claims,
     enumerate_subspaces,
     run_structural_suite,
@@ -84,21 +97,131 @@ def count_calls(monkeypatch, module, names, calls):
         monkeypatch.setattr(module, name, counting)
 
 
-def test_structural_suite_enumerates_each_towers_maximals_once(monkeypatch):
-    # on the lower series of the tower's profile
-    from leibalg import maximal
+def reference_structural_suite(field, count, max_dim, seed) -> str:
+    """The structural suite without memos: every tower and quotient checked in full."""
+    rng = random.Random(seed)
+    splits = 0
+    central_ideals = 0
+    p2_holds = 0
+    for _ in range(count):
+        dim = rng.randrange(2, max_dim + 1)
+        algebra = randomgen.random_nilpotent_algebra(rng, field, dim)
+        _require(not algebra.check_leibniz(), "random tower violated the identity")
+        prof = series.nilpotency_data(algebra)
+        _require(prof.nilpotent, "random tower must be nilpotent")
+        _require(
+            len(prof.lower_dims) == len(prof.upper_dims),
+            f"series step counts differ: {prof.lower_dims} vs {prof.upper_dims}",
+        )
+        derived = prof.derived
+        frattini = series._frattini(prof.lower)
+        _require(frattini == derived, "frattini shortcut mismatch")
+        maximals = maximal._enumerate_maximal(algebra, prof.lower)
+        _require(
+            maximal._intersection(algebra, maximals) == derived,
+            "intersection of maximals differs from the derived subalgebra",
+        )
+        cyclic, witness = series._is_cyclic(algebra, prof.lower)
+        _require(
+            cyclic == (derived.dim == algebra.dim - 1),
+            "cyclicity must match codimension-one derived subalgebra",
+        )
+        if cyclic and algebra.dim > 0:
+            _require(witness is not None, "cyclic algebras carry a witness")
+        p2, _ = maximal._check_p2(maximals)
+        if p2 and prof.cls is not None and prof.cls >= 1:
+            p2_holds += 1
+            upper = prof.upper
+            z_prev = upper[prof.cls - 1] if prof.cls - 1 < len(upper) else upper[-1]
+            _require(
+                z_prev == frattini,
+                "under the series-profile property the next-to-last upper "
+                "term must equal the Frattini subalgebra",
+            )
+        center = prof.center
+        for ideal in enumerate_subspaces(center, 2):
+            central_ideals += 1
+            q = algebra.quotient(ideal).algebra
+            q_lower = series.lower_central_series(q)
+            _require(
+                q_lower[-1].is_zero() and prof.coclass is not None,
+                "quotients of nilpotent algebras are nilpotent",
+            )
+            q_coclass = q.dim - (len(q_lower) - 1)
+            _require(
+                q_coclass <= prof.coclass,
+                "coclass may not grow under quotients",
+            )
+            _require(
+                q_coclass <= prof.coclass - 1,
+                f"central ideal of dim {ideal.dim} must drop the coclass",
+            )
+        if center.dim == algebra.dim - 1:
+            i_space, j_space = algebra._split_codim1_center(center)
+            _require(i_space.dim == 2, "split part must be two-dimensional")
+            _require(
+                i_space.sum_with(j_space).dim == algebra.dim,
+                "split parts must fill the algebra",
+            )
+            splits += 1
+    return (
+        f"{count} towers over {field}: series step counts equal, "
+        f"frattini = derived = intersection of maximals, cyclicity matches "
+        f"codim-1 derived; {p2_holds} with the series-profile property had "
+        f"next-to-last upper term = frattini; {central_ideals} central ideals "
+        f"dropped the coclass; {splits} codim-1-center splits verified"
+    )
 
+
+# seeds 0-3 include the benchmark's: GF(2) on seed 1, GF(3) on seed 2, where
+# a five-dimensional center gives 2852 central ideals
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+def test_structural_suite_matches_the_unmemoised_reference(p, seed):
+    evidence = run_structural_suite(GF(p), 100, 5, seed)
+    assert evidence == reference_structural_suite(GF(p), 100, 5, seed)
+
+
+def table_values(algebra) -> tuple:
+    """The structure constants as plain ints, compared without ``LeibnizAlgebra.__eq__``."""
+    return tuple(tuple(tuple(c.value for c in cell) for cell in row) for row in algebra.table)
+
+
+def distinct_towers(field, count, max_dim, seed) -> list:
+    """The towers of ``run_structural_suite``, regenerated: the first of each table."""
+    rng = random.Random(seed)
+    towers = {}
+    for _ in range(count):
+        dim = rng.randrange(2, max_dim + 1)
+        algebra = randomgen.random_nilpotent_algebra(rng, field, dim)
+        towers.setdefault(table_values(algebra), algebra)
+    return list(towers.values())
+
+
+def quotient_tables(towers) -> list:
+    """The table of each central-ideal quotient (dim >= 2) of each tower."""
+    return [
+        table_values(tower.quotient(ideal).algebra)
+        for tower in towers
+        for ideal in enumerate_subspaces(series.nilpotency_data(tower).center, 2)
+    ]
+
+
+def test_structural_suite_enumerates_each_towers_maximals_once(monkeypatch):
+    # once per distinct tower table, on the lower series of its profile
+    towers = distinct_towers(GF(3), 12, 4, seed=2)
+    assert len(towers) == 9
     calls = []
     count_calls(monkeypatch, maximal, ("enumerate_maximal", "_enumerate_maximal"), calls)
     run_structural_suite(GF(3), 12, 4, seed=2)
-    assert calls.count("_enumerate_maximal") == 12
+    assert calls.count("_enumerate_maximal") == len(towers)
     assert calls.count("enumerate_maximal") == 0
 
 
 def test_structural_suite_runs_nilpotency_data_once_per_tower(monkeypatch):
-    # the central-ideal quotients read their coclass off the lower series
-    from leibalg import series
-
+    # once per distinct tower table; the central-ideal quotients read their
+    # coclass off the lower series
+    towers = distinct_towers(GF(3), 12, 4, seed=2)
     calls = []
     nilpotency_data = series.nilpotency_data
 
@@ -109,16 +232,16 @@ def test_structural_suite_runs_nilpotency_data_once_per_tower(monkeypatch):
     monkeypatch.setattr(series, "nilpotency_data", counting)
     evidence = run_structural_suite(GF(3), 12, 4, seed=2)
     assert "; 3 central ideals dropped the coclass;" in evidence
-    assert len(calls) == 12
+    assert [table_values(a) for a in calls] == [table_values(t) for t in towers]
 
 
 def test_structural_suite_reads_each_towers_series_off_its_profile(monkeypatch):
     # [A, A], Z(A), the upper terms and the lower series handed to the
     # Frattini shortcut, the cyclicity test and the maximal enumeration all
     # come from the tower's profile: the lower series is built once per
-    # tower and once per central-ideal quotient
-    from leibalg import maximal, series
-
+    # distinct tower table and once per distinct central-ideal quotient table
+    towers = distinct_towers(GF(3), 12, 4, seed=2)
+    quotients = set(quotient_tables(towers))
     calls = []
     count_calls(
         monkeypatch,
@@ -133,12 +256,85 @@ def test_structural_suite_reads_each_towers_series_off_its_profile(monkeypatch):
     assert "; 11 with the series-profile property" in evidence
     assert "; 3 central ideals dropped the coclass;" in evidence
     assert "; 4 codim-1-center splits verified" in evidence
-    assert calls.count("_frattini") == 12
-    assert calls.count("_is_cyclic") == 12
-    assert calls.count("upper_central_series") == 12
+    assert calls.count("_frattini") == len(towers)
+    assert calls.count("_is_cyclic") == len(towers)
+    assert calls.count("upper_central_series") == len(towers)
     for name in ("frattini", "is_cyclic", "center", "derived", "split_codim1_center"):
         assert calls.count(name) == 0, name
-    assert calls.count("lower_central_series") == 12 + 3
+    assert calls.count("lower_central_series") == len(towers) + len(quotients)
+
+
+def test_structural_suite_shares_quotient_classes_across_towers(monkeypatch):
+    # every central ideal of a distinct tower is still quotiented, with its
+    # ideal check; the lower series runs once per distinct quotient table
+    towers = distinct_towers(GF(3), 20, 4, seed=2)
+    tables = quotient_tables(towers)
+    assert len(tables) == 18 and len(set(tables)) == 3
+    lowered, quotiented = [], []
+    lower_central_series = series.lower_central_series
+    quotient = LeibnizAlgebra.quotient
+
+    def counting_lower(algebra):
+        lowered.append(table_values(algebra))
+        return lower_central_series(algebra)
+
+    def counting_quotient(self, ideal):
+        quotiented.append(ideal)
+        return quotient(self, ideal)
+
+    monkeypatch.setattr(series, "lower_central_series", counting_lower)
+    monkeypatch.setattr(LeibnizAlgebra, "quotient", counting_quotient)
+    run_structural_suite(GF(3), 20, 4, seed=2)
+    assert len(quotiented) == len(tables)
+    # a quotient may equal a tower (the cyclic plane does), so compare multisets
+    expected = [table_values(t) for t in towers] + list(set(tables))
+    assert sorted(lowered) == sorted(expected)
+
+
+def test_a_second_suite_call_does_the_work_of_the_first(monkeypatch):
+    # no memo outlives a call
+    calls = []
+    count_calls(monkeypatch, series, ("nilpotency_data", "lower_central_series",
+                                      "upper_central_series"), calls)
+    count_calls(monkeypatch, maximal, ("_enumerate_maximal", "_check_p2"), calls)
+    count_calls(monkeypatch, LeibnizAlgebra, ("quotient", "is_ideal", "restrict"), calls)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        evidence = run_structural_suite(GF(3), 20, 4, seed=2)
+        counts.append((evidence, sorted(calls)))
+    assert counts[0] == counts[1]
+    assert calls.count("quotient") == 18
+
+
+@pytest.mark.parametrize(
+    "count, max_dim", [(5, 1), (5, 0), (-1, 5)], ids=["max_dim1", "max_dim0", "negative_count"]
+)
+def test_structural_suite_refuses_bad_sizes(count, max_dim):
+    with pytest.raises(LeibalgError):
+        run_structural_suite(GF(3), count, max_dim, 0)
+
+
+def test_structural_suite_with_no_towers():
+    assert run_structural_suite(GF(3), 0, 2, 0).startswith("0 towers over GF(3):")
+
+
+@pytest.mark.parametrize("primes", [[], [3, 3], [3, 5, 3]])
+def test_build_claims_refuses_empty_or_repeated_primes(primes):
+    with pytest.raises(LeibalgError):
+        build_claims(primes, 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--fields", "3,3"], ["--fields", ""], ["--only", "nosuchclaim"]],
+    ids=["repeated", "empty", "no_match"],
+)
+def test_reproduce_refuses_flags_that_select_nothing_or_twice(argv, capsys):
+    assert main(["reproduce", *argv, "--no-timing"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err
 
 
 def test_cc2dim4_claim_builds_one_reference_record(monkeypatch):
