@@ -81,7 +81,7 @@ class LeibnizAlgebra:
     over Q ``_cells`` is None.
     """
 
-    __slots__ = ("field", "dim", "labels", "_table", "_cells", "_verified")
+    __slots__ = ("field", "dim", "labels", "_table", "_cells", "_verified", "_hash")
 
     def __init__(self, field: Field, table, labels: Sequence[str] | None = None):
         dim = len(table)
@@ -109,6 +109,7 @@ class LeibnizAlgebra:
             )
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_verified", None)
+        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _from_cells(cls, field: Field, cells, labels=None) -> "LeibnizAlgebra":
@@ -123,6 +124,7 @@ class LeibnizAlgebra:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_verified", None)
+        object.__setattr__(self, "_hash", None)
         return self
 
     def __setattr__(self, name, value):
@@ -574,7 +576,12 @@ class LeibnizAlgebra:
         )
 
     def __hash__(self):
-        return hash((self.field, self._key()))
+        # the table is immutable, so its hash is computed on first use only
+        h = self._hash
+        if h is None:
+            h = hash((self.field, self._key()))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         return f"LeibnizAlgebra(dim {self.dim} over {self.field})"

@@ -13,7 +13,10 @@ dim <= 7 and dim(A/[A,A]) <= 3, the search is complete -- a `no` answer is
 an exhaustion proof -- as long as it generates at most
 SEARCH_CANDIDATE_BOUND (20000) candidate generator images over all depths.
 The number of candidates grows with p, so past that budget the search
-raises SearchBoundExceeded instead of answering.
+raises SearchBoundExceeded instead of answering.  A candidate a search
+reads from the target's memo (below) counts as generated by it, and so do
+the candidates before it that the filters rejected, so the budget counts
+the same candidates with or without the memo.
 
 An isomorphism is determined by the images of a coset basis of A/[A,A];
 candidate images are enumerated inside the affine solution spaces of
@@ -47,17 +50,25 @@ the elements, all from one ``_modp.coordinates``.  A candidate is replayed
 by bracketing its images along the recipe, comparing the dependent
 products, and one rank check that the images are independent.  A found
 matrix is the coordinates of the standard basis over the closure elements,
-applied to their images.  Maximal subalgebras are built on residues too:
-the hyperplane pullbacks are spanned from residue rows, and the induced
-algebras come straight from residue cells.
+applied to their images.  Maximal subalgebras are built on residues too,
+in closed form: each is the kernel of one covector, whose echelon basis
+and induced cells are written down directly (``_enumerate_maximal``).
 
 Each algebra of a decision has one record, ``_Side``: its lower and upper
 central series are computed once, and the fingerprint (with Z(A) and
 [A, A] read off their terms) and, when a search runs, the search data are
-derived from them.  Each ``MaximalSubalgebra`` builds its record on first
-use and keeps it for as long as the enumeration that made it lives, so
-the comparisons of ``check_p1`` against the first and its transitivity spot
-check share them.  Both ``check_p1`` and ``check_p2`` decide each distinct
+derived from them, each at most once per record.  As a source the record
+builds its closure recipes, generator signatures and relations once.  As a
+target it keeps, per generator signature, the candidates for the first
+generator image that passed the signature filter, with their generation
+indices: with no image chosen yet there are no relations, so they depend
+on the target and the signature alone.  A later search against the same
+record reads them and extends the scan only as far as it consumes.  Each
+``MaximalSubalgebra`` builds its record on first use and keeps it for as
+long as the enumeration that made it lives, so the comparisons of
+``check_p1`` against the first, which is the target of each, and its
+transitivity spot check share them; ``is_isomorphic`` builds fresh records
+on every call.  Both ``check_p1`` and ``check_p2`` decide each distinct
 induced table once per call, on the first maximal in tag order that carries
 it: equal tables have equal verdicts and equal upper series, so the witness
 is unchanged.  Nothing is cached on ``LeibnizAlgebra`` itself, and no memo
@@ -81,6 +92,7 @@ from .errors import (
     FieldMismatch,
     InternalError,
     NeedsFiniteField,
+    NotASubalgebra,
     NotNilpotent,
     SearchBoundExceeded,
 )
@@ -138,12 +150,18 @@ class _Side:
     The lower and upper central series are computed once, by
     ``nilpotency_data``, and everything else is read off their terms: the
     fingerprint, with Z(A) and [A, A] taken from the profile, and over
-    GF(p), once a search needs them, the search data.  ``member_spaces``
-    holds, per series term, its residue rows, pivots and annihilating
-    covectors (v lies in the term iff every covector vanishes on v).
-    ``central_pivots`` are the pivot columns of Z(B) meet [B,B], the
-    coordinates a normalised generator image has equal to zero.  Over Q
-    no search data is built.
+    GF(p), once a search needs them, the search data, each built lazily and
+    at most once per record.  ``member_spaces`` holds, per series term, its
+    residue rows, pivots and annihilating covectors (v lies in the term iff
+    every covector vanishes on v).  ``central_pivots`` are the pivot columns
+    of Z(B) meet [B,B], the coordinates a normalised generator image has
+    equal to zero.  As the source of a search the record builds
+    ``generators``: the closure recipes, signatures and relations of its
+    generators.  As the target it keeps, per generator signature, the
+    ``_Scan`` of its first-generator candidates, which depend on nothing
+    else; a later search against the same record reads the candidates the
+    earlier ones kept and extends the scan only as far as it consumes.
+    Over Q no search data is built.
     """
 
     def __init__(self, algebra: LeibnizAlgebra):
@@ -152,6 +170,7 @@ class _Side:
         self.p = algebra.field.modulus
         self.n = algebra.dim
         self.profile = nilpotency_data(algebra)
+        self._first_scans: dict = {}
         self.derived = self.profile.derived
         self.fingerprint = Fingerprint(
             dim=algebra.dim,
@@ -180,6 +199,47 @@ class _Side:
     def central_pivots(self) -> list[int]:
         return self.profile.center.intersect(self.derived).pivots
 
+    @cached_property
+    def generators(self):
+        """The source data of a search: per generator, in coset order, the
+        ``_Closure`` of the generators up to it, its signature (square zero,
+        membership profile, ``mult_data``) and the relations a next image
+        must satisfy (None for the first)."""
+        p, n = self.p, self.n
+        gen_vecs = [[int(i == g) for i in range(n)] for g in self.coset_coords]
+        closures = [_Closure(self.cells, p, gen_vecs[: k + 1]) for k in range(len(gen_vecs))]
+        sigs = [
+            (self.square_is_zero(g), self.membership_profile(g), self.mult_data(g))
+            for g in gen_vecs
+        ]
+        relations = [None] + [
+            _gen_relations(self.cells, p, closures[k - 1].elems, gen_vecs[k])
+            for k in range(1, len(gen_vecs))
+        ]
+        return closures, sigs, relations
+
+    def member_equations(self, profile) -> list:
+        """The covectors of the series terms a membership ``profile`` puts v in."""
+        return [
+            f
+            for (_, _, covectors), member in zip(self.member_spaces, profile)
+            if member
+            for f in covectors
+        ]
+
+    def first_scan(self, sig) -> "_Scan":
+        """The candidates for a first generator of signature ``sig``.
+
+        With no generator chosen yet there are no relations: the system is
+        the member covectors ``sig[1]`` selects, so the scan depends on this
+        record and ``sig`` alone and is shared by every search against it.
+        """
+        scan = self._first_scans.get(sig)
+        if scan is None:
+            rows = self.member_equations(sig[1])
+            scan = self._first_scans[sig] = _Scan(self, rows, [0] * len(rows), sig)
+        return scan
+
     def coset(self, v):
         derived = self.derived
         reduced = _modp.reduce_mod(v, derived._res_rows, derived.pivots, self.p)
@@ -205,6 +265,14 @@ class _Side:
             _nilindex(lrows, p, n),
             _nilindex(rrows, p, n),
         )
+
+    def matches(self, v, sig) -> bool:
+        """Does ``v`` have the generator signature ``sig``?"""
+        if self.square_is_zero(v) != sig[0]:
+            return False
+        if self.membership_profile(v) != sig[1]:
+            return False
+        return self.mult_data(v) == sig[2]
 
 
 def _square_profile(algebra: LeibnizAlgebra, center: Subspace) -> tuple[int, int] | None:
@@ -270,30 +338,68 @@ def enumerate_maximal(algebra: LeibnizAlgebra) -> list[MaximalSubalgebra]:
 
 
 def _enumerate_maximal(algebra: LeibnizAlgebra, lower) -> list[MaximalSubalgebra]:
-    """``enumerate_maximal`` on the lower central series the caller already has."""
+    """``enumerate_maximal`` on the lower central series the caller already has.
+
+    Each maximal is the kernel of one covector f of A, in closed form.  With
+    comp the coset coordinates of [A, A], f is the tag on comp, and on the
+    pivot of each echelon row r of [A, A] it is -sum_b r[comp[b]] tag[b],
+    so f vanishes on [A, A].  With j the last column where f is nonzero,
+    the echelon basis of ker f is e_c - (f_c/f_j) e_j for c != j, and the
+    coordinates of a vector of ker f are its entries off column j.  So the
+    induced product of two basis vectors is a combination of at most four
+    cells of A; it must lie in ker f, or NotASubalgebra is raised.
+    """
     if not lower[-1].is_zero():
         raise NotNilpotent("maximal enumeration requires a nilpotent algebra")
     if len(lower) == 1:  # the zero algebra
         return []
     derived = lower[1]
     comp = derived.complement_coords()
-    d = len(comp)
     field, n = algebra.field, algebra.dim
     p = field.modulus
+    cells = algebra._cells
     result = []
-    for tag in _normalized_vectors(p, d):
-        t0 = next(i for i, c in enumerate(tag) if c)
-        vectors = list(derived._res_rows)
-        for b in range(d):
-            if b == t0:
-                continue
-            vec = [0] * n
-            vec[comp[b]] = 1
-            vec[comp[t0]] = -tag[b] % p
-            vectors.append(vec)
-        subspace = _span_residues(field, n, vectors)
-        induced = algebra.restrict(subspace)
-        result.append(MaximalSubalgebra(subspace, induced, tag))
+    for tag in _normalized_vectors(p, len(comp)):
+        f = [0] * n
+        for c, t in zip(comp, tag):
+            f[c] = t
+        for row, pc in zip(derived._res_rows, derived.pivots):
+            f[pc] = -sum(row[c] * t for c, t in zip(comp, tag)) % p
+        j = max(c for c in range(n) if f[c])
+        inv = pow(f[j], -1, p)
+        alpha = [x * inv % p for x in f]  # basis vector c is e_c - alpha[c] e_j
+        pivots = [c for c in range(n) if c != j]
+        rows = []
+        for c in pivots:
+            row = [0] * n
+            row[c] = 1
+            row[j] = -alpha[c] % p
+            rows.append(tuple(row))
+        subspace = Subspace._from_residues(field, n, tuple(rows), pivots)
+        induced = []
+        for a in pivots:
+            induced_row = []
+            for b in pivots:
+                w = [0] * n
+                for coeff, cell in (
+                    (1, cells[a][b]),
+                    (-alpha[b], cells[a][j]),
+                    (-alpha[a], cells[j][b]),
+                    (alpha[a] * alpha[b], cells[j][j]),
+                ):
+                    if coeff:
+                        for k, x in cell:
+                            w[k] += coeff * x
+                w = [x % p for x in w]
+                if sum(fk * wk for fk, wk in zip(f, w)) % p:
+                    raise NotASubalgebra(
+                        f"the product at columns {a}, {b} leaves the maximal subspace {tag}"
+                    )
+                induced_row.append(tuple((t, w[c]) for t, c in enumerate(pivots) if w[c]))
+            induced.append(tuple(induced_row))
+        result.append(
+            MaximalSubalgebra(subspace, LeibnizAlgebra._from_cells(field, tuple(induced)), tag)
+        )
     result.sort(key=lambda m: m.hyperplane_tag)
     return result
 
@@ -467,17 +573,26 @@ def check_p2(algebra: LeibnizAlgebra) -> tuple[bool, MaximalPairWitness | None]:
     return _check_p2(enumerate_maximal(algebra))
 
 
-def _check_p2(maximals) -> tuple[bool, MaximalPairWitness | None]:
+def _check_p2(maximals, profiles: dict | None = None) -> tuple[bool, MaximalPairWitness | None]:
+    """``check_p2`` on an enumeration; ``profiles`` maps each induced table
+    whose upper series dims are known to them, and is filled in as they are
+    computed, so a caller may share it across the enumerations of one call."""
     if len(maximals) <= 1:
         return True, None
-    # one upper series per distinct induced table; equal tables have equal profiles
-    first = maximals[0]
-    expected = _upper_dims(first.induced)
-    profiles = {first.induced: expected}
-    for m in maximals[1:]:
+    if profiles is None:
+        profiles = {}
+
+    def dims(m):
+        # one upper series per distinct induced table; equal tables have equal profiles
         prof = profiles.get(m.induced)
         if prof is None:
             prof = profiles[m.induced] = _upper_dims(m.induced)
+        return prof
+
+    first = maximals[0]
+    expected = dims(first)
+    for m in maximals[1:]:
+        prof = dims(m)
         if prof != expected:
             detail = f"upper series dims {expected} vs {prof}"
             return False, MaximalPairWitness(first, m, detail)
@@ -580,63 +695,28 @@ def _search_isomorphism(side_a: _Side, side_b: _Side):
     """Complete generator-image search; a matrix (rows = basis images) or None."""
     p = side_a.p
     n = side_a.n
-    gens = side_a.coset_coords
-    d = len(gens)
+    d = len(side_a.coset_coords)
     if d == 0:
         return None  # dim-0 algebras are caught by the identical-table fast path
-    gen_vecs = [[1 if i == g else 0 for i in range(n)] for g in gens]
-    closures = [_Closure(side_a.cells, p, gen_vecs[: k + 1]) for k in range(d)]
-
-    gen_sigs = []
-    for g in gen_vecs:
-        gen_sigs.append(
-            (
-                side_a.square_is_zero(g),
-                side_a.membership_profile(g),
-                side_a.mult_data(g),
-            )
-        )
-
-    relations: list = [None] * d
-    for k in range(1, d):
-        relations[k] = _gen_relations(side_a.cells, p, closures[k - 1].elems, gen_vecs[k])
-
-    def candidate_ok(v, sig) -> bool:
-        if side_b.square_is_zero(v) != sig[0]:
-            return False
-        if side_b.membership_profile(v) != sig[1]:
-            return False
-        return side_b.mult_data(v) == sig[2]
+    closures, sigs, relations = side_a.generators
+    budget = _Budget(
+        f"isomorphism search generated more than {SEARCH_CANDIDATE_BOUND} "
+        f"candidate generator images over GF({p}) (dim={n}, generators={d})"
+    )
 
     def cosets_independent(gen_imgs, v) -> bool:
         rows = [side_b.coset(g) for g in gen_imgs] + [side_b.coset(v)]
         return _modp.rank(rows, p, d) == len(rows)
 
-    generated = 0
-
     def descend(k, gen_imgs, prev_elem_imgs):
-        nonlocal generated
-        sig = gen_sigs[k]
-        rows = [
-            f
-            for (_, _, covectors), member in zip(side_b.member_spaces, sig[1])
-            if member
-            for f in covectors
-        ]
-        rhs = [0] * len(rows)
-        if k > 0:
+        sig = sigs[k]
+        if k == 0:
+            scan = side_b.first_scan(sig)
+        else:
+            rows = side_b.member_equations(sig[1])
             rel_rows, rel_rhs = _relation_equations(side_b, relations[k], prev_elem_imgs)
-            rows += rel_rows
-            rhs += rel_rhs
-        for v in _constrained_candidates(side_b, rows, rhs):
-            generated += 1
-            if generated > SEARCH_CANDIDATE_BOUND:
-                raise SearchBoundExceeded(
-                    f"isomorphism search generated more than {SEARCH_CANDIDATE_BOUND} "
-                    f"candidate generator images over GF({p}) (dim={n}, generators={d})"
-                )
-            if not candidate_ok(v, sig):
-                continue
+            scan = _Scan(side_b, rows + rel_rows, [0] * len(rows) + rel_rhs, sig)
+        for v in scan.read(budget):
             if not cosets_independent(gen_imgs, v):
                 continue
             elem_imgs = closures[k].replay(side_b.cells, p, gen_imgs + [v])
@@ -650,6 +730,76 @@ def _search_isomorphism(side_a: _Side, side_b: _Side):
         return None
 
     return descend(0, [], [])
+
+
+class _Budget:
+    """The candidates a search may still generate, ``SEARCH_CANDIDATE_BOUND`` at first."""
+
+    __slots__ = ("left", "message")
+
+    def __init__(self, message: str):
+        self.left = SEARCH_CANDIDATE_BOUND
+        self.message = message
+
+    def charge(self, count: int) -> None:
+        self.left -= count
+        if self.left < 0:
+            raise SearchBoundExceeded(self.message)
+
+
+class _Scan:
+    """The candidates of one linear system that have one generator signature.
+
+    ``_constrained_candidates`` generates the candidates in a fixed order;
+    ``kept`` holds those with the signature ``sig``, each with its
+    generation index (1 for the first generated), and ``scanned`` counts
+    the candidates generated so far.  The scan is extended lazily, one kept
+    candidate at a time, and never past what a reader's budget allows.
+    """
+
+    __slots__ = ("side", "sig", "raw", "kept", "scanned", "exhausted")
+
+    def __init__(self, side: _Side, rows, rhs, sig):
+        self.side = side
+        self.sig = sig
+        self.raw = _constrained_candidates(side, rows, rhs)
+        self.kept: list = []
+        self.scanned = 0
+        self.exhausted = False
+
+    def read(self, budget: _Budget):
+        """The kept candidates in generation order, each charged to ``budget``.
+
+        A candidate at index i charges i minus the index of the one before,
+        so every generated candidate counts, kept or not, exactly as when
+        the search generates them itself; the end of the scan charges the
+        rest.  Past the budget ``charge`` raises.
+        """
+        last = t = 0
+        while True:
+            if t == len(self.kept) and not self.exhausted:
+                self._extend(last + budget.left + 1)
+            if t == len(self.kept):
+                budget.charge(self.scanned - last)
+                return
+            index, v = self.kept[t]
+            t += 1
+            budget.charge(index - last)
+            last = index
+            yield v
+
+    def _extend(self, stop: int) -> None:
+        """Generate candidates until one is kept or ``stop`` are generated."""
+        side, sig = self.side, self.sig
+        while self.scanned < stop:
+            v = next(self.raw, None)
+            if v is None:
+                self.exhausted = True
+                return
+            self.scanned += 1
+            if side.matches(v, sig):
+                self.kept.append((self.scanned, v))
+                return
 
 
 def _gen_relations(cells, p: int, elems, gen_vec):

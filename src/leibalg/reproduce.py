@@ -200,9 +200,10 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
     Every tower is drawn from the seeded rng, but each distinct table is
     decided once per call: a tower equal to an earlier one adds that one's
     counts, since the checks are functions of the table and draw nothing
-    from the rng.  Each quotient by a central ideal is still built, with
-    its ideal check, and the class of each distinct quotient table is
-    computed once per call, across towers.  No memo outlives the call.
+    from the rng.  The upper series of each distinct induced maximal table
+    is computed once per call, across towers, and the class of each
+    central-ideal quotient is read off the tower's lower series, with no
+    quotient built.  No memo outlives the call.
     """
     if max_dim < 2:
         raise LeibalgError(f"towers need max_dim >= 2, got {max_dim}")
@@ -210,7 +211,7 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
         raise LeibalgError(f"tower count must be >= 0, got {count}")
     rng = random.Random(seed)
     outcomes: dict[LeibnizAlgebra, tuple[bool, int, bool]] = {}
-    quotient_classes: dict[LeibnizAlgebra, tuple[bool, int]] = {}
+    upper_dims: dict[LeibnizAlgebra, tuple[int, ...]] = {}
     splits = 0
     central_ideals = 0
     p2_holds = 0
@@ -219,7 +220,7 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
         algebra = randomgen.random_nilpotent_algebra(rng, field, dim)
         outcome = outcomes.get(algebra)
         if outcome is None:
-            outcome = outcomes[algebra] = _check_tower(algebra, quotient_classes)
+            outcome = outcomes[algebra] = _check_tower(algebra, upper_dims)
         p2, ideals, split = outcome
         p2_holds += p2
         central_ideals += ideals
@@ -233,12 +234,15 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
     )
 
 
-def _check_tower(algebra: LeibnizAlgebra, quotient_classes: dict) -> tuple[bool, int, bool]:
+def _check_tower(algebra: LeibnizAlgebra, upper_dims: dict) -> tuple[bool, int, bool]:
     """The structural checks on one tower, as its contributions to the counts.
 
     Returns (series-profile property with class >= 1, central ideals of
-    dim >= 2, codim-1 center split).  ``quotient_classes`` maps each
-    quotient table seen so far to (nilpotent, class) of its lower series.
+    dim >= 2, codim-1 center split).  ``upper_dims`` maps each induced
+    maximal table seen so far to its upper series dims, for ``_check_p2``.
+    The class of A/I for a central ideal I is read off the lower series of
+    A: gamma_i(A/I) = (gamma_i(A) + I)/I, so it is the least c with
+    gamma_{c+1}(A) inside I.  Every subspace of Z(A) is an ideal.
     """
     _require(not algebra.check_leibniz(), "random tower violated the identity")
     prof = series.nilpotency_data(algebra)
@@ -262,7 +266,7 @@ def _check_tower(algebra: LeibnizAlgebra, quotient_classes: dict) -> tuple[bool,
     )
     if cyclic and algebra.dim > 0:
         _require(witness is not None, "cyclic algebras carry a witness")
-    p2, _ = maximal._check_p2(maximals)
+    p2, _ = maximal._check_p2(maximals, upper_dims)
     p2_counted = p2 and prof.cls is not None and prof.cls >= 1
     if p2_counted:
         # the step counts are equal, so the upper series has cls + 1 terms
@@ -275,17 +279,12 @@ def _check_tower(algebra: LeibnizAlgebra, quotient_classes: dict) -> tuple[bool,
     ideals = 0
     for ideal in enumerate_subspaces(center, 2):
         ideals += 1
-        q = algebra.quotient(ideal).algebra
-        q_class = quotient_classes.get(q)
-        if q_class is None:
-            q_lower = series.lower_central_series(q)
-            q_class = quotient_classes[q] = (q_lower[-1].is_zero(), len(q_lower) - 1)
-        nilpotent, cls = q_class
+        cls = next((c for c, term in enumerate(prof.lower) if ideal.contains_space(term)), None)
         _require(
-            nilpotent and prof.coclass is not None,
+            cls is not None and prof.coclass is not None,
             "quotients of nilpotent algebras are nilpotent",
         )
-        q_coclass = q.dim - cls
+        q_coclass = algebra.dim - ideal.dim - cls
         _require(
             q_coclass <= prof.coclass,
             "coclass may not grow under quotients",

@@ -84,6 +84,34 @@ def public_fingerprint(algebra):
     )
 
 
+def reference_enumerate_maximal(algebra, lower):
+    """The maximals as rref-spanned pullbacks of the hyperplanes of A/[A,A],
+    each restricted to by ``LeibnizAlgebra.restrict``."""
+    from leibalg.linalg import _span_residues
+    from leibalg.maximal import MaximalSubalgebra, _normalized_vectors
+
+    derived = lower[1]
+    comp = derived.complement_coords()
+    d = len(comp)
+    field, n = algebra.field, algebra.dim
+    p = field.modulus
+    result = []
+    for tag in _normalized_vectors(p, d):
+        t0 = next(i for i, c in enumerate(tag) if c)
+        vectors = list(derived._res_rows)
+        for b in range(d):
+            if b == t0:
+                continue
+            vec = [0] * n
+            vec[comp[b]] = 1
+            vec[comp[t0]] = -tag[b] % p
+            vectors.append(vec)
+        subspace = _span_residues(field, n, vectors)
+        result.append(MaximalSubalgebra(subspace, algebra.restrict(subspace), tag))
+    result.sort(key=lambda m: m.hyperplane_tag)
+    return result
+
+
 class TestEnumeration:
     def test_count_formula(self):
         # (p^d - 1)/(p - 1) with d = dim(A/[A,A])
@@ -145,6 +173,48 @@ class TestEnumeration:
                     expected.add(subspace)
             got = {m.subspace for m in enumerate_maximal(algebra)}
             assert got == expected
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_closed_form_matches_the_spanned_pullbacks(self, p):
+        # the closed-form kernels and induced cells against the pullbacks
+        # spanned by rref and restricted cell by cell, on random towers of
+        # dims 2-6 and the catalog's sample instances
+        from leibalg.maximal import _enumerate_maximal
+
+        field = GF(p)
+        rng = random.Random(100 + p)
+        algebras = [random_nilpotent_algebra(rng, field, 2 + t % 5) for t in range(120)]
+        for entry in list_catalog():
+            params = sample_params(entry.name, field)
+            if params is not None:
+                algebra = instantiate(entry.name, field, params)
+                if nilpotency_data(algebra).nilpotent:
+                    algebras.append(algebra)
+        maximals = 0
+        for algebra in algebras:
+            lower = nilpotency_data(algebra).lower
+            got = _enumerate_maximal(algebra, lower)
+            expected = reference_enumerate_maximal(algebra, lower)
+            assert [m.hyperplane_tag for m in got] == [m.hyperplane_tag for m in expected]
+            for m, ref in zip(got, expected):
+                assert m.subspace == ref.subspace
+                assert m.subspace.pivots == ref.subspace.pivots
+                assert m.induced._cells == ref.induced._cells
+            maximals += len(got)
+        assert maximals > 2 * len(algebras)
+
+    def test_closed_form_refuses_a_product_outside_the_kernel(self):
+        # handed a lower series whose [A, A] is too small, some hyperplane
+        # is not closed under the bracket; both enumerations refuse it
+        from leibalg import NotASubalgebra
+        from leibalg.maximal import _enumerate_maximal
+
+        algebra = instantiate("heisenberg3", GF(3), {})
+        lower = [algebra.full_space(), Subspace.span(GF(3), 3, [])]
+        with pytest.raises(NotASubalgebra):
+            _enumerate_maximal(algebra, lower)
+        with pytest.raises(NotASubalgebra):
+            reference_enumerate_maximal(algebra, lower)
 
     def test_rationals_rejected(self):
         with pytest.raises(NeedsFiniteField):

@@ -238,10 +238,10 @@ def test_structural_suite_runs_nilpotency_data_once_per_tower(monkeypatch):
 def test_structural_suite_reads_each_towers_series_off_its_profile(monkeypatch):
     # [A, A], Z(A), the upper terms and the lower series handed to the
     # Frattini shortcut, the cyclicity test and the maximal enumeration all
-    # come from the tower's profile: the lower series is built once per
-    # distinct tower table and once per distinct central-ideal quotient table
+    # come from the tower's profile, and the central-ideal quotients read
+    # their class off it too: the lower series is built once per distinct
+    # tower table and never for a quotient
     towers = distinct_towers(GF(3), 12, 4, seed=2)
-    quotients = set(quotient_tables(towers))
     calls = []
     count_calls(
         monkeypatch,
@@ -261,34 +261,55 @@ def test_structural_suite_reads_each_towers_series_off_its_profile(monkeypatch):
     assert calls.count("upper_central_series") == len(towers)
     for name in ("frattini", "is_cyclic", "center", "derived", "split_codim1_center"):
         assert calls.count(name) == 0, name
-    assert calls.count("lower_central_series") == len(towers) + len(quotients)
+    assert calls.count("lower_central_series") == len(towers)
 
 
-def test_structural_suite_shares_quotient_classes_across_towers(monkeypatch):
-    # every central ideal of a distinct tower is still quotiented, with its
-    # ideal check; the lower series runs once per distinct quotient table
+def test_structural_suite_reads_central_ideal_classes_off_the_lower_series(monkeypatch):
+    # class(A/I) is the least c with gamma_{c+1}(A) inside I, for every
+    # central ideal I; the suite builds no quotient and no quotient series
     towers = distinct_towers(GF(3), 20, 4, seed=2)
-    tables = quotient_tables(towers)
-    assert len(tables) == 18 and len(set(tables)) == 3
-    lowered, quotiented = [], []
-    lower_central_series = series.lower_central_series
-    quotient = LeibnizAlgebra.quotient
+    ideals = 0
+    for tower in towers:
+        lower = series.lower_central_series(tower)
+        for ideal in enumerate_subspaces(series.nilpotency_data(tower).center, 2):
+            q_lower = series.lower_central_series(tower.quotient(ideal).algebra)
+            assert q_lower[-1].is_zero()
+            cls = min(c for c, term in enumerate(lower) if ideal.contains_space(term))
+            assert cls == len(q_lower) - 1
+            ideals += 1
+    assert ideals == 18
+    calls = []
+    count_calls(monkeypatch, LeibnizAlgebra, ("quotient",), calls)
+    count_calls(monkeypatch, series, ("lower_central_series",), calls)
+    evidence = run_structural_suite(GF(3), 20, 4, seed=2)
+    # the evidence counts the ideals of every tower drawn, repeats included
+    assert "; 19 central ideals dropped the coclass;" in evidence
+    assert calls.count("quotient") == 0
+    assert calls.count("lower_central_series") == len(towers)
 
-    def counting_lower(algebra):
-        lowered.append(table_values(algebra))
-        return lower_central_series(algebra)
 
-    def counting_quotient(self, ideal):
-        quotiented.append(ideal)
-        return quotient(self, ideal)
+@pytest.mark.parametrize("p, seed, per_tower, shared", [(2, 1, 113, 63), (3, 2, 139, 97)])
+def test_structural_suite_computes_one_upper_series_per_distinct_maximal_table(
+    monkeypatch, p, seed, per_tower, shared
+):
+    # at the benchmark's seeds: one upper series per distinct induced table
+    # of the whole call, where deciding P2 tower by tower computes one per
+    # distinct table of each tower
+    field = GF(p)
+    calls = []
+    upper_central_series = series.upper_central_series
 
-    monkeypatch.setattr(series, "lower_central_series", counting_lower)
-    monkeypatch.setattr(LeibnizAlgebra, "quotient", counting_quotient)
-    run_structural_suite(GF(3), 20, 4, seed=2)
-    assert len(quotiented) == len(tables)
-    # a quotient may equal a tower (the cyclic plane does), so compare multisets
-    expected = [table_values(t) for t in towers] + list(set(tables))
-    assert sorted(lowered) == sorted(expected)
+    def counting(algebra):
+        calls.append(table_values(algebra))
+        return upper_central_series(algebra)
+
+    monkeypatch.setattr(maximal, "upper_central_series", counting)
+    for tower in distinct_towers(field, 100, 5, seed):
+        maximal._check_p2(maximal.enumerate_maximal(tower))
+    assert len(calls) == per_tower
+    calls.clear()
+    run_structural_suite(field, 100, 5, seed)
+    assert len(calls) == len(set(calls)) == shared
 
 
 def test_a_second_suite_call_does_the_work_of_the_first(monkeypatch):
@@ -296,7 +317,7 @@ def test_a_second_suite_call_does_the_work_of_the_first(monkeypatch):
     calls = []
     count_calls(monkeypatch, series, ("nilpotency_data", "lower_central_series",
                                       "upper_central_series"), calls)
-    count_calls(monkeypatch, maximal, ("_enumerate_maximal", "_check_p2"), calls)
+    count_calls(monkeypatch, maximal, ("_enumerate_maximal", "_check_p2", "_upper_dims"), calls)
     count_calls(monkeypatch, LeibnizAlgebra, ("quotient", "is_ideal", "restrict"), calls)
     counts = []
     for _ in range(2):
@@ -304,7 +325,8 @@ def test_a_second_suite_call_does_the_work_of_the_first(monkeypatch):
         evidence = run_structural_suite(GF(3), 20, 4, seed=2)
         counts.append((evidence, sorted(calls)))
     assert counts[0] == counts[1]
-    assert calls.count("quotient") == 18
+    assert calls.count("quotient") == 0
+    assert calls.count("_upper_dims") > 0
 
 
 @pytest.mark.parametrize(
