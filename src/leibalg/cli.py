@@ -148,13 +148,11 @@ def cmd_analyze(args) -> int:
     print(f"class {prof.cls if prof.cls is not None else '-'}")
     print(f"coclass {prof.coclass if prof.coclass is not None else '-'}")
     print(f"center_dim {prof.center.dim}")
-    print(f"leib_dim {algebra.leib_ideal().dim}")
-    if prof.nilpotent:
-        cyclic, _ = series._is_cyclic(algebra, prof.lower)
-    else:
-        cyclic = False
+    leib = algebra.leib_ideal()
+    print(f"leib_dim {leib.dim}")
+    cyclic = prof.nilpotent and prof.cyclic[0]
     print(f"cyclic {str(cyclic).lower()}")
-    print(f"lie {str(algebra.is_lie()).lower()}")
+    print(f"lie {str(leib.is_zero()).lower()}")
     return EXIT_OK
 
 
@@ -168,10 +166,10 @@ def _fingerprint_digest(fp: maximal.Fingerprint) -> str:
 
 
 def cmd_maximals(args) -> int:
-    algebra = _load_algebra(args.file)
-    for m in maximal.enumerate_maximal(algebra):
+    record = maximal._Side(_load_algebra(args.file))
+    for m in record.maximals:
         tag = ",".join(str(c) for c in m.hyperplane_tag)
-        print(f"[{tag}] {_fingerprint_digest(m._side.fingerprint)}")
+        print(f"[{tag}] {_fingerprint_digest(record.records[m.induced].fingerprint)}")
     return EXIT_OK
 
 

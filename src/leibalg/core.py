@@ -42,7 +42,6 @@ from .errors import (
     DuplicateEntry,
     FieldMismatch,
     NotAnIdeal,
-    NotApplicable,
     NotASubalgebra,
 )
 from .fields import Field, FieldElement
@@ -54,7 +53,6 @@ from .linalg import (
     basis_vector,
     nullspace,
     vec_add,
-    vec_is_zero,
     zero_vector,
 )
 
@@ -527,38 +525,9 @@ class LeibnizAlgebra:
         complement of span{a*a} inside the center.  Both are verified ideals
         meeting trivially.
         """
-        if not is_nilpotent(self):
-            raise NotApplicable("decomposition defined for nilpotent algebras")
-        return self._split_codim1_center(self.center())
+        from .series import SeriesProfile  # series imports core
 
-    def _split_codim1_center(self, z: Subspace) -> tuple[Subspace, Subspace]:
-        """``split_codim1_center`` of a nilpotent algebra whose center ``z`` is known."""
-        if z.dim != self.dim - 1:
-            raise NotApplicable(
-                f"center has dimension {z.dim}, expected {self.dim - 1}"
-            )
-        a = next(e for e in map(self.basis_vector, range(self.dim)) if not z.contains(e))
-        a2 = self.bracket(a, a)
-        if vec_is_zero(a2):
-            raise NotApplicable("chosen generator squares to zero")  # cannot happen
-        i_space = self.subspace([a, a2])
-        # canonical complement of span{a2} inside the center: keep center rows
-        # that stay independent after a2.
-        rows = []
-        acc = [a2]
-        for row in z.rows:
-            before = Subspace.span(self.field, self.dim, acc)
-            if not before.contains(row):
-                rows.append(row)
-                acc.append(row)
-        j_space = Subspace.span(self.field, self.dim, rows)
-        if not (self.is_ideal(i_space) and self.is_ideal(j_space)):
-            raise NotApplicable("decomposition summands failed the ideal check")
-        if not i_space.intersect(j_space).is_zero():
-            raise NotApplicable("decomposition summands are not independent")
-        if i_space.sum_with(j_space).dim != self.dim:
-            raise NotApplicable("decomposition does not fill the algebra")
-        return i_space, j_space
+        return SeriesProfile(self).codim1_split
 
     # -- misc ---------------------------------------------------------------
 

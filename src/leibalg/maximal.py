@@ -52,27 +52,29 @@ products, and one rank check that the images are independent.  A found
 matrix is the coordinates of the standard basis over the closure elements,
 applied to their images.  Maximal subalgebras are built on residues too,
 in closed form: each is the kernel of one covector, whose echelon basis
-and induced cells are written down directly (``_enumerate_maximal``).
+and induced cells are written down directly (``_Side.maximals``).
 
-Each algebra of a decision has one record, ``_Side``: its lower and upper
-central series are computed once, and the fingerprint (with Z(A) and
-[A, A] read off their terms) and, when a search runs, the search data are
-derived from them, each at most once per record.  As a source the record
-builds its closure recipes, generator signatures and relations once.  As a
-target it keeps, per generator signature, the candidates for the first
-generator image that passed the signature filter, with their generation
-indices: with no image chosen yet there are no relations, so they depend
-on the target and the signature alone.  A later search against the same
-record reads them and extends the scan only as far as it consumes.  Each
-``MaximalSubalgebra`` builds its record on first use and keeps it for as
-long as the enumeration that made it lives, so the comparisons of
-``check_p1`` against the first, which is the target of each, and its
-transitivity spot check share them; ``is_isomorphic`` builds fresh records
-on every call.  Both ``check_p1`` and ``check_p2`` decide each distinct
-induced table once per call, on the first maximal in tag order that carries
-it: equal tables have equal verdicts and equal upper series, so the witness
-is unchanged.  Nothing is cached on ``LeibnizAlgebra`` itself, and no memo
-outlives a call.
+Every invariant of an algebra lives on one record, ``_Side``, built lazily
+and at most once per record: its ``SeriesProfile`` (both central series,
+with Z(A) and [A, A] read off their terms), the fingerprint, the maximals,
+their intersection, the P1 and P2 decisions and, when a search runs, the
+search data.  The public functions are one-line readers of a fresh record.
+As a source the record builds its closure recipes, generator signatures
+and relations once.  As a target it keeps, per generator signature, the
+candidates for the first generator image that passed the signature filter,
+with their generation indices: with no image chosen yet there are no
+relations, so they depend on the target and the signature alone.  A later
+search against the same record reads them and extends the scan only as far
+as it consumes.  The records of the induced tables of the maximals are
+looked up in a ``_Records`` of the call, one record per table, so the
+comparisons of ``check_p1`` against the first maximal, which is the target
+of each, and its transitivity spot check share them, and ``check_p2``
+computes one upper series per distinct table; both report the first
+maximal in tag order that differs from the first.  A record reaches its
+``_Records`` through a weak proxy, and a scan holds no record, so the
+records of a call form no reference cycle and are freed when the call
+drops them.  Nothing is cached on ``LeibnizAlgebra`` itself or at module
+level, and no record outlives a call.
 
 Enumerations and pairwise checks are pure functions of immutable inputs,
 so callers may evaluate distinct maximal subalgebras concurrently; output
@@ -83,6 +85,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property
 
@@ -98,7 +101,7 @@ from .errors import (
 )
 from .fields import FieldElement
 from .linalg import Subspace, _span_residues
-from .series import lower_central_series, nilpotency_data, upper_central_series
+from .series import SeriesProfile
 
 _SQUARE_PROFILE_LIMIT = 4096
 
@@ -145,47 +148,205 @@ def fingerprint(algebra: LeibnizAlgebra) -> Fingerprint:
 
 
 class _Side:
-    """One algebra of an isomorphism decision, with each invariant built once.
+    """The record of one algebra: every invariant a decision reads, each built once.
 
-    The lower and upper central series are computed once, by
-    ``nilpotency_data``, and everything else is read off their terms: the
-    fingerprint, with Z(A) and [A, A] taken from the profile, and over
-    GF(p), once a search needs them, the search data, each built lazily and
-    at most once per record.  ``member_spaces`` holds, per series term, its
+    Nothing is built in ``__init__``.  ``profile`` is the algebra's
+    ``SeriesProfile``; on top of it the record builds on first use the
+    ``fingerprint``, the ``maximals`` (GF(p) only) and, once a search needs
+    them, the search data.  ``member_spaces`` holds, per series term, its
     residue rows, pivots and annihilating covectors (v lies in the term iff
     every covector vanishes on v).  ``central_pivots`` are the pivot columns
     of Z(B) meet [B,B], the coordinates a normalised generator image has
-    equal to zero.  As the source of a search the record builds
-    ``generators``: the closure recipes, signatures and relations of its
-    generators.  As the target it keeps, per generator signature, the
-    ``_Scan`` of its first-generator candidates, which depend on nothing
-    else; a later search against the same record reads the candidates the
-    earlier ones kept and extends the scan only as far as it consumes.
-    Over Q no search data is built.
+    equal to zero.  As a source the record builds ``generators``: the
+    closure recipes, signatures and relations of its generators.  As a
+    target it keeps, per generator signature, the ``_Scan`` of its
+    first-generator candidates, which depend on nothing else.  The records
+    of the induced tables are looked up in ``records``, so equal tables
+    share one; a record given no ``_Records`` owns a fresh one.
     """
 
-    def __init__(self, algebra: LeibnizAlgebra):
+    def __init__(self, algebra: LeibnizAlgebra, records: "_Records | None" = None):
         self.algebra = algebra
         self.cells = algebra._cells
         self.p = algebra.field.modulus
         self.n = algebra.dim
-        self.profile = nilpotency_data(algebra)
+        self.profile = SeriesProfile(algebra)
+        self.records = _Records() if records is None else records
         self._first_scans: dict = {}
-        self.derived = self.profile.derived
-        self.fingerprint = Fingerprint(
+
+    @cached_property
+    def fingerprint(self) -> Fingerprint:
+        algebra, profile = self.algebra, self.profile
+        return Fingerprint(
             dim=algebra.dim,
-            lower_dims=self.profile.lower_dims,
-            upper_dims=self.profile.upper_dims,
+            lower_dims=profile.lower_dims,
+            upper_dims=profile.upper_dims,
             leib_dim=algebra.leib_ideal().dim,
-            center_dim=self.profile.center.dim,
+            center_dim=profile.center.dim,
             left_center_dim=algebra.left_center().dim,
-            derived_dim=self.derived.dim,
-            square_profile=_square_profile(algebra, self.profile.center),
+            derived_dim=profile.derived.dim,
+            square_profile=_square_profile(algebra, profile.center),
         )
 
     @cached_property
+    def maximals(self) -> list[MaximalSubalgebra]:
+        """All maximal subalgebras, sorted by hyperplane tag; GF(p) only.
+
+        Each maximal is the kernel of one covector f of A, in closed form.
+        With comp the coset coordinates of [A, A], f is the tag on comp, and
+        on the pivot of each echelon row r of [A, A] it is
+        -sum_b r[comp[b]] tag[b], so f vanishes on [A, A].  With j the last
+        column where f is nonzero, the echelon basis of ker f is
+        e_c - (f_c/f_j) e_j for c != j, and the coordinates of a vector of
+        ker f are its entries off column j.  So the induced product of two
+        basis vectors is a combination of at most four cells of A; it must
+        lie in ker f, or NotASubalgebra is raised.
+        """
+        algebra = self.algebra
+        field, n, p = algebra.field, self.n, self.p
+        if not field.is_finite():
+            raise NeedsFiniteField("maximal subalgebra enumeration needs GF(p)")
+        lower = self.profile.lower
+        if not lower[-1].is_zero():
+            raise NotNilpotent("maximal enumeration requires a nilpotent algebra")
+        if len(lower) == 1:  # the zero algebra
+            return []
+        derived = lower[1]
+        comp = derived.complement_coords()
+        cells = self.cells
+        result = []
+        for tag in _normalized_vectors(p, len(comp)):
+            f = [0] * n
+            for c, t in zip(comp, tag):
+                f[c] = t
+            for row, pc in zip(derived._res_rows, derived.pivots):
+                f[pc] = -sum(row[c] * t for c, t in zip(comp, tag)) % p
+            j = max(c for c in range(n) if f[c])
+            inv = pow(f[j], -1, p)
+            alpha = [x * inv % p for x in f]  # basis vector c is e_c - alpha[c] e_j
+            pivots = [c for c in range(n) if c != j]
+            rows = []
+            for c in pivots:
+                row = [0] * n
+                row[c] = 1
+                row[j] = -alpha[c] % p
+                rows.append(tuple(row))
+            subspace = Subspace._from_residues(field, n, tuple(rows), pivots)
+            induced = []
+            for a in pivots:
+                induced_row = []
+                for b in pivots:
+                    w = [0] * n
+                    for coeff, cell in (
+                        (1, cells[a][b]),
+                        (-alpha[b], cells[a][j]),
+                        (-alpha[a], cells[j][b]),
+                        (alpha[a] * alpha[b], cells[j][j]),
+                    ):
+                        if coeff:
+                            for k, x in cell:
+                                w[k] += coeff * x
+                    w = [x % p for x in w]
+                    if sum(fk * wk for fk, wk in zip(f, w)) % p:
+                        raise NotASubalgebra(
+                            f"the product at columns {a}, {b} leaves the maximal subspace {tag}"
+                        )
+                    induced_row.append(tuple((t, w[c]) for t, c in enumerate(pivots) if w[c]))
+                induced.append(tuple(induced_row))
+            result.append(
+                MaximalSubalgebra(subspace, LeibnizAlgebra._from_cells(field, tuple(induced)), tag)
+            )
+        result.sort(key=lambda m: m.hyperplane_tag)
+        return result
+
+    def intersection(self) -> Subspace:
+        """The common zeros of the annihilating covectors of the maximal subspaces."""
+        field, n, p = self.algebra.field, self.n, self.p
+        covectors = [
+            f for m in self.maximals for f in _modp.nullspace(m.subspace._res_rows, p, n)
+        ]
+        return _span_residues(field, n, _modp.nullspace(covectors, p, n))
+
+    def isomorphism(self, other: "_Side") -> IsoVerdict:
+        """Is this record's algebra isomorphic to ``other``'s?  See ``is_isomorphic``."""
+        a, b = self.algebra, other.algebra
+        if a.field != b.field:
+            raise FieldMismatch("isomorphism test needs a common field")
+        if a.dim != b.dim:
+            return IsoVerdict("no", reason="dimensions differ", invariant=("dim", a.dim, b.dim))
+        if a == b:
+            identity = tuple(a.basis_vector(i) for i in range(a.dim))
+            return IsoVerdict("yes", matrix=identity, reason="identical structure constants")
+        fa, fb = self.fingerprint, other.fingerprint
+        diff = _first_fingerprint_diff(fa, fb)
+        if diff is not None:
+            return IsoVerdict(
+                "no",
+                reason=f"invariant {diff[0]} differs: {diff[1]} vs {diff[2]}",
+                invariant=diff,
+            )
+        if not a.field.is_finite():
+            return IsoVerdict("unknown", reason="equal fingerprints; no search over Q")
+        if not (fa.lower_dims[-1] == 0 and fb.lower_dims[-1] == 0):
+            raise SearchBoundExceeded("generator search covers nilpotent algebras only")
+        gen_count = a.dim - fa.derived_dim
+        if a.dim > _SEARCH_DIM_BOUND or gen_count > _SEARCH_GEN_BOUND:
+            raise SearchBoundExceeded(
+                f"search bounds are dim <= {_SEARCH_DIM_BOUND} and "
+                f"dim(A/[A,A]) <= {_SEARCH_GEN_BOUND}; got dim={a.dim}, "
+                f"generators={gen_count}"
+            )
+        raw = _search_isomorphism(self, other)
+        if raw is None:
+            return IsoVerdict("no", reason="exhaustive generator-image search found no map")
+        _assert_isomorphism(a, b, raw)
+        matrix = tuple(tuple(a.field(c) for c in row) for row in raw)
+        return IsoVerdict("yes", matrix=matrix, reason="explicit isomorphism found")
+
+    def p1(self, spot_seed: int = 0) -> tuple[bool, MaximalPairWitness | None]:
+        """``check_p1``: every distinct induced table against the first, in tag order."""
+        maximals = self.maximals
+        if len(maximals) <= 1:
+            return True, None
+        records = self.records
+        first = maximals[0]
+        # the first maximal of each distinct table, in tag order; a later one is
+        # isomorphic to the first exactly when its table's first maximal is
+        carriers = {}
+        for m in maximals:
+            carriers.setdefault(m.induced, m)
+        for m in list(carriers.values())[1:]:
+            verdict = records[m.induced].isomorphism(records[first.induced])
+            if verdict.status != "yes":
+                return False, MaximalPairWitness(first, m, verdict.reason)
+        if len(maximals) >= 3:
+            rng = random.Random(spot_seed)
+            i, j = rng.sample(range(1, len(maximals)), 2)
+            verdict = records[maximals[i].induced].isomorphism(records[maximals[j].induced])
+            if verdict.status != "yes":
+                raise InternalError(
+                    "transitivity spot check failed although all maximal "
+                    "subalgebras matched the first"
+                )
+        return True, None
+
+    def p2(self) -> tuple[bool, MaximalPairWitness | None]:
+        """``check_p2``: the upper series dims of each maximal's record against the first's."""
+        maximals = self.maximals
+        if len(maximals) <= 1:
+            return True, None
+        records = self.records
+        first = maximals[0]
+        expected = records[first.induced].profile.upper_dims
+        for m in maximals[1:]:
+            dims = records[m.induced].profile.upper_dims
+            if dims != expected:
+                return False, MaximalPairWitness(first, m, f"upper series dims {expected} vs {dims}")
+        return True, None
+
+    @cached_property
     def coset_coords(self) -> list[int]:
-        return list(self.derived.complement_coords())
+        return list(self.profile.derived.complement_coords())
 
     @cached_property
     def member_spaces(self):
@@ -197,7 +358,7 @@ class _Side:
 
     @cached_property
     def central_pivots(self) -> list[int]:
-        return self.profile.center.intersect(self.derived).pivots
+        return self.profile.center.intersect(self.profile.derived).pivots
 
     @cached_property
     def generators(self):
@@ -241,7 +402,7 @@ class _Side:
         return scan
 
     def coset(self, v):
-        derived = self.derived
+        derived = self.profile.derived
         reduced = _modp.reduce_mod(v, derived._res_rows, derived.pivots, self.p)
         return [reduced[c] for c in self.coset_coords]
 
@@ -273,6 +434,18 @@ class _Side:
         if self.membership_profile(v) != sig[1]:
             return False
         return self.mult_data(v) == sig[2]
+
+
+class _Records(dict):
+    """The records of one call: one ``_Side`` per table, built on first lookup.
+
+    A record reaches it through a weak proxy, never a reference, so the
+    call's records are freed by reference counting when it is dropped.
+    """
+
+    def __missing__(self, algebra: LeibnizAlgebra) -> _Side:
+        record = self[algebra] = _Side(algebra, weakref.proxy(self))
+        return record
 
 
 def _square_profile(algebra: LeibnizAlgebra, center: Subspace) -> tuple[int, int] | None:
@@ -319,11 +492,6 @@ class MaximalSubalgebra:
     induced: LeibnizAlgebra
     hyperplane_tag: tuple[int, ...]
 
-    @cached_property
-    def _side(self) -> _Side:
-        """The isomorphism record of ``induced``, built on first use."""
-        return _Side(self.induced)
-
 
 def enumerate_maximal(algebra: LeibnizAlgebra) -> list[MaximalSubalgebra]:
     """All maximal subalgebras, sorted by hyperplane tag.
@@ -332,76 +500,7 @@ def enumerate_maximal(algebra: LeibnizAlgebra) -> list[MaximalSubalgebra]:
     pullbacks of the hyperplanes of A/[A,A].  Each contains the derived
     subalgebra, hence is closed under the bracket.
     """
-    if not algebra.field.is_finite():
-        raise NeedsFiniteField("maximal subalgebra enumeration needs GF(p)")
-    return _enumerate_maximal(algebra, lower_central_series(algebra))
-
-
-def _enumerate_maximal(algebra: LeibnizAlgebra, lower) -> list[MaximalSubalgebra]:
-    """``enumerate_maximal`` on the lower central series the caller already has.
-
-    Each maximal is the kernel of one covector f of A, in closed form.  With
-    comp the coset coordinates of [A, A], f is the tag on comp, and on the
-    pivot of each echelon row r of [A, A] it is -sum_b r[comp[b]] tag[b],
-    so f vanishes on [A, A].  With j the last column where f is nonzero,
-    the echelon basis of ker f is e_c - (f_c/f_j) e_j for c != j, and the
-    coordinates of a vector of ker f are its entries off column j.  So the
-    induced product of two basis vectors is a combination of at most four
-    cells of A; it must lie in ker f, or NotASubalgebra is raised.
-    """
-    if not lower[-1].is_zero():
-        raise NotNilpotent("maximal enumeration requires a nilpotent algebra")
-    if len(lower) == 1:  # the zero algebra
-        return []
-    derived = lower[1]
-    comp = derived.complement_coords()
-    field, n = algebra.field, algebra.dim
-    p = field.modulus
-    cells = algebra._cells
-    result = []
-    for tag in _normalized_vectors(p, len(comp)):
-        f = [0] * n
-        for c, t in zip(comp, tag):
-            f[c] = t
-        for row, pc in zip(derived._res_rows, derived.pivots):
-            f[pc] = -sum(row[c] * t for c, t in zip(comp, tag)) % p
-        j = max(c for c in range(n) if f[c])
-        inv = pow(f[j], -1, p)
-        alpha = [x * inv % p for x in f]  # basis vector c is e_c - alpha[c] e_j
-        pivots = [c for c in range(n) if c != j]
-        rows = []
-        for c in pivots:
-            row = [0] * n
-            row[c] = 1
-            row[j] = -alpha[c] % p
-            rows.append(tuple(row))
-        subspace = Subspace._from_residues(field, n, tuple(rows), pivots)
-        induced = []
-        for a in pivots:
-            induced_row = []
-            for b in pivots:
-                w = [0] * n
-                for coeff, cell in (
-                    (1, cells[a][b]),
-                    (-alpha[b], cells[a][j]),
-                    (-alpha[a], cells[j][b]),
-                    (alpha[a] * alpha[b], cells[j][j]),
-                ):
-                    if coeff:
-                        for k, x in cell:
-                            w[k] += coeff * x
-                w = [x % p for x in w]
-                if sum(fk * wk for fk, wk in zip(f, w)) % p:
-                    raise NotASubalgebra(
-                        f"the product at columns {a}, {b} leaves the maximal subspace {tag}"
-                    )
-                induced_row.append(tuple((t, w[c]) for t, c in enumerate(pivots) if w[c]))
-            induced.append(tuple(induced_row))
-        result.append(
-            MaximalSubalgebra(subspace, LeibnizAlgebra._from_cells(field, tuple(induced)), tag)
-        )
-    result.sort(key=lambda m: m.hyperplane_tag)
-    return result
+    return _Side(algebra).maximals
 
 
 def _normalized_vectors(p: int, d: int):
@@ -414,15 +513,7 @@ def _normalized_vectors(p: int, d: int):
 
 def frattini_by_intersection(algebra: LeibnizAlgebra) -> Subspace:
     """Intersection of all maximal subalgebras (must equal [A, A])."""
-    return _intersection(algebra, enumerate_maximal(algebra))
-
-
-def _intersection(algebra: LeibnizAlgebra, maximals) -> Subspace:
-    """The common zeros of the annihilating covectors of the maximal subspaces."""
-    field, n = algebra.field, algebra.dim
-    p = field.modulus
-    covectors = [f for m in maximals for f in _modp.nullspace(m.subspace._res_rows, p, n)]
-    return _span_residues(field, n, _modp.nullspace(covectors, p, n))
+    return _Side(algebra).intersection()
 
 
 # ---------------------------------------------------------------------------
@@ -465,49 +556,7 @@ def is_isomorphic(a: LeibnizAlgebra, b: LeibnizAlgebra) -> IsoVerdict:
     search over all depths.  Past any of them SearchBoundExceeded is raised;
     an answer is never given from a partial search.
     """
-    if a.field != b.field:
-        raise FieldMismatch("isomorphism test needs a common field")
-    return _fast_verdict(a, b) or _decide(_Side(a), _Side(b))
-
-
-def _fast_verdict(a: LeibnizAlgebra, b: LeibnizAlgebra) -> IsoVerdict | None:
-    """The verdict when the dimensions differ or the tables are equal, else None."""
-    if a.dim != b.dim:
-        return IsoVerdict("no", reason="dimensions differ", invariant=("dim", a.dim, b.dim))
-    if a == b:
-        identity = tuple(a.basis_vector(i) for i in range(a.dim))
-        return IsoVerdict("yes", matrix=identity, reason="identical structure constants")
-    return None
-
-
-def _decide(side_a: _Side, side_b: _Side) -> IsoVerdict:
-    """Isomorphism of two algebras of one field and dimension, by their records."""
-    a, b = side_a.algebra, side_b.algebra
-    fa, fb = side_a.fingerprint, side_b.fingerprint
-    diff = _first_fingerprint_diff(fa, fb)
-    if diff is not None:
-        return IsoVerdict(
-            "no",
-            reason=f"invariant {diff[0]} differs: {diff[1]} vs {diff[2]}",
-            invariant=diff,
-        )
-    if not a.field.is_finite():
-        return IsoVerdict("unknown", reason="equal fingerprints; no search over Q")
-    if not (fa.lower_dims[-1] == 0 and fb.lower_dims[-1] == 0):
-        raise SearchBoundExceeded("generator search covers nilpotent algebras only")
-    gen_count = a.dim - fa.derived_dim
-    if a.dim > _SEARCH_DIM_BOUND or gen_count > _SEARCH_GEN_BOUND:
-        raise SearchBoundExceeded(
-            f"search bounds are dim <= {_SEARCH_DIM_BOUND} and "
-            f"dim(A/[A,A]) <= {_SEARCH_GEN_BOUND}; got dim={a.dim}, "
-            f"generators={gen_count}"
-        )
-    raw = _search_isomorphism(side_a, side_b)
-    if raw is None:
-        return IsoVerdict("no", reason="exhaustive generator-image search found no map")
-    _assert_isomorphism(a, b, raw)
-    matrix = tuple(tuple(a.field(c) for c in row) for row in raw)
-    return IsoVerdict("yes", matrix=matrix, reason="explicit isomorphism found")
+    return _Side(a).isomorphism(_Side(b))
 
 
 def _assert_isomorphism(a: LeibnizAlgebra, b: LeibnizAlgebra, raw) -> None:
@@ -533,34 +582,7 @@ def check_p1(
     distinct table is decided once, and its fingerprint and search data are
     built once, on the first maximal that carries it.
     """
-    return _check_p1(enumerate_maximal(algebra), spot_seed)
-
-
-def _check_p1(maximals, spot_seed: int) -> tuple[bool, MaximalPairWitness | None]:
-    if len(maximals) <= 1:
-        return True, None
-    first = maximals[0]
-    # the first maximal of each distinct table, in tag order; a later one is
-    # isomorphic to the first exactly when its representative is
-    carrier = {first.induced: first}
-    for m in maximals[1:]:
-        if m.induced in carrier:
-            continue
-        carrier[m.induced] = m
-        verdict = _decide(m._side, first._side)
-        if verdict.status != "yes":
-            return False, MaximalPairWitness(first, m, verdict.reason)
-    if len(maximals) >= 3:
-        rng = random.Random(spot_seed)
-        i, j = rng.sample(range(1, len(maximals)), 2)
-        a, b = carrier[maximals[i].induced], carrier[maximals[j].induced]
-        verdict = _fast_verdict(a.induced, b.induced) or _decide(a._side, b._side)
-        if verdict.status != "yes":
-            raise InternalError(
-                "transitivity spot check failed although all maximal "
-                "subalgebras matched the first"
-            )
-    return True, None
+    return _Side(algebra).p1(spot_seed)
 
 
 def check_p2(algebra: LeibnizAlgebra) -> tuple[bool, MaximalPairWitness | None]:
@@ -570,37 +592,7 @@ def check_p2(algebra: LeibnizAlgebra) -> tuple[bool, MaximalPairWitness | None]:
     witness is the first maximal in tag order whose profile differs from
     the first maximal's.
     """
-    return _check_p2(enumerate_maximal(algebra))
-
-
-def _check_p2(maximals, profiles: dict | None = None) -> tuple[bool, MaximalPairWitness | None]:
-    """``check_p2`` on an enumeration; ``profiles`` maps each induced table
-    whose upper series dims are known to them, and is filled in as they are
-    computed, so a caller may share it across the enumerations of one call."""
-    if len(maximals) <= 1:
-        return True, None
-    if profiles is None:
-        profiles = {}
-
-    def dims(m):
-        # one upper series per distinct induced table; equal tables have equal profiles
-        prof = profiles.get(m.induced)
-        if prof is None:
-            prof = profiles[m.induced] = _upper_dims(m.induced)
-        return prof
-
-    first = maximals[0]
-    expected = dims(first)
-    for m in maximals[1:]:
-        prof = dims(m)
-        if prof != expected:
-            detail = f"upper series dims {expected} vs {prof}"
-            return False, MaximalPairWitness(first, m, detail)
-    return True, None
-
-
-def _upper_dims(algebra: LeibnizAlgebra) -> tuple[int, ...]:
-    return tuple(s.dim for s in upper_central_series(algebra))
+    return _Side(algebra).p2()
 
 
 # ---------------------------------------------------------------------------
@@ -693,43 +685,41 @@ def _operator_rows(cells, left, right, p: int):
 
 def _search_isomorphism(side_a: _Side, side_b: _Side):
     """Complete generator-image search; a matrix (rows = basis images) or None."""
-    p = side_a.p
-    n = side_a.n
     d = len(side_a.coset_coords)
     if d == 0:
         return None  # dim-0 algebras are caught by the identical-table fast path
-    closures, sigs, relations = side_a.generators
     budget = _Budget(
         f"isomorphism search generated more than {SEARCH_CANDIDATE_BOUND} "
-        f"candidate generator images over GF({p}) (dim={n}, generators={d})"
+        f"candidate generator images over GF({side_a.p}) (dim={side_a.n}, generators={d})"
     )
+    return _descend(side_a, side_b, budget, 0, [], [])
 
-    def cosets_independent(gen_imgs, v) -> bool:
-        rows = [side_b.coset(g) for g in gen_imgs] + [side_b.coset(v)]
-        return _modp.rank(rows, p, d) == len(rows)
 
-    def descend(k, gen_imgs, prev_elem_imgs):
-        sig = sigs[k]
-        if k == 0:
-            scan = side_b.first_scan(sig)
-        else:
-            rows = side_b.member_equations(sig[1])
-            rel_rows, rel_rhs = _relation_equations(side_b, relations[k], prev_elem_imgs)
-            scan = _Scan(side_b, rows + rel_rows, [0] * len(rows) + rel_rhs, sig)
-        for v in scan.read(budget):
-            if not cosets_independent(gen_imgs, v):
-                continue
-            elem_imgs = closures[k].replay(side_b.cells, p, gen_imgs + [v])
-            if elem_imgs is None:
-                continue
-            if k == d - 1:
-                return _assemble_matrix(closures[k], elem_imgs, p, n)
-            result = descend(k + 1, gen_imgs + [v], elem_imgs)
-            if result is not None:
-                return result
-        return None
-
-    return descend(0, [], [])
+def _descend(side_a: _Side, side_b: _Side, budget: "_Budget", k: int, gen_imgs, prev_elem_imgs):
+    """The images of generators k, k+1, ... extending ``gen_imgs``, as a matrix, or None."""
+    p, n = side_a.p, side_a.n
+    d = len(side_a.coset_coords)
+    closures, sigs, relations = side_a.generators
+    sig = sigs[k]
+    if k == 0:
+        scan = side_b.first_scan(sig)
+    else:
+        rows = side_b.member_equations(sig[1])
+        rel_rows, rel_rhs = _relation_equations(side_b, relations[k], prev_elem_imgs)
+        scan = _Scan(side_b, rows + rel_rows, [0] * len(rows) + rel_rhs, sig)
+    for v in scan.read(side_b, budget):
+        cosets = [side_b.coset(g) for g in gen_imgs] + [side_b.coset(v)]
+        if _modp.rank(cosets, p, d) != len(cosets):
+            continue
+        elem_imgs = closures[k].replay(side_b.cells, p, gen_imgs + [v])
+        if elem_imgs is None:
+            continue
+        if k == d - 1:
+            return _assemble_matrix(closures[k], elem_imgs, p, n)
+        result = _descend(side_a, side_b, budget, k + 1, gen_imgs + [v], elem_imgs)
+        if result is not None:
+            return result
+    return None
 
 
 class _Budget:
@@ -754,31 +744,33 @@ class _Scan:
     ``kept`` holds those with the signature ``sig``, each with its
     generation index (1 for the first generated), and ``scanned`` counts
     the candidates generated so far.  The scan is extended lazily, one kept
-    candidate at a time, and never past what a reader's budget allows.
+    candidate at a time, and never past what a reader's budget allows.  It
+    holds no record: the target record that filters the candidates is
+    handed to ``read``, so a scan kept on its record is no reference cycle.
     """
 
-    __slots__ = ("side", "sig", "raw", "kept", "scanned", "exhausted")
+    __slots__ = ("sig", "raw", "kept", "scanned", "exhausted")
 
     def __init__(self, side: _Side, rows, rhs, sig):
-        self.side = side
         self.sig = sig
         self.raw = _constrained_candidates(side, rows, rhs)
         self.kept: list = []
         self.scanned = 0
         self.exhausted = False
 
-    def read(self, budget: _Budget):
+    def read(self, side: _Side, budget: _Budget):
         """The kept candidates in generation order, each charged to ``budget``.
 
-        A candidate at index i charges i minus the index of the one before,
-        so every generated candidate counts, kept or not, exactly as when
-        the search generates them itself; the end of the scan charges the
-        rest.  Past the budget ``charge`` raises.
+        ``side`` is the target record the scan was built on.  A candidate at
+        index i charges i minus the index of the one before, so every
+        generated candidate counts, kept or not, exactly as when the search
+        generates them itself; the end of the scan charges the rest.  Past
+        the budget ``charge`` raises.
         """
         last = t = 0
         while True:
             if t == len(self.kept) and not self.exhausted:
-                self._extend(last + budget.left + 1)
+                self._extend(side, last + budget.left + 1)
             if t == len(self.kept):
                 budget.charge(self.scanned - last)
                 return
@@ -788,9 +780,9 @@ class _Scan:
             last = index
             yield v
 
-    def _extend(self, stop: int) -> None:
+    def _extend(self, side: _Side, stop: int) -> None:
         """Generate candidates until one is kept or ``stop`` are generated."""
-        side, sig = self.side, self.sig
+        sig = self.sig
         while self.scanned < stop:
             v = next(self.raw, None)
             if v is None:
@@ -848,20 +840,23 @@ def _constrained_candidates(side_b: _Side, rows, rhs):
     lie outside [B, B], enumerated over the affine solution space.
 
     Zero central-pivot entries are the normalisation by central
-    automorphisms of the module docstring; they lose no isomorphism.
+    automorphisms of the module docstring; they lose no isomorphism.  The
+    system is solved here, and the iterator returned holds the solution and
+    the rows of [B, B], not the record.
     """
     p, n = side_b.p, side_b.n
     pivots = side_b.central_pivots
     rows = rows + [[1 if i == c else 0 for i in range(n)] for c in pivots]
     solution = _modp.solve_affine(rows, rhs + [0] * len(pivots), p, n)
     if solution is None:
-        return
-    x0, null_basis = solution
-    shifted = [x0] + null_basis
-    for combo in itertools.product(range(p), repeat=len(null_basis)):
-        v = _modp.combine((1,) + combo, shifted, p, n)
-        if any(side_b.coset(v)):
-            yield v
+        return iter(())
+    shifted = [solution[0]] + solution[1]
+    ech, ech_pivots = side_b.profile.derived._res_rows, side_b.profile.derived.pivots
+    points = (
+        _modp.combine((1,) + combo, shifted, p, n)
+        for combo in itertools.product(range(p), repeat=len(shifted) - 1)
+    )
+    return (v for v in points if not _modp.contains(v, ech, ech_pivots, p))
 
 
 def _assemble_matrix(closure: _Closure, elem_imgs, p: int, n: int):

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from . import _modp, catalog, constraints, maximal, randomgen, series
+from . import _modp, catalog, constraints, maximal, randomgen
 from .core import LeibnizAlgebra
 from .errors import ConstraintViolated, LeibalgError, NeedsFiniteField
 from .fields import GF, QQ, Field
@@ -200,10 +200,11 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
     Every tower is drawn from the seeded rng, but each distinct table is
     decided once per call: a tower equal to an earlier one adds that one's
     counts, since the checks are functions of the table and draw nothing
-    from the rng.  The upper series of each distinct induced maximal table
-    is computed once per call, across towers, and the class of each
-    central-ideal quotient is read off the tower's lower series, with no
-    quotient built.  No memo outlives the call.
+    from the rng.  The call makes one ``maximal._Records``, so each distinct
+    induced maximal table has one record, and its upper series is computed
+    once per call, across towers; the class of each central-ideal quotient
+    is read off the tower's lower series, with no quotient built.  Nothing
+    outlives the call.
     """
     if max_dim < 2:
         raise LeibalgError(f"towers need max_dim >= 2, got {max_dim}")
@@ -211,7 +212,7 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
         raise LeibalgError(f"tower count must be >= 0, got {count}")
     rng = random.Random(seed)
     outcomes: dict[LeibnizAlgebra, tuple[bool, int, bool]] = {}
-    upper_dims: dict[LeibnizAlgebra, tuple[int, ...]] = {}
+    records = maximal._Records()
     splits = 0
     central_ideals = 0
     p2_holds = 0
@@ -220,7 +221,7 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
         algebra = randomgen.random_nilpotent_algebra(rng, field, dim)
         outcome = outcomes.get(algebra)
         if outcome is None:
-            outcome = outcomes[algebra] = _check_tower(algebra, upper_dims)
+            outcome = outcomes[algebra] = _check_tower(maximal._Side(algebra, records))
         p2, ideals, split = outcome
         p2_holds += p2
         central_ideals += ideals
@@ -234,39 +235,37 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
     )
 
 
-def _check_tower(algebra: LeibnizAlgebra, upper_dims: dict) -> tuple[bool, int, bool]:
-    """The structural checks on one tower, as its contributions to the counts.
+def _check_tower(record: maximal._Side) -> tuple[bool, int, bool]:
+    """The structural checks on one tower's record, as its contributions to the counts.
 
     Returns (series-profile property with class >= 1, central ideals of
-    dim >= 2, codim-1 center split).  ``upper_dims`` maps each induced
-    maximal table seen so far to its upper series dims, for ``_check_p2``.
-    The class of A/I for a central ideal I is read off the lower series of
-    A: gamma_i(A/I) = (gamma_i(A) + I)/I, so it is the least c with
-    gamma_{c+1}(A) inside I.  Every subspace of Z(A) is an ideal.
+    dim >= 2, codim-1 center split), with every invariant read off the
+    record.  The class of A/I for a central ideal I is read off the lower
+    series of A: gamma_i(A/I) = (gamma_i(A) + I)/I, so it is the least c
+    with gamma_{c+1}(A) inside I.  Every subspace of Z(A) is an ideal.
     """
+    algebra, prof = record.algebra, record.profile
     _require(not algebra.check_leibniz(), "random tower violated the identity")
-    prof = series.nilpotency_data(algebra)
     _require(prof.nilpotent, "random tower must be nilpotent")
     _require(
         len(prof.lower_dims) == len(prof.upper_dims),
         f"series step counts differ: {prof.lower_dims} vs {prof.upper_dims}",
     )
     derived = prof.derived
-    frattini = series._frattini(prof.lower)
+    frattini = prof.frattini
     _require(frattini == derived, "frattini shortcut mismatch")
-    maximals = maximal._enumerate_maximal(algebra, prof.lower)
     _require(
-        maximal._intersection(algebra, maximals) == derived,
+        record.intersection() == derived,
         "intersection of maximals differs from the derived subalgebra",
     )
-    cyclic, witness = series._is_cyclic(algebra, prof.lower)
+    cyclic, witness = prof.cyclic
     _require(
         cyclic == (derived.dim == algebra.dim - 1),
         "cyclicity must match codimension-one derived subalgebra",
     )
     if cyclic and algebra.dim > 0:
         _require(witness is not None, "cyclic algebras carry a witness")
-    p2, _ = maximal._check_p2(maximals, upper_dims)
+    p2, _ = record.p2()
     p2_counted = p2 and prof.cls is not None and prof.cls >= 1
     if p2_counted:
         # the step counts are equal, so the upper series has cls + 1 terms
@@ -275,27 +274,27 @@ def _check_tower(algebra: LeibnizAlgebra, upper_dims: dict) -> tuple[bool, int, 
             "under the series-profile property the next-to-last upper "
             "term must equal the Frattini subalgebra",
         )
-    center = prof.center
+    center, coclass = prof.center, prof.coclass
     ideals = 0
     for ideal in enumerate_subspaces(center, 2):
         ideals += 1
         cls = next((c for c, term in enumerate(prof.lower) if ideal.contains_space(term)), None)
         _require(
-            cls is not None and prof.coclass is not None,
+            cls is not None and coclass is not None,
             "quotients of nilpotent algebras are nilpotent",
         )
         q_coclass = algebra.dim - ideal.dim - cls
         _require(
-            q_coclass <= prof.coclass,
+            q_coclass <= coclass,
             "coclass may not grow under quotients",
         )
         _require(
-            q_coclass <= prof.coclass - 1,
+            q_coclass <= coclass - 1,
             f"central ideal of dim {ideal.dim} must drop the coclass",
         )
     split = center.dim == algebra.dim - 1
     if split:
-        i_space, j_space = algebra._split_codim1_center(center)
+        i_space, j_space = prof.codim1_split
         _require(i_space.dim == 2, "split part must be two-dimensional")
         _require(
             i_space.sum_with(j_space).dim == algebra.dim,
@@ -488,16 +487,16 @@ def _identity_claim(name: str, field: Field):
 
 def _example4_claim(field: Field):
     def run() -> str:
-        algebra = catalog.instantiate("cyclic_example4", field, {})
-        prof = series.nilpotency_data(algebra)
+        record = maximal._Side(catalog.instantiate("cyclic_example4", field, {}))
+        algebra, prof = record.algebra, record.profile
         _require(prof.center == _span_of_labels(algebra, 3), "center must be span{x4}")
         _require(
             prof.upper[2] == _span_of_labels(algebra, 2, 3), "second center must be span{x3,x4}"
         )
         _require(prof.cls == 4 and prof.coclass == 0, f"class/coclass {prof.cls}/{prof.coclass}")
-        maxes = maximal._enumerate_maximal(algebra, prof.lower)
+        maxes = record.maximals
         _require(len(maxes) == 1, f"expected a single maximal subalgebra, got {len(maxes)}")
-        ok, _ = maximal._check_p1(maxes, 0)
+        ok, _ = record.p1(0)
         _require(ok, "P1 must hold trivially")
         return "center, second center, class 4, coclass 0, one maximal subalgebra"
 
@@ -507,12 +506,12 @@ def _example4_claim(field: Field):
 def _cc1_positive_claim(field: Field, tau: int, lam: int, eps: int):
     def run() -> str:
         params = {"tau": tau, "lambda": lam, "epsilon": eps}
-        algebra = catalog.instantiate("cc1_case2", field, params)
+        record = maximal._Side(catalog.instantiate("cc1_case2", field, params))
         p = field.modulus
-        maxes = maximal.enumerate_maximal(algebra)
+        maxes = record.maximals
         expected = (p * p - 1) // (p - 1)
         _require(len(maxes) == expected, f"{len(maxes)} maximals, expected {expected}")
-        ok, witness = maximal._check_p1(maxes, 0)
+        ok, witness = record.p1(0)
         _require(ok, f"P1 failed: {witness}")
         disc = (field(lam) + field(eps)) ** 2 - 4 * field(tau)
         return (
@@ -553,18 +552,19 @@ def _cc1_forced_claim() -> str:
 
 def _cc2dim4_claim(field: Field, name: str, params: dict):
     def run() -> str:
-        algebra = catalog.instantiate(name, field, params)
-        prof = series.nilpotency_data(algebra)
-        _require(prof.coclass == 2, f"coclass {prof.coclass}, expected 2")
-        maxes = maximal._enumerate_maximal(algebra, prof.lower)
-        ok, witness = maximal._check_p1(maxes, 0)
+        record = maximal._Side(catalog.instantiate(name, field, params))
+        coclass = record.profile.coclass
+        _require(coclass == 2, f"coclass {coclass}, expected 2")
+        maxes = record.maximals
+        ok, witness = record.p1(0)
         _require(ok, f"P1 failed: {witness}")
-        ref = maximal._Side(reference_cyclic_plane(field))
+        records = record.records
+        ref = records[reference_cyclic_plane(field)]
         carriers: dict = {}
         for m in maxes:
             carriers.setdefault(m.induced, m)
         for m in carriers.values():
-            verdict = maximal._fast_verdict(m.induced, ref.algebra) or maximal._decide(m._side, ref)
+            verdict = records[m.induced].isomorphism(ref)
             _require(
                 verdict.status == "yes",
                 f"maximal {m.hyperplane_tag} not isomorphic to the r*r = s form",
@@ -582,13 +582,13 @@ def _cc2dim6_claim(field: Field, name: str):
         params = catalog.sample_params(name, field)
         if params is None:
             raise ClaimSkipped(f"constraints unsatisfiable over {field}")
-        algebra = catalog.instantiate(name, field, params)
-        prof = series.nilpotency_data(algebra)
+        record = maximal._Side(catalog.instantiate(name, field, params))
+        prof = record.profile
         _require(prof.coclass == 2, f"coclass {prof.coclass}, expected 2")
         z2 = prof.upper[2]
         _require(z2.dim == 3, f"second center dim {z2.dim}, expected 3")
-        maxes = maximal._enumerate_maximal(algebra, prof.lower)
-        ok, witness = maximal._check_p1(maxes, 0)
+        maxes = record.maximals
+        ok, witness = record.p1(0)
         _require(ok, f"P1 failed: {witness}")
         return f"coclass 2, dim Z2 = 3, P1 over {len(maxes)} maximal subalgebras"
 

@@ -9,28 +9,59 @@ coclass = dim - class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import LeibnizAlgebra
-from .errors import InternalError, NotNilpotent
-from .linalg import Subspace, Vector
+from .errors import InternalError, NotApplicable, NotNilpotent
+from .linalg import Subspace, Vector, vec_is_zero
 
 
-@dataclass(frozen=True)
 class SeriesProfile:
-    """Dimension profiles of both central series plus class and coclass.
+    """The central series of one algebra, and what is read off them.
 
-    ``lower`` and ``upper`` keep the terms the profile was built from; they
-    take no part in equality or printing.  [A, A] and Z(A) are read off them.
+    ``lower`` and ``upper`` are built on first read, by one call each of
+    ``lower_central_series`` and ``upper_central_series``.  The dims, the
+    class and coclass, [A, A] (``derived``) and Z(A) (``center``) are read
+    off those terms, so a reader builds only the series it needs: the
+    coclass needs the lower series alone.  ``cyclic`` and ``codim1_split``
+    are built at most once.  Equality, hashing and printing use the five
+    values ``lower_dims``, ``upper_dims``, ``nilpotent``, ``cls`` and
+    ``coclass``; the algebra and the terms take no part.
     """
 
-    lower_dims: tuple[int, ...]
-    upper_dims: tuple[int, ...]
-    nilpotent: bool
-    cls: int | None
-    coclass: int | None
-    lower: tuple[Subspace, ...] = field(compare=False, repr=False)
-    upper: tuple[Subspace, ...] = field(compare=False, repr=False)
+    _VALUES = ("lower_dims", "upper_dims", "nilpotent", "cls", "coclass")
+
+    def __init__(self, algebra: LeibnizAlgebra):
+        self.algebra = algebra
+
+    @cached_property
+    def lower(self) -> tuple[Subspace, ...]:
+        return tuple(lower_central_series(self.algebra))
+
+    @cached_property
+    def upper(self) -> tuple[Subspace, ...]:
+        return tuple(upper_central_series(self.algebra))
+
+    @property
+    def lower_dims(self) -> tuple[int, ...]:
+        return tuple(t.dim for t in self.lower)
+
+    @property
+    def upper_dims(self) -> tuple[int, ...]:
+        return tuple(t.dim for t in self.upper)
+
+    @property
+    def nilpotent(self) -> bool:
+        return self.lower[-1].is_zero()
+
+    @property
+    def cls(self) -> int | None:
+        return len(self.lower) - 1 if self.nilpotent else None
+
+    @property
+    def coclass(self) -> int | None:
+        cls = self.cls
+        return self.algebra.dim - cls if cls is not None else None
 
     @property
     def derived(self) -> Subspace:
@@ -39,6 +70,77 @@ class SeriesProfile:
     @property
     def center(self) -> Subspace:
         return _second(self.upper)
+
+    @property
+    def frattini(self) -> Subspace:
+        """The Frattini subalgebra of a nilpotent algebra, which equals [A, A]."""
+        if not self.nilpotent:
+            raise NotNilpotent("Frattini shortcut phi(A) = [A, A] needs nilpotency")
+        return self.derived
+
+    @cached_property
+    def cyclic(self) -> tuple[bool, Vector | None]:
+        """``is_cyclic``: the flag and the witness."""
+        if not self.nilpotent:
+            raise NotNilpotent("cyclicity test defined for nilpotent algebras")
+        algebra = self.algebra
+        if algebra.dim == 0:
+            return True, None
+        if algebra.dim == 1:
+            return True, algebra.basis_vector(0)
+        derived = self.derived
+        if derived.dim != algebra.dim - 1:
+            return False, None
+        witness = next(
+            e for e in map(algebra.basis_vector, range(algebra.dim)) if not derived.contains(e)
+        )
+        if not _generated_subalgebra(algebra, witness).is_full():
+            raise InternalError("a witness outside [A,A] of codimension one must generate")
+        return True, witness
+
+    @cached_property
+    def codim1_split(self) -> tuple[Subspace, Subspace]:
+        """``LeibnizAlgebra.split_codim1_center``, with Z(A) read off the upper series."""
+        if not self.nilpotent:
+            raise NotApplicable("decomposition defined for nilpotent algebras")
+        algebra, z = self.algebra, self.center
+        if z.dim != algebra.dim - 1:
+            raise NotApplicable(f"center has dimension {z.dim}, expected {algebra.dim - 1}")
+        a = next(e for e in map(algebra.basis_vector, range(algebra.dim)) if not z.contains(e))
+        a2 = algebra.bracket(a, a)
+        if vec_is_zero(a2):
+            raise NotApplicable("chosen generator squares to zero")  # cannot happen
+        i_space = algebra.subspace([a, a2])
+        # canonical complement of span{a2} inside the center: keep center rows
+        # that stay independent after a2.
+        rows = []
+        acc = [a2]
+        for row in z.rows:
+            before = Subspace.span(algebra.field, algebra.dim, acc)
+            if not before.contains(row):
+                rows.append(row)
+                acc.append(row)
+        j_space = Subspace.span(algebra.field, algebra.dim, rows)
+        if not (algebra.is_ideal(i_space) and algebra.is_ideal(j_space)):
+            raise NotApplicable("decomposition summands failed the ideal check")
+        if not i_space.intersect(j_space).is_zero():
+            raise NotApplicable("decomposition summands are not independent")
+        if i_space.sum_with(j_space).dim != algebra.dim:
+            raise NotApplicable("decomposition does not fill the algebra")
+        return i_space, j_space
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._VALUES)
+
+    def __eq__(self, other):
+        return isinstance(other, SeriesProfile) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        values = ", ".join(f"{name}={value!r}" for name, value in zip(self._VALUES, self._values()))
+        return f"SeriesProfile({values})"
 
 
 def _second(terms) -> Subspace:
@@ -81,20 +183,10 @@ def upper_central_series(algebra: LeibnizAlgebra) -> list[Subspace]:
 
 
 def nilpotency_data(algebra: LeibnizAlgebra) -> SeriesProfile:
-    lower = lower_central_series(algebra)
-    upper = upper_central_series(algebra)
-    nilpotent = lower[-1].is_zero()
-    cls = len(lower) - 1 if nilpotent else None
-    coclass = algebra.dim - cls if cls is not None else None
-    return SeriesProfile(
-        lower_dims=tuple(t.dim for t in lower),
-        upper_dims=tuple(t.dim for t in upper),
-        nilpotent=nilpotent,
-        cls=cls,
-        coclass=coclass,
-        lower=tuple(lower),
-        upper=tuple(upper),
-    )
+    """The series profile of ``algebra``, with both series built."""
+    profile = SeriesProfile(algebra)
+    profile.lower, profile.upper  # build both series now
+    return profile
 
 
 def frattini(algebra: LeibnizAlgebra) -> Subspace:
@@ -103,14 +195,7 @@ def frattini(algebra: LeibnizAlgebra) -> Subspace:
     The intersection-of-maximals characterization is computed separately
     (over finite fields) for cross-validation.
     """
-    return _frattini(lower_central_series(algebra))
-
-
-def _frattini(lower) -> Subspace:
-    """``frattini`` on the lower central series the caller already has."""
-    if not lower[-1].is_zero():
-        raise NotNilpotent("Frattini shortcut phi(A) = [A, A] needs nilpotency")
-    return _second(lower)
+    return SeriesProfile(algebra).frattini
 
 
 def is_cyclic(algebra: LeibnizAlgebra) -> tuple[bool, Vector | None]:
@@ -120,26 +205,7 @@ def is_cyclic(algebra: LeibnizAlgebra) -> tuple[bool, Vector | None]:
     outside [A, A], verified to generate by iterated bracketing.  Algebras of
     dimension <= 1 count as cyclic with a trivial witness.
     """
-    return _is_cyclic(algebra, lower_central_series(algebra))
-
-
-def _is_cyclic(algebra: LeibnizAlgebra, lower) -> tuple[bool, Vector | None]:
-    """``is_cyclic`` on the lower central series the caller already has."""
-    if not lower[-1].is_zero():
-        raise NotNilpotent("cyclicity test defined for nilpotent algebras")
-    if algebra.dim == 0:
-        return True, None
-    if algebra.dim == 1:
-        return True, algebra.basis_vector(0)
-    derived = lower[1]
-    if derived.dim != algebra.dim - 1:
-        return False, None
-    witness = next(
-        e for e in map(algebra.basis_vector, range(algebra.dim)) if not derived.contains(e)
-    )
-    if not _generated_subalgebra(algebra, witness).is_full():
-        raise InternalError("a witness outside [A,A] of codimension one must generate")
-    return True, witness
+    return SeriesProfile(algebra).cyclic
 
 
 def _generated_subalgebra(algebra: LeibnizAlgebra, seed: Vector) -> Subspace:

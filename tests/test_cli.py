@@ -107,7 +107,8 @@ class TestAnalyze:
 
 
     def test_builds_each_series_once(self, tmp_path, monkeypatch, capsys):
-        # Z(A) and the cyclicity test are read off the profile's series terms
+        # Z(A) and the cyclicity test are read off the profile's series terms,
+        # and leib_dim and lie off one square ideal
         path = tmp_path / "cyclic4.alg"
         path.write_text(format_algebra(instantiate("cyclic_example4", GF(5), {})))
         calls = count_calls(
@@ -115,9 +116,10 @@ class TestAnalyze:
             (series_module, "lower_central_series"),
             (series_module, "upper_central_series"),
             (LeibnizAlgebra, "center"),
+            (LeibnizAlgebra, "leib_ideal"),
         )
         assert main(["analyze", str(path)]) == 0
-        assert calls == ["lower_central_series", "upper_central_series"]
+        assert calls == ["lower_central_series", "upper_central_series", "leib_ideal"]
         assert capsys.readouterr().out.splitlines() == [
             "field GF(5)",
             "dim 4",
@@ -141,9 +143,11 @@ class TestMaximals:
         assert lines[0].startswith("[0,1]")
 
     def test_builds_one_record_per_maximal(self, heisenberg_file, monkeypatch, capsys):
+        # one record for the algebra and one per distinct induced table: the
+        # four maximals of heisenberg3 share one abelian table
         calls = count_calls(monkeypatch, (maximal_module, "_Side"))
         assert main(["maximals", heisenberg_file]) == 0
-        assert calls == ["_Side"] * 4
+        assert calls == ["_Side"] * 2
         assert capsys.readouterr().out.splitlines()[0] == (
             "[0,1] dim=2 lower=[2, 0] upper=[0, 2] leib=0 z=2 zl=2 der=0 sq=9/0"
         )
@@ -430,10 +434,12 @@ class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
 
-    def test_maximals_needs_finite_field(self, tmp_path):
+    @pytest.mark.parametrize("command", ["maximals", "p1", "p2"])
+    def test_maximals_needs_finite_field(self, tmp_path, command, capsys):
         path = tmp_path / "q.alg"
         path.write_text(format_algebra(instantiate("heisenberg3", QQ, {})))
-        assert main(["maximals", str(path)]) == 2
+        assert main([command, str(path)]) == 2
+        assert "needs GF(p)" in capsys.readouterr().err
 
     def test_internal_error_exit_code(self, heisenberg_file, monkeypatch):
         from leibalg.errors import InternalError

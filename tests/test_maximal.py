@@ -44,7 +44,6 @@ def cc1(field, tau, lam, eps):
 
 def count_series(monkeypatch):
     """Record (kind, algebra) for every central series computed from now on."""
-    import leibalg.maximal as maximal_module
     import leibalg.series as series_module
 
     seen = []
@@ -56,8 +55,7 @@ def count_series(monkeypatch):
             seen.append((kind, algebra))
             return real(algebra)
 
-        for module in (series_module, maximal_module):
-            monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(series_module, name, counting)
     return seen
 
 
@@ -179,8 +177,6 @@ class TestEnumeration:
         # the closed-form kernels and induced cells against the pullbacks
         # spanned by rref and restricted cell by cell, on random towers of
         # dims 2-6 and the catalog's sample instances
-        from leibalg.maximal import _enumerate_maximal
-
         field = GF(p)
         rng = random.Random(100 + p)
         algebras = [random_nilpotent_algebra(rng, field, 2 + t % 5) for t in range(120)]
@@ -193,7 +189,7 @@ class TestEnumeration:
         maximals = 0
         for algebra in algebras:
             lower = nilpotency_data(algebra).lower
-            got = _enumerate_maximal(algebra, lower)
+            got = enumerate_maximal(algebra)
             expected = reference_enumerate_maximal(algebra, lower)
             assert [m.hyperplane_tag for m in got] == [m.hyperplane_tag for m in expected]
             for m, ref in zip(got, expected):
@@ -204,21 +200,26 @@ class TestEnumeration:
         assert maximals > 2 * len(algebras)
 
     def test_closed_form_refuses_a_product_outside_the_kernel(self):
-        # handed a lower series whose [A, A] is too small, some hyperplane
-        # is not closed under the bracket; both enumerations refuse it
+        # on a record whose lower series has a too small [A, A], some
+        # hyperplane is not closed under the bracket; both enumerations refuse it
         from leibalg import NotASubalgebra
-        from leibalg.maximal import _enumerate_maximal
 
         algebra = instantiate("heisenberg3", GF(3), {})
         lower = [algebra.full_space(), Subspace.span(GF(3), 3, [])]
+        side = _Side(algebra)
+        side.profile.lower = tuple(lower)
         with pytest.raises(NotASubalgebra):
-            _enumerate_maximal(algebra, lower)
+            side.maximals
         with pytest.raises(NotASubalgebra):
             reference_enumerate_maximal(algebra, lower)
 
-    def test_rationals_rejected(self):
+    @pytest.mark.parametrize(
+        "reader", [enumerate_maximal, check_p1, check_p2, frattini_by_intersection],
+        ids=lambda reader: reader.__name__,
+    )
+    def test_rationals_rejected(self, reader):
         with pytest.raises(NeedsFiniteField):
-            enumerate_maximal(instantiate("heisenberg3", QQ, {}))
+            reader(instantiate("heisenberg3", QQ, {}))
 
     def test_non_nilpotent_rejected(self):
         solvable = LeibnizAlgebra.from_table(
@@ -507,18 +508,19 @@ class TestProperties:
         ],
     )
     def test_p1_builds_one_record_per_maximal(self, monkeypatch, name, params):
-        # the comparisons against the first maximal and the transitivity
-        # spot check share one record per distinct induced table; a maximal
-        # whose table equals an earlier one's is not decided again, and when
-        # every table equals the first one's no record is built
+        # one record for the algebra; the comparisons against the first
+        # maximal and the transitivity spot check share one record per
+        # distinct induced table; a maximal whose table equals an earlier
+        # one's is not decided again, and when every table equals the first
+        # one's no record of a maximal is built
         import leibalg.maximal as maximal_module
 
         records = []
 
         class CountingSide(_Side):
-            def __init__(self, algebra):
+            def __init__(self, algebra, records_of_call=None):
                 records.append(algebra)
-                super().__init__(algebra)
+                super().__init__(algebra, records_of_call)
 
         field = GF(5)
         algebra = instantiate(name, field, params or sample_params(name, field))
@@ -528,9 +530,9 @@ class TestProperties:
         assert len(maximals) == 6
         distinct = {m.induced for m in maximals}
         assert len(records) == len(set(records))
-        assert set(records) == (distinct if len(distinct) > 1 else set())
+        assert set(records) == {algebra} | (distinct if len(distinct) > 1 else set())
         if name == "cc1_case2":
-            assert len(records) == len(distinct) == 3
+            assert len(records) - 1 == len(distinct) == 3
 
     def test_searched_pair_builds_each_series_once(self, monkeypatch):
         # one is_isomorphic call that reaches the search computes each
@@ -586,7 +588,7 @@ class TestProperties:
     def test_p2_builds_one_upper_series_per_distinct_table(self, monkeypatch):
         # and reports the witness of the check that builds one per maximal:
         # the first maximal in tag order whose profile differs from the first
-        from leibalg import maximal
+        from leibalg import series
 
         def reference_p2(maximals):
             profiles = [tuple(s.dim for s in upper_central_series(m.induced)) for m in maximals]
@@ -605,14 +607,14 @@ class TestProperties:
             calls.append(algebra)
             return upper_central_series(algebra)
 
-        monkeypatch.setattr(maximal, "upper_central_series", counting)
+        monkeypatch.setattr(series, "upper_central_series", counting)
         outcomes = set()
         shared = 0
         for algebra in algebras:
             maximals = enumerate_maximal(algebra)
             expected_ok, expected_witness = reference_p2(maximals)
             calls.clear()
-            ok, witness = maximal._check_p2(maximals)
+            ok, witness = check_p2(algebra)
             assert ok == expected_ok
             if witness is not None:
                 witness = (witness.a.hyperplane_tag, witness.b.hyperplane_tag, witness.detail)
@@ -623,7 +625,7 @@ class TestProperties:
             shared += len(calls) < len(maximals)
             outcomes.add(ok)
         assert outcomes == {True, False} and shared
-        _, witness = maximal._check_p2(enumerate_maximal(algebras[0]))
+        _, witness = check_p2(algebras[0])
         assert (witness.a.hyperplane_tag, witness.b.hyperplane_tag) == ((0, 0, 1), (0, 1, 0))
         assert witness.detail == "upper series dims (0, 3) vs (0, 1, 3)"
 

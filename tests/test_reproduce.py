@@ -98,7 +98,8 @@ def count_calls(monkeypatch, module, names, calls):
 
 
 def reference_structural_suite(field, count, max_dim, seed) -> str:
-    """The structural suite without memos: every tower and quotient checked in full."""
+    """The structural suite without memos: every tower and quotient checked in full,
+    each invariant by its own public call."""
     rng = random.Random(seed)
     splits = 0
     central_ideals = 0
@@ -114,21 +115,20 @@ def reference_structural_suite(field, count, max_dim, seed) -> str:
             f"series step counts differ: {prof.lower_dims} vs {prof.upper_dims}",
         )
         derived = prof.derived
-        frattini = series._frattini(prof.lower)
+        frattini = series.frattini(algebra)
         _require(frattini == derived, "frattini shortcut mismatch")
-        maximals = maximal._enumerate_maximal(algebra, prof.lower)
         _require(
-            maximal._intersection(algebra, maximals) == derived,
+            maximal.frattini_by_intersection(algebra) == derived,
             "intersection of maximals differs from the derived subalgebra",
         )
-        cyclic, witness = series._is_cyclic(algebra, prof.lower)
+        cyclic, witness = series.is_cyclic(algebra)
         _require(
             cyclic == (derived.dim == algebra.dim - 1),
             "cyclicity must match codimension-one derived subalgebra",
         )
         if cyclic and algebra.dim > 0:
             _require(witness is not None, "cyclic algebras carry a witness")
-        p2, _ = maximal._check_p2(maximals)
+        p2, _ = maximal.check_p2(algebra)
         if p2 and prof.cls is not None and prof.cls >= 1:
             p2_holds += 1
             upper = prof.upper
@@ -157,7 +157,7 @@ def reference_structural_suite(field, count, max_dim, seed) -> str:
                 f"central ideal of dim {ideal.dim} must drop the coclass",
             )
         if center.dim == algebra.dim - 1:
-            i_space, j_space = algebra._split_codim1_center(center)
+            i_space, j_space = algebra.split_codim1_center()
             _require(i_space.dim == 2, "split part must be two-dimensional")
             _require(
                 i_space.sum_with(j_space).dim == algebra.dim,
@@ -207,61 +207,78 @@ def quotient_tables(towers) -> list:
     ]
 
 
+def induced_tables(towers) -> set:
+    """The distinct maximal tables that P2 compares: those of towers with two maximals or more."""
+    enumerations = [maximal.enumerate_maximal(t) for t in towers]
+    return {table_values(m.induced) for ms in enumerations if len(ms) > 1 for m in ms}
+
+
 def test_structural_suite_enumerates_each_towers_maximals_once(monkeypatch):
     # once per distinct tower table, on the lower series of its profile
     towers = distinct_towers(GF(3), 12, 4, seed=2)
     assert len(towers) == 9
+    maximals = sum(len(maximal.enumerate_maximal(t)) for t in towers)
     calls = []
-    count_calls(monkeypatch, maximal, ("enumerate_maximal", "_enumerate_maximal"), calls)
+    count_calls(monkeypatch, maximal, ("enumerate_maximal", "MaximalSubalgebra"), calls)
     run_structural_suite(GF(3), 12, 4, seed=2)
-    assert calls.count("_enumerate_maximal") == len(towers)
+    assert calls.count("MaximalSubalgebra") == maximals
     assert calls.count("enumerate_maximal") == 0
 
 
-def test_structural_suite_runs_nilpotency_data_once_per_tower(monkeypatch):
-    # once per distinct tower table; the central-ideal quotients read their
-    # coclass off the lower series
+def test_structural_suite_builds_one_record_per_table(monkeypatch):
+    # each distinct tower table is checked once, on its own record, and each
+    # distinct induced maximal table of the whole call has one record in the
+    # call's _Records
+    from leibalg import reproduce
+
     towers = distinct_towers(GF(3), 12, 4, seed=2)
-    calls = []
-    nilpotency_data = series.nilpotency_data
+    built, checked = [], []
+    real_side, real_check = maximal._Side, reproduce._check_tower
 
-    def counting(algebra):
-        calls.append(algebra)
-        return nilpotency_data(algebra)
+    def side(algebra, records=None):
+        built.append(table_values(algebra))
+        return real_side(algebra, records)
 
-    monkeypatch.setattr(series, "nilpotency_data", counting)
+    def check(record):
+        checked.append(table_values(record.algebra))
+        return real_check(record)
+
+    expected = len(towers) + len(induced_tables(towers))
+    monkeypatch.setattr(maximal, "_Side", side)
+    monkeypatch.setattr(reproduce, "_check_tower", check)
     evidence = run_structural_suite(GF(3), 12, 4, seed=2)
     assert "; 3 central ideals dropped the coclass;" in evidence
-    assert [table_values(a) for a in calls] == [table_values(t) for t in towers]
+    assert checked == [table_values(t) for t in towers]
+    assert len(built) == expected
 
 
 def test_structural_suite_reads_each_towers_series_off_its_profile(monkeypatch):
-    # [A, A], Z(A), the upper terms and the lower series handed to the
-    # Frattini shortcut, the cyclicity test and the maximal enumeration all
-    # come from the tower's profile, and the central-ideal quotients read
-    # their class off it too: the lower series is built once per distinct
-    # tower table and never for a quotient
+    # [A, A], Z(A), the upper terms, the Frattini shortcut, the cyclicity
+    # test, the codim-1 split and the maximal enumeration all come from the
+    # tower's record, and the central-ideal quotients read their class off
+    # it too: the lower series is built once per distinct tower table and
+    # never for a quotient or a maximal, and the upper series once per
+    # distinct tower table and once per distinct induced table of the call
     towers = distinct_towers(GF(3), 12, 4, seed=2)
+    induced = induced_tables(towers)
     calls = []
     count_calls(
         monkeypatch,
         series,
-        ("frattini", "_frattini", "is_cyclic", "_is_cyclic", "upper_central_series",
+        ("nilpotency_data", "frattini", "is_cyclic", "upper_central_series",
          "lower_central_series"),
         calls,
     )
-    monkeypatch.setattr(maximal, "lower_central_series", series.lower_central_series)
     count_calls(monkeypatch, LeibnizAlgebra, ("center", "derived", "split_codim1_center"), calls)
     evidence = run_structural_suite(GF(3), 12, 4, seed=2)
     assert "; 11 with the series-profile property" in evidence
     assert "; 3 central ideals dropped the coclass;" in evidence
     assert "; 4 codim-1-center splits verified" in evidence
-    assert calls.count("_frattini") == len(towers)
-    assert calls.count("_is_cyclic") == len(towers)
-    assert calls.count("upper_central_series") == len(towers)
-    for name in ("frattini", "is_cyclic", "center", "derived", "split_codim1_center"):
+    for name in ("nilpotency_data", "frattini", "is_cyclic", "center", "derived",
+                 "split_codim1_center"):
         assert calls.count(name) == 0, name
     assert calls.count("lower_central_series") == len(towers)
+    assert calls.count("upper_central_series") == len(towers) + len(induced)
 
 
 def test_structural_suite_reads_central_ideal_classes_off_the_lower_series(monkeypatch):
@@ -303,12 +320,16 @@ def test_structural_suite_computes_one_upper_series_per_distinct_maximal_table(
         calls.append(table_values(algebra))
         return upper_central_series(algebra)
 
-    monkeypatch.setattr(maximal, "upper_central_series", counting)
-    for tower in distinct_towers(field, 100, 5, seed):
-        maximal._check_p2(maximal.enumerate_maximal(tower))
+    towers = distinct_towers(field, 100, 5, seed)
+    monkeypatch.setattr(series, "upper_central_series", counting)
+    for tower in towers:
+        maximal.check_p2(tower)
     assert len(calls) == per_tower
     calls.clear()
     run_structural_suite(field, 100, 5, seed)
+    # one more per distinct tower, for the tower's own profile
+    for tower in towers:
+        calls.remove(table_values(tower))
     assert len(calls) == len(set(calls)) == shared
 
 
@@ -317,7 +338,7 @@ def test_a_second_suite_call_does_the_work_of_the_first(monkeypatch):
     calls = []
     count_calls(monkeypatch, series, ("nilpotency_data", "lower_central_series",
                                       "upper_central_series"), calls)
-    count_calls(monkeypatch, maximal, ("_enumerate_maximal", "_check_p2", "_upper_dims"), calls)
+    count_calls(monkeypatch, maximal, ("_Side", "MaximalSubalgebra"), calls)
     count_calls(monkeypatch, LeibnizAlgebra, ("quotient", "is_ideal", "restrict"), calls)
     counts = []
     for _ in range(2):
@@ -326,7 +347,7 @@ def test_a_second_suite_call_does_the_work_of_the_first(monkeypatch):
         counts.append((evidence, sorted(calls)))
     assert counts[0] == counts[1]
     assert calls.count("quotient") == 0
-    assert calls.count("_upper_dims") > 0
+    assert calls.count("_Side") > 0 and calls.count("upper_central_series") > 0
 
 
 @pytest.mark.parametrize(
@@ -360,46 +381,40 @@ def test_reproduce_refuses_flags_that_select_nothing_or_twice(argv, capsys):
 
 
 def test_cc2dim4_claim_builds_one_reference_record(monkeypatch):
-    # one record per distinct induced table and one for the r*r = s
-    # reference; a maximal whose table equals an earlier one shares its record
+    # one record for the algebra, one per distinct induced table and one
+    # for the r*r = s reference, all in the claim's _Records: a maximal
+    # whose table equals an earlier one, or the reference, shares its record
     from leibalg import maximal, reproduce
 
-    records, references, enumerated = [], [], []
+    sides, references = [], []
     real_reference = reproduce.reference_cyclic_plane
-    real_enumerate = maximal._enumerate_maximal
 
     class CountingSide(maximal._Side):
-        def __init__(self, algebra):
-            records.append(algebra)
-            super().__init__(algebra)
+        def __init__(self, algebra, records=None):
+            sides.append(self)
+            super().__init__(algebra, records)
 
     def reference_cyclic_plane(field):
         references.append(real_reference(field))
         return references[-1]
 
-    def enumerate_maximal(algebra, lower):
-        enumerated.append(real_enumerate(algebra, lower))
-        return enumerated[-1]
-
     monkeypatch.setattr(maximal, "_Side", CountingSide)
-    monkeypatch.setattr(maximal, "_enumerate_maximal", enumerate_maximal)
     monkeypatch.setattr(reproduce, "reference_cyclic_plane", reference_cyclic_plane)
     claims = [c for c in build_claims([3, 5], seed=0) if c.claim_id.startswith("cc2dim4.")]
     assert len(claims) == 9
     shared = 0
     for claim in claims:
-        records.clear()
+        sides.clear()
         references.clear()
-        enumerated.clear()
         evidence = claim.run()
         maximals = int(evidence.split("all ")[1].split()[0])
         assert len(references) == 1, claim.claim_id
-        assert sum(r is references[0] for r in records) == 1, claim.claim_id
-        own = [r for r in records if r is not references[0]]
-        assert len(set(own)) == len(own) <= maximals, claim.claim_id
-        tables = {m.induced for m in enumerated[0]}
-        assert len(enumerated[0]) == maximals
-        assert tables - {references[0]} <= set(own) <= tables, claim.claim_id
+        algebras = [side.algebra for side in sides]
+        assert len(set(algebras)) == len(algebras), claim.claim_id
+        enumerated = sides[0].maximals
+        assert len(enumerated) == maximals
+        tables = {m.induced for m in enumerated}
+        assert set(algebras) == {algebras[0], references[0]} | tables, claim.claim_id
         shared += len(tables) < maximals
     assert shared
 

@@ -204,18 +204,19 @@ def test_the_budget_counts_the_candidates_the_filter_skipped(monkeypatch):
     # reads it is charged all 337, so a budget of 336 raises on every search
     field = GF(7)
     algebra = instantiate("A1_6dim", field, sample_params("A1_6dim", field))
-    maximals = maximal.enumerate_maximal(algebra)
-    target = maximals[0]._side
-    assert _search_isomorphism(maximals[1]._side, target) is not None
+    record = _Side(algebra)
+    maximals, records = record.maximals, record.records
+    target = records[maximals[0].induced]
+    assert _search_isomorphism(records[maximals[1].induced], target) is not None
     (scan,) = target._first_scans.values()
     assert (scan.scanned, [index for index, _ in scan.kept]) == (337, [337])
     monkeypatch.setattr(maximal, "SEARCH_CANDIDATE_BOUND", 336)
     for m in maximals[1:]:
         with pytest.raises(SearchBoundExceeded, match="more than 336 candidate"):
-            _search_isomorphism(m._side, target)
-        assert outcome(reference_search, m._side, _Side(target.algebra)) == "raise"
+            _search_isomorphism(records[m.induced], target)
+        assert outcome(reference_search, records[m.induced], _Side(target.algebra)) == "raise"
     monkeypatch.setattr(maximal, "SEARCH_CANDIDATE_BOUND", 337 + 50)
-    assert _search_isomorphism(maximals[2]._side, target) is not None
+    assert _search_isomorphism(records[maximals[2].induced], target) is not None
 
 
 def count_generated(monkeypatch):
@@ -237,11 +238,12 @@ def test_p1_scans_the_first_maximals_candidates_once(monkeypatch):
     # the first generator's 337 candidates are generated once, not 7 x 337
     field = GF(7)
     algebra = instantiate("A1_6dim", field, sample_params("A1_6dim", field))
-    maximals = maximal.enumerate_maximal(algebra)
+    record = _Side(algebra)
+    maximals, records = record.maximals, record.records
     assert len({m.induced for m in maximals}) == len(maximals) == 8
     generated = count_generated(monkeypatch)
-    assert maximal._check_p1(maximals, 0) == (True, None)
-    first = maximals[0]._side
+    assert record.p1(0) == (True, None)
+    first = records[maximals[0].induced]
     (scan,) = first._first_scans.values()
     assert scan.scanned == 337
     shared = sum(side is first for side in generated)
@@ -251,7 +253,7 @@ def test_p1_scans_the_first_maximals_candidates_once(monkeypatch):
     for m in maximals[1:]:
         target = _Side(first.algebra)
         generated.clear()
-        assert reference_search(m._side, target) is not None
+        assert reference_search(records[m.induced], target) is not None
         assert sum(side is target for side in generated) >= 337
         unshared += len(generated)
     assert unshared - shared == 6 * 337
@@ -298,7 +300,35 @@ def test_a_source_builds_its_closures_once(monkeypatch):
         real_init(self, cells, p, gen_vecs)
 
     monkeypatch.setattr(_Closure, "__init__", counting_init)
-    assert maximal._check_p1(maximals, 0) == (True, None)
+    assert maximal.check_p1(algebra) == (True, None)
     sources = {m.induced._cells for m in maximals[1:]}
     assert len(sources) == len(maximals) - 1
     assert sorted(built) == sorted((cells, k) for cells in sources for k in (1, 2, 3))
+
+
+def test_the_search_claims_leave_no_reference_cycles():
+    # every record, scan, budget and closure of a round of the searching
+    # claims is freed by reference counting: with the cycle collector off,
+    # a collection afterwards finds none of them unreachable
+    import gc
+
+    from leibalg.maximal import _Budget, _Scan
+    from leibalg.reproduce import build_claims, run_claims
+
+    searching = ("cc2dim4.", "cc2dim6.", "cc1.p1")
+    claims = [c for c in build_claims([3, 5, 7], seed=0) if c.claim_id.startswith(searching)]
+    assert len(claims) == 15
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        entries = run_claims(claims)
+        gc.collect()
+        # type(), not isinstance(): a dead weak proxy raises on any attribute read
+        leaked = [o for o in gc.garbage if type(o) in (_Side, _Scan, _Budget, _Closure)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert [e.verdict for e in entries] == ["pass"] * 15
+    assert leaked == []

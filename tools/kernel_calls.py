@@ -1,0 +1,81 @@
+"""Count the kernel calls one round of each benchmark workload makes.
+
+Usage, from the root of a checkout:
+
+    PYTHONPATH=src python tools/kernel_calls.py [--seed N]
+
+Builds each workload of ``perfbench/workloads.py`` at the seed, runs the
+operations of one round once, and prints, per workload, how often the
+central series and the elimination kernel were called.  Counts are exact
+and do not depend on the host, so two checkouts are compared by running
+this in each.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from collections import Counter
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402  (perfbench/ is not a package)
+
+from leibalg import _modp, core, series  # noqa: E402
+
+COUNTED = [
+    (series, "lower_central_series"),
+    (series, "upper_central_series"),
+    (core.LeibnizAlgebra, "span_products"),
+    (core.LeibnizAlgebra, "centralizer_mod"),
+    (core.LeibnizAlgebra, "leib_ideal"),
+    (_modp, "rref"),
+]
+
+
+def holders(owner, name):
+    """``owner`` and every ``leibalg`` module that imported the function by name."""
+    real = getattr(owner, name)
+    found = [owner]
+    for module_name, module in sys.modules.items():
+        if module_name.startswith("leibalg.") and module is not owner:
+            if getattr(module, name, None) is real:
+                found.append(module)
+    return found
+
+
+def count_round(workload, seed: int) -> Counter:
+    ops = workload.ops(workload.setup(seed))
+    counts: Counter = Counter()
+    saved = []
+    for owner, name in COUNTED:
+        real = getattr(owner, name)
+
+        def counting(*args, name=name, real=real, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        for holder in holders(owner, name):
+            saved.append((holder, name, real))
+            setattr(holder, name, counting)
+    try:
+        for _, call in ops:
+            call()
+    finally:
+        for owner, name, real in saved:
+            setattr(owner, name, real)
+    return counts
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+    for name, workload in workloads.WORKLOADS.items():
+        counts = count_round(workload, args.seed)
+        print(name + ": " + ", ".join(f"{n} {counts[n]}" for _, n in COUNTED))
+
+
+if __name__ == "__main__":
+    main()
