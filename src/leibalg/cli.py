@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("p1", help="are all maximal subalgebras isomorphic?")
     p.add_argument("file")
-    p.add_argument("--seed", type=_seed, default=_default_seed())
 
     p = sub.add_parser("p2", help="do all maximal subalgebras share series dims?")
     p.add_argument("file")
@@ -186,30 +185,24 @@ def cmd_iso(args) -> int:
     return EXIT_FALSE
 
 
-def cmd_p1(args) -> int:
-    algebra = _load_algebra(args.file)
-    ok, witness = maximal.check_p1(algebra, spot_seed=args.seed)
+def _property_verdict(name: str, holds: str, ok: bool, witness) -> int:
+    """Print a P1/P2 verdict, with the witness pair of maximals when it fails."""
     if ok:
-        print("P1 holds: all maximal subalgebras are isomorphic")
+        print(f"{name} holds: all maximal subalgebras {holds}")
         return EXIT_OK
-    print(
-        f"P1 fails: maximal [{','.join(map(str, witness.a.hyperplane_tag))}] vs "
-        f"[{','.join(map(str, witness.b.hyperplane_tag))}]: {witness.detail}"
-    )
+    a, b = (",".join(map(str, m.hyperplane_tag)) for m in (witness.a, witness.b))
+    print(f"{name} fails: maximal [{a}] vs [{b}]: {witness.detail}")
     return EXIT_FALSE
+
+
+def cmd_p1(args) -> int:
+    return _property_verdict("P1", "are isomorphic", *maximal.check_p1(_load_algebra(args.file)))
 
 
 def cmd_p2(args) -> int:
-    algebra = _load_algebra(args.file)
-    ok, witness = maximal.check_p2(algebra)
-    if ok:
-        print("P2 holds: all maximal subalgebras share the series profile")
-        return EXIT_OK
-    print(
-        f"P2 fails: maximal [{','.join(map(str, witness.a.hyperplane_tag))}] vs "
-        f"[{','.join(map(str, witness.b.hyperplane_tag))}]: {witness.detail}"
+    return _property_verdict(
+        "P2", "share the series profile", *maximal.check_p2(_load_algebra(args.file))
     )
-    return EXIT_FALSE
 
 
 def cmd_catalog(args) -> int:

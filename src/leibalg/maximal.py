@@ -68,9 +68,9 @@ search against the same record reads them and extends the scan only as far
 as it consumes.  The records of the induced tables of the maximals are
 looked up in a ``_Records`` of the call, one record per table, so the
 comparisons of ``check_p1`` against the first maximal, which is the target
-of each, and its transitivity spot check share them, and ``check_p2``
-computes one upper series per distinct table; both report the first
-maximal in tag order that differs from the first.  A record reaches its
+of each, and its spot check of the second distinct table against the last
+share them, and ``check_p2`` computes one upper series per distinct table;
+both report the first maximal in tag order that differs from the first.  A record reaches its
 ``_Records`` through a weak proxy, and a scan holds no record, so the
 records of a call form no reference cycle and are freed when the call
 drops them.  Nothing is cached on ``LeibnizAlgebra`` itself or at module
@@ -84,7 +84,6 @@ lists are always sorted by hyperplane tag.
 from __future__ import annotations
 
 import itertools
-import random
 import weakref
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property
@@ -303,8 +302,9 @@ class _Side:
         matrix = tuple(tuple(a.field(c) for c in row) for row in raw)
         return IsoVerdict("yes", matrix=matrix, reason="explicit isomorphism found")
 
-    def p1(self, spot_seed: int = 0) -> tuple[bool, MaximalPairWitness | None]:
-        """``check_p1``: every distinct induced table against the first, in tag order."""
+    def p1(self) -> tuple[bool, MaximalPairWitness | None]:
+        """``check_p1``: every distinct induced table against the first, in tag
+        order, then the second distinct table against the last."""
         maximals = self.maximals
         if len(maximals) <= 1:
             return True, None
@@ -319,15 +319,12 @@ class _Side:
             verdict = records[m.induced].isomorphism(records[first.induced])
             if verdict.status != "yes":
                 return False, MaximalPairWitness(first, m, verdict.reason)
-        if len(maximals) >= 3:
-            rng = random.Random(spot_seed)
-            i, j = rng.sample(range(1, len(maximals)), 2)
-            verdict = records[maximals[i].induced].isomorphism(records[maximals[j].induced])
-            if verdict.status != "yes":
-                raise InternalError(
-                    "transitivity spot check failed although all maximal "
-                    "subalgebras matched the first"
-                )
+        tables = list(carriers)
+        if len(tables) >= 3 and records[tables[1]].isomorphism(records[tables[-1]]).status != "yes":
+            raise InternalError(
+                "transitivity spot check failed although all maximal "
+                "subalgebras matched the first"
+            )
         return True, None
 
     def p2(self) -> tuple[bool, MaximalPairWitness | None]:
@@ -572,17 +569,17 @@ def _assert_isomorphism(a: LeibnizAlgebra, b: LeibnizAlgebra, raw) -> None:
                 raise InternalError("claimed isomorphism fails the bracket check")
 
 
-def check_p1(
-    algebra: LeibnizAlgebra, spot_seed: int = 0
-) -> tuple[bool, MaximalPairWitness | None]:
+def check_p1(algebra: LeibnizAlgebra) -> tuple[bool, MaximalPairWitness | None]:
     """All maximal subalgebras pairwise isomorphic?
 
     Compares every distinct induced table against the first maximal's (tag
-    order), then spot-verifies transitivity on one seeded random pair.  Each
-    distinct table is decided once, and its fingerprint and search data are
-    built once, on the first maximal that carries it.
+    order).  With at least three distinct tables it then spot-verifies
+    transitivity by comparing the second distinct table with the last, which
+    is a real search, since the two differ.  Each distinct table is decided
+    once, and its fingerprint and search data are built once, on the first
+    maximal that carries it.
     """
-    return _Side(algebra).p1(spot_seed)
+    return _Side(algebra).p1()
 
 
 def check_p2(algebra: LeibnizAlgebra) -> tuple[bool, MaximalPairWitness | None]:

@@ -125,18 +125,9 @@ def build_table8(field: Field, c, g, f, rhat, shat) -> LeibnizAlgebra:
 
 
 def forced_cc1_table(field: Field, tau, lam, eps) -> LeibnizAlgebra:
-    """The coclass-one table built raw, bypassing catalog constraints."""
-    return LeibnizAlgebra.from_table(
-        3,
-        field,
-        [
-            (1, 1, {3: 1}),
-            (2, 2, {3: field(tau)}),
-            (1, 2, {3: field(lam)}),
-            (2, 1, {3: field(eps)}),
-        ],
-        labels=("x", "y", "z"),
-    )
+    """The catalog's coclass-one table built raw, bypassing its constraints."""
+    params = {"tau": field(tau), "lambda": field(lam), "epsilon": field(eps)}
+    return catalog.get_entry("cc1_case2").builder(field, params)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -496,7 +487,7 @@ def _example4_claim(field: Field):
         _require(prof.cls == 4 and prof.coclass == 0, f"class/coclass {prof.cls}/{prof.coclass}")
         maxes = record.maximals
         _require(len(maxes) == 1, f"expected a single maximal subalgebra, got {len(maxes)}")
-        ok, _ = record.p1(0)
+        ok, _ = record.p1()
         _require(ok, "P1 must hold trivially")
         return "center, second center, class 4, coclass 0, one maximal subalgebra"
 
@@ -511,7 +502,7 @@ def _cc1_positive_claim(field: Field, tau: int, lam: int, eps: int):
         maxes = record.maximals
         expected = (p * p - 1) // (p - 1)
         _require(len(maxes) == expected, f"{len(maxes)} maximals, expected {expected}")
-        ok, witness = record.p1(0)
+        ok, witness = record.p1()
         _require(ok, f"P1 failed: {witness}")
         disc = (field(lam) + field(eps)) ** 2 - 4 * field(tau)
         return (
@@ -556,19 +547,16 @@ def _cc2dim4_claim(field: Field, name: str, params: dict):
         coclass = record.profile.coclass
         _require(coclass == 2, f"coclass {coclass}, expected 2")
         maxes = record.maximals
-        ok, witness = record.p1(0)
+        ok, witness = record.p1()
         _require(ok, f"P1 failed: {witness}")
+        # P1 holds, so the first maximal's verdict carries to every other
         records = record.records
-        ref = records[reference_cyclic_plane(field)]
-        carriers: dict = {}
-        for m in maxes:
-            carriers.setdefault(m.induced, m)
-        for m in carriers.values():
-            verdict = records[m.induced].isomorphism(ref)
-            _require(
-                verdict.status == "yes",
-                f"maximal {m.hyperplane_tag} not isomorphic to the r*r = s form",
-            )
+        first = maxes[0]
+        verdict = records[first.induced].isomorphism(records[reference_cyclic_plane(field)])
+        _require(
+            verdict.status == "yes",
+            f"maximal {first.hyperplane_tag} not isomorphic to the r*r = s form",
+        )
         return (
             f"coclass 2, P1 holds, all {len(maxes)} maximal subalgebras "
             "isomorphic to the reference r*r = s algebra"
@@ -588,7 +576,7 @@ def _cc2dim6_claim(field: Field, name: str):
         z2 = prof.upper[2]
         _require(z2.dim == 3, f"second center dim {z2.dim}, expected 3")
         maxes = record.maximals
-        ok, witness = record.p1(0)
+        ok, witness = record.p1()
         _require(ok, f"P1 failed: {witness}")
         return f"coclass 2, dim Z2 = 3, P1 over {len(maxes)} maximal subalgebras"
 
@@ -608,13 +596,14 @@ def _table8_claim() -> str:
 
 
 def _cex_p2_claim() -> str:
-    algebra = catalog.instantiate("cex_fourdim_A1", GF(3), {})
-    ok, witness = maximal.check_p2(algebra)
+    record = maximal._Side(catalog.instantiate("cex_fourdim_A1", GF(3), {}))
+    ok, witness = record.p2()
     _require(not ok, "the counterexample must fail the series-profile property")
     _require(witness is not None, "a series-profile failure carries a witness pair")
+    # [M, M] = 0 exactly when Z(M) = M, read off the upper series P2 built
     abelian_flags = {
-        witness.a.hyperplane_tag: witness.a.induced.derived().is_zero(),
-        witness.b.hyperplane_tag: witness.b.induced.derived().is_zero(),
+        m.hyperplane_tag: record.records[m.induced].profile.center.dim == m.induced.dim
+        for m in (witness.a, witness.b)
     }
     _require(
         sorted(abelian_flags.values()) == [False, True],
@@ -624,12 +613,13 @@ def _cex_p2_claim() -> str:
 
 
 def _cex_p1_claim() -> str:
-    algebra = catalog.instantiate("cex_A8", GF(3), {})
-    ok, witness = maximal.check_p1(algebra)
+    record = maximal._Side(catalog.instantiate("cex_A8", GF(3), {}))
+    ok, witness = record.p1()
     _require(not ok, "the counterexample must fail the isomorphism property")
     _require(witness is not None, "a P1 failure carries a witness pair")
-    leib_a = witness.a.induced.leib_ideal().dim
-    leib_b = witness.b.induced.leib_ideal().dim
+    leib_a, leib_b = (
+        record.records[m.induced].fingerprint.leib_dim for m in (witness.a, witness.b)
+    )
     _require(
         sorted((leib_a, leib_b)) == [0, 1],
         f"witness pair must have square-ideal dims 1 vs 0, got {leib_a}, {leib_b}",

@@ -191,6 +191,32 @@ class TestProperties:
     def test_p2_true(self, heisenberg_file):
         assert main(["p2", heisenberg_file]) == 0
 
+    @pytest.mark.parametrize(
+        "command,name,line",
+        [
+            ("p1", "cex_A8", "P1 fails: maximal [0,1] vs [1,0]: invariant lower_dims differs: "
+             "(4, 1, 0) vs (4, 2, 0)"),
+            ("p1", "cex_fourdim_A1", "P1 fails: maximal [0,0,1] vs [0,1,0]: invariant "
+             "lower_dims differs: (3, 1, 0) vs (3, 0)"),
+            ("p2", "cex_fourdim_A1", "P2 fails: maximal [0,0,1] vs [0,1,0]: upper series "
+             "dims (0, 3) vs (0, 1, 3)"),
+        ],
+    )
+    def test_witness_line(self, tmp_path, capsys, command, name, line):
+        path = tmp_path / f"{name}.alg"
+        path.write_text(format_algebra(instantiate(name, GF(3), {})))
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().out == line + "\n"
+
+    def test_p1_takes_no_seed(self, heisenberg_file, monkeypatch, capsys):
+        # the transitivity spot check is fixed, so neither --seed nor
+        # LEIBALG_SEED reaches p1
+        assert main(["p1", heisenberg_file, "--seed", "3"]) == 2
+        monkeypatch.setenv("LEIBALG_SEED", "abc")
+        capsys.readouterr()
+        assert main(["p1", heisenberg_file]) == 0
+        assert capsys.readouterr().out == "P1 holds: all maximal subalgebras are isomorphic\n"
+
 
 class TestCatalogCommands:
     def test_list(self, capsys):
@@ -395,7 +421,7 @@ class TestReproduce:
         args = build_parser().parse_args(["reproduce"])
         assert args.seed == 3
 
-    @pytest.mark.parametrize("argv", [["reproduce", "--fields", "3"], ["p1", "missing.alg"]])
+    @pytest.mark.parametrize("argv", [["reproduce", "--fields", "3"]])
     def test_bad_seed_env_is_a_usage_error(self, monkeypatch, capsys, argv):
         monkeypatch.setenv("LEIBALG_SEED", "abc")
         assert main(argv) == 2

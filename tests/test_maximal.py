@@ -557,6 +557,51 @@ class TestProperties:
             (k, id(alg)) for k in ("lower", "upper") for alg in (a, b)
         )
 
+    @staticmethod
+    def spot_check_setup(monkeypatch, name, params, answer=None):
+        """The distinct induced tables of a P1 algebra at GF(5), and a list
+        that records (source, target) of every decision from now on; with
+        ``answer`` set, the decision of the second distinct table against
+        the last returns it."""
+        field = GF(5)
+        algebra = instantiate(name, field, params or sample_params(name, field))
+        tables = list(dict.fromkeys(m.induced for m in enumerate_maximal(algebra)))
+        decisions = []
+        real = _Side.isomorphism
+
+        def recording(self, other):
+            decisions.append((self.algebra, other.algebra))
+            if answer is not None and decisions[-1] == (tables[1], tables[-1]):
+                return answer
+            return real(self, other)
+
+        monkeypatch.setattr(_Side, "isomorphism", recording)
+        return algebra, tables, decisions
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [("A1_6dim", None), ("cc1_case2", {"tau": 1, "lambda": 1, "epsilon": 0})],
+    )
+    def test_p1_spot_checks_the_second_distinct_table_against_the_last(
+        self, monkeypatch, name, params
+    ):
+        # after every distinct table is matched with the first, the spot
+        # check decides the second against the last, which differ, so it is
+        # a real search
+        algebra, tables, decisions = self.spot_check_setup(monkeypatch, name, params)
+        assert len(tables) >= 3
+        assert check_p1(algebra) == (True, None)
+        assert decisions[:-1] == [(t, tables[0]) for t in tables[1:]]
+        assert decisions[-1] == (tables[1], tables[-1])
+        assert tables[1] != tables[-1]
+
+    def test_p1_spot_check_no_is_a_bug(self, monkeypatch):
+        from leibalg.maximal import IsoVerdict
+
+        algebra, _, _ = self.spot_check_setup(monkeypatch, "A1_6dim", None, IsoVerdict("no"))
+        with pytest.raises(InternalError, match="transitivity spot check"):
+            check_p1(algebra)
+
     def test_p1_negative_with_witness(self):
         ok, witness = check_p1(instantiate("cex_A8", GF(3), {}))
         assert not ok

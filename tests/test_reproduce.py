@@ -23,6 +23,7 @@ from leibalg.reproduce import (
     _require,
     build_claims,
     enumerate_subspaces,
+    forced_cc1_table,
     run_structural_suite,
 )
 
@@ -378,6 +379,68 @@ def test_reproduce_refuses_flags_that_select_nothing_or_twice(argv, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err
+
+
+def test_cc2dim4_claims_compare_one_maximal_with_the_reference(monkeypatch):
+    # once P1 holds, the first maximal's verdict carries to every other, so
+    # each of the nine claims decides the reference once, and the first
+    # maximal's table is the reference's: no search
+    from leibalg import reproduce
+
+    reference = []
+    after_reference = []
+    real_reference = reproduce.reference_cyclic_plane
+    real_isomorphism = maximal._Side.isomorphism
+    real_search = maximal._search_isomorphism
+
+    def reference_cyclic_plane(field):
+        reference.append(real_reference(field))
+        return reference[-1]
+
+    def isomorphism(self, other):
+        if reference:
+            after_reference.append((self.algebra, other.algebra, reference[-1]))
+        return real_isomorphism(self, other)
+
+    def search(side_a, side_b):
+        if reference:
+            after_reference.append("search")
+        return real_search(side_a, side_b)
+
+    monkeypatch.setattr(reproduce, "reference_cyclic_plane", reference_cyclic_plane)
+    monkeypatch.setattr(maximal._Side, "isomorphism", isomorphism)
+    monkeypatch.setattr(maximal, "_search_isomorphism", search)
+    claims = [c for c in build_claims([3, 5], seed=0) if c.claim_id.startswith("cc2dim4.")]
+    assert len(claims) == 9
+    decisions = []
+    for claim in claims:
+        reference.clear()
+        after_reference.clear()
+        claim.run()
+        assert len(after_reference) == 1, claim.claim_id
+        decisions += after_reference
+    assert all(source == target == ref for source, target, ref in decisions)
+
+
+def test_forced_cc1_table_is_the_catalog_table():
+    # equal to the catalog's on valid parameters, and still built where the
+    # catalog rejects a square discriminant
+    from leibalg import ConstraintViolated, instantiate
+
+    for p, params in ((3, (1, 0, 0)), (5, (1, 1, 0)), (5, (2, 0, 0))):
+        field = GF(p)
+        tau, lam, eps = params
+        assert forced_cc1_table(field, *params) == instantiate(
+            "cc1_case2", field, {"tau": tau, "lambda": lam, "epsilon": eps}
+        )
+    square = {"tau": 1, "lambda": 1, "epsilon": 1}
+    with pytest.raises(ConstraintViolated):
+        instantiate("cc1_case2", GF(5), square)
+    forced = forced_cc1_table(GF(5), 1, 1, 1)
+    assert not forced.check_leibniz()
+    assert forced == LeibnizAlgebra.from_table(
+        3, GF(5), [(1, 1, {3: 1}), (2, 2, {3: 1}), (1, 2, {3: 1}), (2, 1, {3: 1})]
+    )
 
 
 def test_cc2dim4_claim_builds_one_reference_record(monkeypatch):

@@ -242,7 +242,7 @@ def test_p1_scans_the_first_maximals_candidates_once(monkeypatch):
     maximals, records = record.maximals, record.records
     assert len({m.induced for m in maximals}) == len(maximals) == 8
     generated = count_generated(monkeypatch)
-    assert record.p1(0) == (True, None)
+    assert record.p1() == (True, None)
     first = records[maximals[0].induced]
     (scan,) = first._first_scans.values()
     assert scan.scanned == 337

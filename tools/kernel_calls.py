@@ -6,9 +6,10 @@ Usage, from the root of a checkout:
 
 Builds each workload of ``perfbench/workloads.py`` at the seed, runs the
 operations of one round once, and prints, per workload, how often the
-central series and the elimination kernel were called.  Counts are exact
-and do not depend on the host, so two checkouts are compared by running
-this in each.
+central series, the elimination kernel, the isomorphism decision
+(``_Side.isomorphism``) and the generator-image search were called.
+Counts are exact and do not depend on the host, so two checkouts are
+compared by running this in each.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402  (perfbench/ is not a package)
 
-from leibalg import _modp, core, series  # noqa: E402
+from leibalg import _modp, core, maximal, series  # noqa: E402
 
 COUNTED = [
     (series, "lower_central_series"),
@@ -31,6 +32,8 @@ COUNTED = [
     (core.LeibnizAlgebra, "centralizer_mod"),
     (core.LeibnizAlgebra, "leib_ideal"),
     (_modp, "rref"),
+    (maximal._Side, "isomorphism"),
+    (maximal, "_search_isomorphism"),
 ]
 
 
