@@ -9,16 +9,15 @@ pivot inverse is 1 / x.  The branch between the two is taken per row or
 per call, never per entry, and the kernel's own 0s and 1s are Fractions
 over Q, so each value it hands out is one ``FieldElement`` boxes as is.
 
-Raw values are the representation of every GF(p) object and of every
-``Subspace``: a ``Subspace`` holds its echelon rows as raw tuples and a
-prime-field ``LeibnizAlgebra`` its structure constants as residue cells,
-both handed to these functions directly; their boxed views
-(``Subspace.rows``, ``LeibnizAlgebra.table``) are built on first read.
-``bracket`` is GF(p) only: the rational algebras of ``core`` still
-compute on FieldElements.
+Raw values are the representation of every ``Subspace`` and every
+``LeibnizAlgebra``: a ``Subspace`` holds its echelon rows as raw tuples and
+a ``LeibnizAlgebra`` its structure constants as raw cells, both handed to
+these functions directly; their boxed views (``Subspace.rows``,
+``LeibnizAlgebra.table``) are built on first read.
 
 Structure constants are held as sparse cells: ``cells[i][j]`` is the tuple
-of (k, c) pairs with c != 0 in [e_i, e_j] = sum_k c e_k.
+of (k, c) pairs with c != 0 in [e_i, e_j] = sum_k c e_k, k ascending:
+residues over GF(p), Fractions over Q.
 
 There is one elimination routine, ``rref``, and the other linear algebra
 is plain functions over it: ``nullspace``, ``left_kernel``,
@@ -42,8 +41,8 @@ def _zero_one(p: int):
 
 
 def bracket(cells, u, v, p: int):
-    """[u, v] for residue vectors u, v under the sparse structure cells."""
-    acc = [0] * len(cells)
+    """[u, v] for raw vectors u, v under the sparse structure cells."""
+    acc = [_zero_one(p)[0]] * len(cells)
     for i, ui in enumerate(u):
         if not ui:
             continue
@@ -53,8 +52,8 @@ def bracket(cells, u, v, p: int):
                 continue
             c = ui * vj
             for k, coeff in row[j]:
-                acc[k] = (acc[k] + c * coeff) % p
-    return acc
+                acc[k] += c * coeff
+    return [a % p for a in acc] if p else acc
 
 
 def combine(coeffs, rows, p: int, n: int):

@@ -14,16 +14,15 @@ cells over any coefficient ring: residues over GF(p) and Fractions over Q
 in ``check_leibniz``, polynomials in ``constraints``, and the cocycle rows
 of ``randomgen``.
 
-Over GF(p) the integer residues are the representation: an algebra holds
-its structure constants as sparse residue cells (see ``_modp``), every
-operation below computes on those cells and on the residue rows of
-``Subspace`` through ``_modp``, and quotients, restrictions and direct sums
-are built straight from cells.  The boxed ``table`` is built on first read;
-vectors passed in or handed out by ``bracket`` are FieldElements, coerced or
-boxed at the call.  Over Q the identity check reads raw Fractions, and the
-other operations compute their brackets on the FieldElements of ``table``;
-their elimination runs through ``Subspace`` and ``linalg``, on the same
-``_modp`` kernel as GF(p), with Fractions.
+Both fields hold an algebra the same way: its structure constants are
+sparse raw cells (see ``_modp``), residues over GF(p) and nonzero Fractions
+over Q.  The operations below compute on those cells and on the raw rows of
+``Subspace`` through ``_modp``, with p = ``field.characteristic``, and
+quotients, restrictions and direct sums are built straight from cells.  The
+boxed ``table`` is built on first read; vectors passed in or handed out by
+``bracket`` are FieldElements, coerced or boxed at the call.  Over Q,
+``bracket``, ``span_products`` and ``centralizer_mod`` still bracket the
+FieldElements of ``table``; ``bracket`` says why.
 
 Algebras, vectors, and subspaces are immutable; every operation here is a
 pure function of its inputs and safe for concurrent use.
@@ -52,7 +51,6 @@ from .linalg import (
     _span_residues,
     basis_vector,
     nullspace,
-    vec_add,
     zero_vector,
 )
 
@@ -73,10 +71,10 @@ class LeibnizAlgebra:
     ``table[i][j]`` is the coordinate vector of [e_i, e_j] (0-based
     internally; the text format and ``from_table`` speak 1-based).  The
     instance is immutable; ``verified`` reports whether ``check_leibniz``
-    has run and found no violations.  Over GF(p), ``_cells[i][j]`` holds
-    [e_i, e_j] as the sparse residue pairs (k, c) of ``_modp``, with k
-    ascending and c in [1, p), and ``table`` is boxed from it on first read;
-    over Q ``_cells`` is None.
+    has run and found no violations.  ``_cells[i][j]`` holds [e_i, e_j] as
+    the sparse raw pairs (k, c) of ``_modp``, with k ascending and c a
+    residue in [1, p) over GF(p), a nonzero Fraction over Q; ``table`` is
+    boxed from it on first read.
     """
 
     __slots__ = ("field", "dim", "labels", "_table", "_cells", "_verified", "_hash")
@@ -99,19 +97,17 @@ class LeibnizAlgebra:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_table", coerced)
         object.__setattr__(self, "labels", labels)
-        cells = None
-        if field.is_finite():
-            cells = tuple(
-                tuple(tuple((k, c.value) for k, c in enumerate(cell) if c.value) for cell in row)
-                for row in coerced
-            )
+        cells = tuple(
+            tuple(tuple((k, c.value) for k, c in enumerate(cell) if c.value) for cell in row)
+            for row in coerced
+        )
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_verified", None)
         object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _from_cells(cls, field: Field, cells, labels=None) -> "LeibnizAlgebra":
-        """A GF(p) algebra from canonical sparse residue cells; no table yet."""
+        """An algebra from canonical sparse raw cells; no table yet."""
         self = object.__new__(cls)
         dim = len(cells)
         if labels is None:
@@ -134,8 +130,9 @@ class LeibnizAlgebra:
         table = self._table
         if table is None:
             field, n = self.field, self.dim
+            zero = _modp._zero_one(field.characteristic)[0]
             table = tuple(
-                tuple(_box(field, _dense(cell, n)) for cell in row) for row in self._cells
+                tuple(_box(field, _dense(cell, n, zero)) for cell in row) for row in self._cells
             )
             object.__setattr__(self, "_table", table)
         return table
@@ -220,11 +217,19 @@ class LeibnizAlgebra:
         """Bilinear extension of the structure tensor to vectors."""
         x = self.vector(x)
         y = self.vector(y)
-        cells = self._cells
-        if cells is not None:
+        p = self.field.characteristic
+        if p:
             u = [a.value for a in x]
             v = [a.value for a in y]
-            return _box(self.field, _modp.bracket(cells, u, v, self.field.modulus))
+            return _box(self.field, _modp.bracket(self._cells, u, v, p))
+        # Over Q, this branch and those of span_products and centralizer_mod
+        # stay on boxed arithmetic until perfbench stops keeping every round's
+        # results (ROADMAP items 1 and 9).  Bracketing Fraction cells here and
+        # in span_products cut an in-process ``rational`` round by about a
+        # fifth (best round 0.23-0.24 s to 0.19-0.20 s, Python 3.11 on a
+        # 2-core Xeon VM), and the covector centralizer_mod would halve it.
+        # perfbench keeps about 50 KB per round, so that many more rounds
+        # would raise its ``rational`` peak_rss_mb by about 6 % and 30 %.
         acc = list(self.zero_vector())
         for i, xi in enumerate(x):
             if not xi:
@@ -242,13 +247,8 @@ class LeibnizAlgebra:
 
     def check_leibniz(self) -> list[LeibnizViolation]:
         """All basis triples violating the defining identity (empty = valid)."""
-        field, n, p = self.field, self.dim, self.field.modulus
+        field, n, p = self.field, self.dim, self.field.characteristic
         cells = self._cells
-        if cells is None:  # over Q: raw Fraction cells
-            cells = tuple(
-                tuple(tuple((k, c.value) for k, c in enumerate(cell) if c) for cell in row)
-                for row in self.table
-            )
         violations = []
         for i, j, k in itertools.product(range(n), repeat=3):
             acc = _identity_residual(cells, cells, i, j, k, n, 0)
@@ -278,13 +278,14 @@ class LeibnizAlgebra:
         """
         self._check_subspace(left)
         self._check_subspace(right)
-        cells = self._cells
-        if cells is not None:
-            p = self.field.modulus
+        p = self.field.characteristic
+        if p:
+            cells = self._cells
             products = [
                 _modp.bracket(cells, u, v, p) for u in left._res_rows for v in right._res_rows
             ]
             return _span_residues(self.field, self.dim, products)
+        # boxed over Q for now: see bracket
         products = [self.bracket(u, v) for u in left.rows for v in right.rows]
         return Subspace.span(self.field, self.dim, products)
 
@@ -298,47 +299,30 @@ class LeibnizAlgebra:
         The square map is quadratic, so polarization reduces it to basis
         squares [e_i, e_i] together with [e_i, e_j] + [e_j, e_i] for i < j.
         """
-        gens = []
-        n = self.dim
-        cells = self._cells
-        if cells is not None:
-            p = self.field.modulus
-            for i in range(n):
-                gens.append(_dense(cells[i][i], n))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    v = _dense(cells[i][j], n)
-                    for k, c in cells[j][i]:
-                        v[k] = (v[k] + c) % p
-                    gens.append(v)
-            return _span_residues(self.field, n, gens)
-        for i in range(n):
-            gens.append(self.table[i][i])
+        n, cells = self.dim, self._cells
+        zero = _modp._zero_one(self.field.characteristic)[0]
+        gens = [_dense(cells[i][i], n, zero) for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                gens.append(vec_add(self.table[i][j], self.table[j][i]))
-        return Subspace.span(self.field, self.dim, gens)
+                v = _dense(cells[i][j], n, zero)
+                for k, c in cells[j][i]:
+                    v[k] += c
+                gens.append(v)
+        return _span_residues(self.field, n, gens)
 
     def center(self) -> Subspace:
         return self.centralizer_mod(self.zero_space())
 
     def left_center(self) -> Subspace:
         """{x : [x, a] = 0 for all a}; contains the (two-sided) center."""
-        n = self.dim
-        cells = self._cells
-        if cells is not None:
-            p = self.field.modulus
-            raw = [[0] * n for _ in range(n * n)]
-            for i in range(n):
-                for j in range(n):
-                    for k, c in cells[i][j]:
-                        raw[j * n + k][i] = c
-            return _span_residues(self.field, n, _modp.nullspace(raw, p, n))
-        rows = []
-        for j in range(n):
-            for k in range(n):
-                rows.append(tuple(self.table[i][j][k] for i in range(n)))
-        return Subspace.span(self.field, n, nullspace(rows, self.field, n))
+        n, p = self.dim, self.field.characteristic
+        zero = _modp._zero_one(p)[0]
+        raw = [[zero] * n for _ in range(n * n)]
+        for i, row in enumerate(self._cells):
+            for j, cell in enumerate(row):
+                for k, c in cell:
+                    raw[j * n + k][i] = c
+        return _span_residues(self.field, n, _modp.nullspace(raw, p, n))
 
     def centralizer_mod(self, w: Subspace) -> Subspace:
         """{x : [x, A] and [A, x] are contained in w} (w = 0 gives the center).
@@ -351,10 +335,9 @@ class LeibnizAlgebra:
         equations are dropped before the nullspace.
         """
         self._check_subspace(w)
-        n = self.dim
-        cells = self._cells
-        if cells is not None:
-            p = self.field.modulus
+        n, p = self.dim, self.field.characteristic
+        if p:
+            cells = self._cells
             rows = set()
             for f in _modp.nullspace(w._res_rows, p, n):
                 # right[j][i] = f([e_i, e_j]) and left[j][i] = f([e_j, e_i])
@@ -371,6 +354,7 @@ class LeibnizAlgebra:
                     if any(eq):
                         rows.add(tuple(eq))
             return _span_residues(self.field, n, _modp.nullspace(list(rows), p, n))
+        # boxed over Q for now: see bracket
         rows = []
         table = self.table
         for j in range(n):
@@ -384,36 +368,9 @@ class LeibnizAlgebra:
     def is_ideal(self, u: Subspace) -> bool:
         """Are [A, u] and [u, A] contained in u?
 
-        Over GF(p) the nonzero cells are collected once, and for each basis
-        row r of u the images [e_i, r] and [r, e_j] are accumulated from
-        those cells alone, so a call costs O(n^2 + dim u * nnz) brackets
-        before the containment tests.
+        Bilinearity makes the products of basis vectors sufficient, so this is
+        two ``span_products`` and their containment tests.
         """
-        self._check_subspace(u)
-        cells = self._cells
-        if cells is not None:
-            n, p = self.dim, self.field.modulus
-            rows, pivots = u._res_rows, u.pivots
-            nonzero = [
-                (i, j, cell) for i, row in enumerate(cells) for j, cell in enumerate(row) if cell
-            ]
-            for r in rows:
-                # [e_i, r] = sum_j r_j [e_i, e_j] is images[i] and
-                # [r, e_j] = sum_i r_i [e_i, e_j] is images[n + j]
-                images: dict[int, list[int]] = {}
-                for i, j, cell in nonzero:
-                    for key, coeff in ((i, r[j]), (n + j, r[i])):
-                        if coeff:
-                            w = images.get(key)
-                            if w is None:
-                                w = images[key] = [0] * n
-                            for k, c in cell:
-                                w[k] += coeff * c
-                for w in images.values():
-                    w = [a % p for a in w]
-                    if any(w) and not _modp.contains(w, rows, pivots, p):
-                        return False
-            return True
         full = self.full_space()
         return u.contains_space(self.span_products(full, u)) and u.contains_space(
             self.span_products(u, full)
@@ -433,64 +390,37 @@ class LeibnizAlgebra:
             raise NotAnIdeal("quotient requires a two-sided ideal")
         comp = ideal.complement_coords()
         labels = tuple(self.labels[c] for c in comp)
-        cells = self._cells
-        if cells is not None:
-            n, p = self.dim, self.field.modulus
-            rows, pivots = ideal._res_rows, ideal.pivots
-            qcells = []
-            for a in comp:
-                row = []
-                for b in comp:
-                    cell = cells[a][b]
-                    if cell:
-                        image = _modp.reduce_mod(_dense(cell, n), rows, pivots, p)
-                        cell = tuple((t, image[c]) for t, c in enumerate(comp) if image[c])
-                    row.append(cell)
-                qcells.append(tuple(row))
-            quotient = LeibnizAlgebra._from_cells(self.field, tuple(qcells), labels)
-            return QuotientMap(self, ideal, comp, quotient)
-        table = self.table
-        qtable = []
+        n, p = self.dim, self.field.characteristic
+        zero = _modp._zero_one(p)[0]
+        rows, pivots = ideal._res_rows, ideal.pivots
+        qcells = []
         for a in comp:
             row = []
             for b in comp:
-                image = ideal.reduce(table[a][b])
-                row.append([image[c] for c in comp])
-            qtable.append(row)
-        return QuotientMap(self, ideal, comp, LeibnizAlgebra(self.field, qtable, labels))
+                cell = self._cells[a][b]
+                if cell:
+                    image = _modp.reduce_mod(_dense(cell, n, zero), rows, pivots, p)
+                    cell = tuple((t, image[c]) for t, c in enumerate(comp) if image[c])
+                row.append(cell)
+            qcells.append(tuple(row))
+        quotient = LeibnizAlgebra._from_cells(self.field, tuple(qcells), labels)
+        return QuotientMap(self, ideal, comp, quotient)
 
     def restrict(self, s: Subspace) -> "LeibnizAlgebra":
         """Induced algebra on the echelon basis of a bracket-closed subspace."""
         self._check_subspace(s)
-        m = s.dim
-        cells = self._cells
-        if cells is not None:
-            p = self.field.modulus
-            rows, pivots = s._res_rows, s.pivots
-            rcells = []
-            for a in range(m):
-                row = []
-                for b in range(m):
-                    prod = _modp.bracket(cells, rows[a], rows[b], p)
-                    if not _modp.contains(prod, rows, pivots, p):
-                        raise NotASubalgebra(
-                            f"product of basis vectors {a}, {b} leaves the subspace"
-                        )
-                    row.append(tuple((t, prod[pc]) for t, pc in enumerate(pivots) if prod[pc]))
-                rcells.append(tuple(row))
-            return LeibnizAlgebra._from_cells(self.field, tuple(rcells))
-        table = []
-        for a in range(m):
+        p = self.field.characteristic
+        rows, pivots = s._res_rows, s.pivots
+        rcells = []
+        for a, u in enumerate(rows):
             row = []
-            for b in range(m):
-                coords = s.coords_of(self.bracket(s.rows[a], s.rows[b]))
-                if coords is None:
-                    raise NotASubalgebra(
-                        f"product of basis vectors {a}, {b} leaves the subspace"
-                    )
-                row.append(list(coords))
-            table.append(row)
-        return LeibnizAlgebra(self.field, table)
+            for b, v in enumerate(rows):
+                prod = _modp.bracket(self._cells, u, v, p)
+                if not _modp.contains(prod, rows, pivots, p):
+                    raise NotASubalgebra(f"product of basis vectors {a}, {b} leaves the subspace")
+                row.append(tuple((t, prod[pc]) for t, pc in enumerate(pivots) if prod[pc]))
+            rcells.append(tuple(row))
+        return LeibnizAlgebra._from_cells(self.field, tuple(rcells))
 
     def direct_sum(self, other: "LeibnizAlgebra") -> "LeibnizAlgebra":
         """Block-diagonal sum; both summands embed as ideals."""
@@ -498,24 +428,12 @@ class LeibnizAlgebra:
             raise FieldMismatch("direct sum requires a common field")
         n, m = self.dim, other.dim
         labels = tuple(f"{l}'" for l in self.labels) + tuple(f"{l}''" for l in other.labels)
-        if self._cells is not None:
-            shifted = tuple(
-                ((),) * n + tuple(tuple((k + n, c) for k, c in cell) for cell in row)
-                for row in other._cells
-            )
-            cells = tuple(row + ((),) * m for row in self._cells) + shifted
-            return LeibnizAlgebra._from_cells(self.field, cells, labels)
-        z = self.field.zero()
-        table = [[[z] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    table[i][j][k] = self.table[i][j][k]
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    table[n + i][n + j][n + k] = other.table[i][j][k]
-        return LeibnizAlgebra(self.field, table, labels)
+        shifted = tuple(
+            ((),) * n + tuple(tuple((k + n, c) for k, c in cell) for cell in row)
+            for row in other._cells
+        )
+        cells = tuple(row + ((),) * m for row in self._cells) + shifted
+        return LeibnizAlgebra._from_cells(self.field, cells, labels)
 
     def split_codim1_center(self) -> tuple[Subspace, Subspace]:
         """Decompose A = I + J when the center has codimension one.
@@ -534,21 +452,18 @@ class LeibnizAlgebra:
     def is_lie(self) -> bool:
         return self.leib_ideal().is_zero()
 
-    def _key(self):
-        return self._cells if self._cells is not None else self.table
-
     def __eq__(self, other):
         return (
             isinstance(other, LeibnizAlgebra)
             and self.field == other.field
-            and self._key() == other._key()
+            and self._cells == other._cells
         )
 
     def __hash__(self):
-        # the table is immutable, so its hash is computed on first use only
+        # the cells are immutable, so their hash is computed on first use only
         h = self._hash
         if h is None:
-            h = hash((self.field, self._key()))
+            h = hash((self.field, self._cells))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -576,9 +491,9 @@ def _identity_residual(cells, products, i, j, k, size, zero) -> list:
     return acc
 
 
-def _dense(cell, n: int) -> list[int]:
-    """The residue vector of a sparse structure cell."""
-    v = [0] * n
+def _dense(cell, n: int, zero) -> list:
+    """The raw vector of a sparse structure cell, with the field's ``zero``."""
+    v = [zero] * n
     for k, c in cell:
         v[k] = c
     return v

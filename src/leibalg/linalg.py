@@ -62,10 +62,6 @@ def basis_vector(field: Field, n: int, i: int) -> Vector:
     return tuple(o if j == i else z for j in range(n))
 
 
-def vec_add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def vec_is_zero(x: Vector) -> bool:
     return not any(x)
 

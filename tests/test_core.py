@@ -35,6 +35,25 @@ def cyclic4(field):
     )
 
 
+def boxed_product(table, x, y):
+    """[x, y] by FieldElement arithmetic on the boxed structure constants."""
+    n = len(table)
+    acc = [x[0].field.zero()] * n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                acc[k] = acc[k] + x[i] * y[j] * table[i][j][k]
+    return acc
+
+
+def boxed_in_span(space, v):
+    """Does v reduce to zero against the echelon rows, in FieldElements?"""
+    for row, pc in zip(space.rows, space.pivots):
+        c = v[pc]
+        v = [a - c * b for a, b in zip(v, row)]
+    return not any(v)
+
+
 class TestConstruction:
     def test_heisenberg(self):
         algebra = heisenberg(GF(5))
@@ -266,8 +285,9 @@ class TestIdealsQuotients:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_is_ideal_matches_span_products_on_every_subspace(self, p):
-        # the sparse GF(p) path against [A, u] and [u, A] spanned in full, on
-        # towers, fixed forms and random tables (the identity is not needed)
+        # is_ideal against the products [e_i, r] and [r, e_i], r a basis row
+        # of u, bracketed and reduced modulo u on the boxed table, on towers,
+        # fixed forms and random tables (the identity is not needed)
         from leibalg.randomgen import random_nilpotent_algebra
         from leibalg.reproduce import enumerate_subspaces
 
@@ -286,10 +306,12 @@ class TestIdealsQuotients:
             algebras.append(LeibnizAlgebra(field, table))
         verdicts = set()
         for algebra in algebras:
-            full = algebra.full_space()
-            for u in enumerate_subspaces(full, 0):
-                expected = u.contains_space(algebra.span_products(full, u)) and u.contains_space(
-                    algebra.span_products(u, full)
+            for u in enumerate_subspaces(algebra.full_space(), 0):
+                expected = all(
+                    boxed_in_span(u, boxed_product(algebra.table, a, b))
+                    for r in u.rows
+                    for e in algebra.full_space().rows
+                    for a, b in ((e, r), (r, e))
                 )
                 assert algebra.is_ideal(u) == expected, (algebra.table, u.rows)
                 verdicts.add(expected)

@@ -25,9 +25,11 @@ from leibalg import (
     Subspace,
     check_p1,
     enumerate_maximal,
+    format_algebra,
     instantiate,
     list_catalog,
     nilpotency_data,
+    parse_algebra,
     sample_params,
 )
 from leibalg import _modp
@@ -336,6 +338,101 @@ def test_rational_check_matches_boxed_reference():
             assert all(c.field is QQ and c.value.__class__ is Fraction for v in got for c in v[3])
         checked += 1
     assert checked >= 5
+
+
+def rational_invertible_matrix(rng, n):
+    """Rows of a seeded invertible rational matrix: shuffled rows of D*U.
+
+    U is unit upper triangular with small Fractions above the diagonal and
+    D is diagonal with nonzero Fractions.
+    """
+    rows = []
+    for i in range(n):
+        scale = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+        rows.append([QQ(scale * (1 if j == i else Fraction(rng.randint(-2, 2), rng.randint(1, 3))))
+                     if j >= i else QQ(0) for j in range(n)])
+    rng.shuffle(rows)
+    return rows
+
+
+def ref_direct_sum_table(a, b):
+    n, m = a.dim, b.dim
+    zero = a.field.zero()
+    return tuple(
+        tuple(
+            tuple(
+                a.table[i][j][k] if i < n and j < n and k < n
+                else b.table[i - n][j - n][k - n] if i >= n and j >= n and k >= n
+                else zero
+                for k in range(n + m)
+            )
+            for j in range(n + m)
+        )
+        for i in range(n + m)
+    )
+
+
+def assert_canonical_rational(algebra):
+    """Cells hold nonzero Fractions with k ascending, and agree with the table."""
+    for row, table_row in zip(algebra._cells, algebra.table):
+        for cell, entries in zip(row, table_row):
+            ks = [k for k, _ in cell]
+            assert ks == sorted(set(ks))
+            assert all(c.__class__ is Fraction and c != 0 for _, c in cell), cell
+            assert cell == tuple((k, a.value) for k, a in enumerate(entries) if a)
+            assert_exact([entries])
+
+
+def test_rational_operations_match_the_boxed_reference():
+    # every family at its Q sample and a change-of-basis copy with Fraction
+    # structure constants, against references on the boxed table
+    rng = random.Random(37)
+    heisenberg = instantiate("heisenberg3", QQ, {})
+    algebras = []
+    for entry in list_catalog():
+        algebra = instantiate(entry.name, QQ, sample_params(entry.name, QQ))
+        copy = change_of_basis(algebra, rational_invertible_matrix(rng, algebra.dim))
+        algebras += [algebra, copy]
+    assert any(c.denominator > 1 for a in algebras for row in a._cells for cell in row
+               for _, c in cell)
+    non_ideal_lines = 0
+    for algebra in algebras:
+        n, table = algebra.dim, algebra.table
+        parsed = parse_algebra(format_algebra(algebra))
+        assert parsed == algebra and hash(parsed) == hash(algebra)
+
+        squares = [table[i][i] for i in range(n)] + [
+            tuple(a + b for a, b in zip(table[i][j], table[j][i]))
+            for i in range(n)
+            for j in range(i + 1, n)
+        ]
+        assert_span(algebra.leib_ideal(), squares, QQ, n)
+        left_rows = [[table[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
+        assert_span(algebra.left_center(), ref_nullspace(left_rows, QQ, n), QQ, n)
+
+        center, derived = algebra.center(), algebra.derived()
+        assert (center.rows, center.pivots) == ref_centralizer_mod(algebra, algebra.zero_space())
+        products = [ref_bracket(algebra, u, v) for u in algebra.full_space().rows
+                    for v in algebra.full_space().rows]
+        assert_span(derived, products, QQ, n)
+        for s in (center, derived):
+            assert algebra.is_ideal(s) and ref_is_ideal(algebra, s)
+        lines = [algebra.subspace([algebra.basis_vector(i)]) for i in range(n)]
+        line = next((s for s in lines if not ref_is_ideal(algebra, s)), None)
+        if line is not None:
+            assert not algebra.is_ideal(line)
+            non_ideal_lines += 1
+
+        quotient = algebra.quotient(center).algebra
+        assert quotient.table == ref_quotient_table(algebra, center)
+        restricted = algebra.restrict(derived)
+        assert restricted.table == ref_restrict_table(algebra, derived)
+        summed = algebra.direct_sum(heisenberg)
+        assert summed.table == ref_direct_sum_table(algebra, heisenberg)
+        assert summed == LeibnizAlgebra(QQ, summed.table)
+        for built in (algebra, parsed, quotient, restricted, summed):
+            assert_canonical_rational(built)
+    assert non_ideal_lines >= len(algebras) - 2  # all but the abelian family
 
 
 def test_prime_field_operations_do_no_boxed_arithmetic(monkeypatch):
