@@ -280,56 +280,59 @@ def _a3_6dim(field: Field, prm: dict) -> LeibnizAlgebra:
     )
 
 
-def _table6_generic(field: Field, prm: dict) -> LeibnizAlgebra:
+def _table6_products(prm: dict) -> list:
+    """The products of the six-dimensional table at parameter values ``prm``."""
     a, b, ab = prm["alpha"], prm["beta"], prm["abar"]
     gamma, c, d = prm["gamma"], prm["c"], prm["d"]
     f, g = prm["f"], prm["g"]
     dhat, fhat = prm["dhat"], prm["fhat"]
+    return [
+        (1, 1, {6: a}),
+        (1, 2, {3: 1}),
+        (1, 3, {4: 1}),
+        (1, 4, {6: c}),
+        (1, 5, {6: d}),
+        (2, 1, {3: -1, 6: ab}),
+        (2, 2, {6: b}),
+        (2, 3, {5: 1}),
+        (2, 4, {6: f}),
+        (2, 5, {6: g}),
+        (3, 1, {4: -1}),
+        (3, 2, {5: -1}),
+        (3, 3, {6: gamma}),
+        (4, 1, {6: -c}),
+        (4, 2, {6: fhat}),
+        (5, 1, {6: dhat}),
+        (5, 2, {6: -g}),
+    ]
+
+
+def _table6_generic(field: Field, prm: dict) -> LeibnizAlgebra:
     return LeibnizAlgebra.from_table(
-        6,
-        field,
-        [
-            (1, 1, {6: a}),
-            (1, 2, {3: 1}),
-            (1, 3, {4: 1}),
-            (1, 4, {6: c}),
-            (1, 5, {6: d}),
-            (2, 1, {3: -1, 6: ab}),
-            (2, 2, {6: b}),
-            (2, 3, {5: 1}),
-            (2, 4, {6: f}),
-            (2, 5, {6: g}),
-            (3, 1, {4: -1}),
-            (3, 2, {5: -1}),
-            (3, 3, {6: gamma}),
-            (4, 1, {6: -c}),
-            (4, 2, {6: fhat}),
-            (5, 1, {6: dhat}),
-            (5, 2, {6: -g}),
-        ],
-        labels=("t", "u", "w", "x", "y", "z"),
+        6, field, _table6_products(prm), labels=("t", "u", "w", "x", "y", "z")
     )
+
+
+def _table1_products(prm: dict) -> list:
+    """The products of the four-dimensional table at parameter values ``prm``."""
+    alpha, beta, gamma = prm["alpha"], prm["beta"], prm["gamma"]
+    a, ahat, b, c = prm["a"], prm["ahat"], prm["b"], prm["c"]
+    return [
+        (1, 1, {4: alpha}),
+        (1, 2, {3: 1, 4: a}),
+        (1, 3, {4: b}),
+        (2, 1, {3: -1, 4: ahat}),
+        (2, 2, {4: beta}),
+        (2, 3, {4: c}),
+        (3, 1, {4: prm["bhat"]}),
+        (3, 2, {4: prm["chat"]}),
+        (3, 3, {4: gamma}),
+    ]
 
 
 def _table1_case1(field: Field, prm: dict) -> LeibnizAlgebra:
-    alpha, beta, gamma = prm["alpha"], prm["beta"], prm["gamma"]
-    a, ahat, b, c = prm["a"], prm["ahat"], prm["b"], prm["c"]
-    return LeibnizAlgebra.from_table(
-        4,
-        field,
-        [
-            (1, 1, {4: alpha}),
-            (1, 2, {3: 1, 4: a}),
-            (1, 3, {4: b}),
-            (2, 1, {3: -1, 4: ahat}),
-            (2, 2, {4: beta}),
-            (2, 3, {4: c}),
-            (3, 1, {4: -b}),
-            (3, 2, {4: -c}),
-            (3, 3, {4: gamma}),
-        ],
-        labels=("w", "x", "y", "z"),
-    )
+    products = _table1_products({**prm, "bhat": -prm["b"], "chat": -prm["c"]})
+    return LeibnizAlgebra.from_table(4, field, products, labels=("w", "x", "y", "z"))
 
 
 def _holmes_ii(field: Field, prm: dict) -> LeibnizAlgebra:
@@ -542,34 +545,22 @@ def _holmes_iii_sample(field: Field) -> dict | None:
 _SCALAR = "scalar"
 
 
-def _entry(name, dim, params, description, builder, constraints, sample):
-    return CatalogEntry(
-        name=name,
-        dim=dim,
-        params=tuple(params),
-        description=description,
-        builder=builder,
-        constraints=constraints,
-        sample=sample,
-    )
-
-
 _ENTRIES: dict[str, CatalogEntry] = {
     e.name: e
     for e in [
-        _entry(
+        CatalogEntry(
             "abelian",
             None,
-            [ParamSpec("n", "size", "dimension")],
+            (ParamSpec("n", "size", "dimension"),),
             "Abelian algebra of the requested dimension; every product is zero.",
             _abelian,
             _no_constraints,
             lambda field: {"n": 3},
         ),
-        _entry(
+        CatalogEntry(
             "cyclic_example4",
             4,
-            [],
+            (),
             "Four-dimensional cyclic algebra: x1*x1 = x2, [x1,x2] = x3, "
             "[x1,x3] = x4; class four, coclass zero, two-dimensional second "
             "center.",
@@ -577,23 +568,23 @@ _ENTRIES: dict[str, CatalogEntry] = {
             _no_constraints,
             lambda field: {},
         ),
-        _entry(
+        CatalogEntry(
             "heisenberg3",
             3,
-            [],
+            (),
             "Three-dimensional Heisenberg Lie algebra: [x,y] = z = -[y,x].",
             _heisenberg3,
             _no_constraints,
             lambda field: {},
         ),
-        _entry(
+        CatalogEntry(
             "cc1_case2",
             3,
-            [
+            (
                 ParamSpec("tau", _SCALAR, "coefficient of y*y"),
                 ParamSpec("lambda", _SCALAR, "coefficient of [x,y]"),
                 ParamSpec("epsilon", _SCALAR, "coefficient of [y,x]"),
-            ],
+            ),
             "Three-dimensional coclass-one family: x*x = z, y*y = tau z, "
             "[x,y] = lambda z, [y,x] = epsilon z.  Valid when tau is nonzero "
             "and (lambda+epsilon)^2 - 4*tau is a non-square; normalizing "
@@ -602,20 +593,20 @@ _ENTRIES: dict[str, CatalogEntry] = {
             _cc1_constraints,
             _cc1_sample,
         ),
-        _entry(
+        CatalogEntry(
             "cc2_split4",
             4,
-            [],
+            (),
             "Split four-dimensional coclass-two algebra: sum of two cyclic "
             "planes, x1*x1 = x3 and x2*x2 = x4.",
             _cc2_split4,
             _no_constraints,
             lambda field: {},
         ),
-        _entry(
+        CatalogEntry(
             "A18",
             4,
-            [ParamSpec("alpha", _SCALAR, "coefficient of [x1,x2] on x3")],
+            (ParamSpec("alpha", _SCALAR, "coefficient of [x1,x2] on x3"),),
             "Non-split four-dimensional coclass-two family: x1*x1 = x3, "
             "[x2,x1] = x4, [x1,x2] = alpha x3, x2*x2 = -x4; alpha = -1 makes "
             "a maximal subalgebra degenerate and is rejected.",
@@ -623,26 +614,26 @@ _ENTRIES: dict[str, CatalogEntry] = {
             _a18_constraints,
             lambda field: {"alpha": 0},
         ),
-        _entry(
+        CatalogEntry(
             "A19",
             4,
-            [],
+            (),
             "Non-split four-dimensional coclass-two algebra: x1*x1 = x3, "
             "[x1,x2] = x3, [x2,x1] = x3 + x4, x2*x2 = x4.",
             _a19,
             _no_constraints,
             lambda field: {},
         ),
-        _entry(
+        CatalogEntry(
             "A1_6dim",
             6,
-            [
+            (
                 ParamSpec("c", _SCALAR, "coefficient of [t,x] on z (unscaled)"),
                 ParamSpec("g", _SCALAR, "coefficient of [u,y] on z (unscaled)"),
                 ParamSpec("d", _SCALAR, "coefficient of [t,y] on z (unscaled)"),
                 ParamSpec("shat", _SCALAR, "scaling of the y basis vector"),
                 ParamSpec("rhat", _SCALAR, "scaling of the x basis vector"),
-            ],
+            ),
             "Six-dimensional coclass-two family on basis t,u,w,rx,sy,z whose "
             "quotient by the second center is Heisenberg.  The defining "
             "identity forces fhat = 0, gamma = -d, f = 2d, dhat = -3d, so "
@@ -652,13 +643,13 @@ _ENTRIES: dict[str, CatalogEntry] = {
             _a1_constraints,
             _a1_sample,
         ),
-        _entry(
+        CatalogEntry(
             "A3_6dim",
             6,
-            [
+            (
                 ParamSpec("d", _SCALAR, "coefficient of [t,y] on z"),
                 ParamSpec("dhat", _SCALAR, "coefficient of [y,t] on z"),
-            ],
+            ),
             "Six-dimensional coclass-two family on basis t,u,w,x,y,z with "
             "f = -d, fhat = -dhat, gamma = (d+dhat)/2; the defining identity "
             "additionally forces dhat = 3d, and d must be nonzero so the "
@@ -667,10 +658,10 @@ _ENTRIES: dict[str, CatalogEntry] = {
             _a3_constraints,
             _a3_sample,
         ),
-        _entry(
+        CatalogEntry(
             "table6_generic",
             6,
-            [
+            (
                 ParamSpec("alpha", _SCALAR, "coefficient of t*t on z"),
                 ParamSpec("beta", _SCALAR, "coefficient of u*u on z"),
                 ParamSpec("abar", _SCALAR, "z-part of [u,t]"),
@@ -681,7 +672,7 @@ _ENTRIES: dict[str, CatalogEntry] = {
                 ParamSpec("g", _SCALAR, "coefficient of [u,y] on z"),
                 ParamSpec("dhat", _SCALAR, "coefficient of [y,t] on z"),
                 ParamSpec("fhat", _SCALAR, "coefficient of [x,u] on z"),
-            ],
+            ),
             "Six-dimensional symbolic table used as feedstock for constraint "
             "extraction; it is a Leibniz algebra exactly when gamma = d - f "
             "= -d - fhat = dhat + f (alpha, beta, abar stay free).",
@@ -689,10 +680,10 @@ _ENTRIES: dict[str, CatalogEntry] = {
             _table6_constraints,
             _table6_sample,
         ),
-        _entry(
+        CatalogEntry(
             "table1_case1",
             4,
-            [
+            (
                 ParamSpec("alpha", _SCALAR, "coefficient of w*w on z"),
                 ParamSpec("beta", _SCALAR, "coefficient of x*x on z"),
                 ParamSpec("gamma", _SCALAR, "coefficient of y*y on z"),
@@ -700,7 +691,7 @@ _ENTRIES: dict[str, CatalogEntry] = {
                 ParamSpec("ahat", _SCALAR, "z-part of [x,w]"),
                 ParamSpec("b", _SCALAR, "coefficient of [w,y] on z"),
                 ParamSpec("c", _SCALAR, "coefficient of [x,y] on z"),
-            ],
+            ),
             "Four-dimensional symbolic table with bhat = -b and chat = -c "
             "already substituted; the defining identity further forces "
             "gamma = 0, which instantiation enforces.",
@@ -716,20 +707,20 @@ _ENTRIES: dict[str, CatalogEntry] = {
                 "c": 1,
             },
         ),
-        _entry(
+        CatalogEntry(
             "holmes_ii",
             5,
-            [],
+            (),
             "Five-dimensional coclass-two Lie algebra: [x,y] = z, [x,z] = a, "
             "[y,z] = b (all products skew).",
             _holmes_ii,
             _no_constraints,
             lambda field: {},
         ),
-        _entry(
+        CatalogEntry(
             "holmes_iii",
             6,
-            [ParamSpec("gamma", _SCALAR, "coefficient of [b,y] on z")],
+            (ParamSpec("gamma", _SCALAR, "coefficient of [b,y] on z"),),
             "Six-dimensional coclass-two Lie family: [a,b] = c, [a,c] = x, "
             "[b,c] = y, [a,x] = z, [b,y] = gamma z, with -gamma a non-square; "
             "over any field where every element is a square (e.g. closed "
@@ -738,10 +729,10 @@ _ENTRIES: dict[str, CatalogEntry] = {
             _holmes_iii_constraints,
             _holmes_iii_sample,
         ),
-        _entry(
+        CatalogEntry(
             "cex_fourdim_A1",
             4,
-            [],
+            (),
             "Four-dimensional algebra [x1,x3] = x4, [x3,x2] = x4; one maximal "
             "subalgebra is abelian and another is not, so the upper-series "
             "profile property fails.",
@@ -749,10 +740,10 @@ _ENTRIES: dict[str, CatalogEntry] = {
             _no_constraints,
             lambda field: {},
         ),
-        _entry(
+        CatalogEntry(
             "cex_A8",
             5,
-            [],
+            (),
             "Five-dimensional algebra with x1*x1 = x5 on top of a Lie core "
             "([x1,x2] = x3, [x1,x3] = x4, [x2,x3] = x5, all skew); one "
             "maximal subalgebra is Lie and another is not, so the "
@@ -769,50 +760,22 @@ _ENTRIES: dict[str, CatalogEntry] = {
 # parametric tables for the constraint solver
 # ---------------------------------------------------------------------------
 
-TABLE6_VARIABLES = ("alpha", "beta", "abar", "gamma", "c", "d", "f", "g", "dhat", "fhat")
+TABLE6_VARIABLES = tuple(spec.name for spec in _ENTRIES["table6_generic"].params)
 
-TABLE1_VARIABLES = ("alpha", "beta", "gamma", "a", "ahat", "b", "c", "bhat", "chat")
+TABLE1_VARIABLES = tuple(spec.name for spec in _ENTRIES["table1_case1"].params) + ("bhat", "chat")
+
+
+def _parametric(dim: int, variables, products) -> ParametricAlgebra:
+    """The table of ``products`` with every parameter a free variable."""
+    values = {name: MultiPoly.variable(variables, name) for name in variables}
+    return ParametricAlgebra.from_table(dim, variables, {(i, j): v for i, j, v in products(values)})
 
 
 def parametric_table6() -> ParametricAlgebra:
     """The six-dimensional symbolic table with all ten parameters free."""
-    v = {name: MultiPoly.variable(TABLE6_VARIABLES, name) for name in TABLE6_VARIABLES}
-    one = MultiPoly.constant(TABLE6_VARIABLES, 1)
-    cells = {
-        (1, 1): {6: v["alpha"]},
-        (1, 2): {3: one},
-        (1, 3): {4: one},
-        (1, 4): {6: v["c"]},
-        (1, 5): {6: v["d"]},
-        (2, 1): {3: -one, 6: v["abar"]},
-        (2, 2): {6: v["beta"]},
-        (2, 3): {5: one},
-        (2, 4): {6: v["f"]},
-        (2, 5): {6: v["g"]},
-        (3, 1): {4: -one},
-        (3, 2): {5: -one},
-        (3, 3): {6: v["gamma"]},
-        (4, 1): {6: -v["c"]},
-        (4, 2): {6: v["fhat"]},
-        (5, 1): {6: v["dhat"]},
-        (5, 2): {6: -v["g"]},
-    }
-    return ParametricAlgebra.from_table(6, TABLE6_VARIABLES, cells)
+    return _parametric(6, TABLE6_VARIABLES, _table6_products)
 
 
 def parametric_table1() -> ParametricAlgebra:
     """The four-dimensional symbolic table with bhat, chat, gamma free."""
-    v = {name: MultiPoly.variable(TABLE1_VARIABLES, name) for name in TABLE1_VARIABLES}
-    one = MultiPoly.constant(TABLE1_VARIABLES, 1)
-    cells = {
-        (1, 1): {4: v["alpha"]},
-        (1, 2): {3: one, 4: v["a"]},
-        (1, 3): {4: v["b"]},
-        (2, 1): {3: -one, 4: v["ahat"]},
-        (2, 2): {4: v["beta"]},
-        (2, 3): {4: v["c"]},
-        (3, 1): {4: v["bhat"]},
-        (3, 2): {4: v["chat"]},
-        (3, 3): {4: v["gamma"]},
-    }
-    return ParametricAlgebra.from_table(4, TABLE1_VARIABLES, cells)
+    return _parametric(4, TABLE1_VARIABLES, _table1_products)

@@ -16,13 +16,16 @@ of ``randomgen``.
 
 Both fields hold an algebra the same way: its structure constants are
 sparse raw cells (see ``_modp``), residues over GF(p) and nonzero Fractions
-over Q.  The operations below compute on those cells and on the raw rows of
-``Subspace`` through ``_modp``, with p = ``field.characteristic``, and
-quotients, restrictions and direct sums are built straight from cells.  The
-boxed ``table`` is built on first read; vectors passed in or handed out by
-``bracket`` are FieldElements, coerced or boxed at the call.  Over Q,
-``bracket``, ``span_products`` and ``centralizer_mod`` still bracket the
-FieldElements of ``table``; ``bracket`` says why.
+over Q.  Every constructor writes those cells once and ends in one
+initializer: ``from_table`` coerces only the coefficients it is given, the
+dense ``LeibnizAlgebra(field, table)`` is read in one pass, and quotients,
+restrictions and direct sums are built straight from cells.  The operations
+below compute on the cells and on the raw rows of ``Subspace`` through
+``_modp``, with p = ``field.characteristic``.  The boxed ``table`` is built
+only on first read; vectors passed in or handed out by ``bracket`` are
+FieldElements, coerced or boxed at the call.  Over Q, ``bracket``,
+``span_products`` and ``centralizer_mod`` still bracket the FieldElements of
+``table``; ``bracket`` says why.
 
 Algebras, vectors, and subspaces are immutable; every operation here is a
 pure function of its inputs and safe for concurrent use.
@@ -38,6 +41,7 @@ from . import _modp
 from .errors import (
     BadIndex,
     BadVector,
+    ConstructionError,
     DuplicateEntry,
     FieldMismatch,
     NotAnIdeal,
@@ -73,69 +77,62 @@ class LeibnizAlgebra:
     instance is immutable; ``verified`` reports whether ``check_leibniz``
     has run and found no violations.  ``_cells[i][j]`` holds [e_i, e_j] as
     the sparse raw pairs (k, c) of ``_modp``, with k ascending and c a
-    residue in [1, p) over GF(p), a nonzero Fraction over Q; ``table`` is
-    boxed from it on first read.
+    residue in [1, p) over GF(p), a nonzero Fraction over Q.  It is the only
+    stored form: ``table`` is boxed from it on first read.  Labels given
+    from outside must be nonempty words with no whitespace and no ``#``, so
+    that the ``basis`` line of ``formats`` reads them back; anything else
+    raises ``ConstructionError``.
     """
 
     __slots__ = ("field", "dim", "labels", "_table", "_cells", "_verified", "_hash")
 
     def __init__(self, field: Field, table, labels: Sequence[str] | None = None):
+        """The algebra whose dense ``table[i][j][k]`` is the e_k-coefficient of [e_i, e_j]."""
         dim = len(table)
-        coerced = tuple(
-            tuple(tuple(field(c) for c in cell) for cell in row) for row in table
-        )
-        for row in coerced:
+        cells = []
+        for row in table:
             if len(row) != dim or any(len(cell) != dim for cell in row):
                 raise BadVector("structure tensor must be dim x dim x dim")
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != dim:
-                raise BadVector("label count must match dim")
-        else:
-            labels = tuple(f"x{i + 1}" for i in range(dim))
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_table", coerced)
-        object.__setattr__(self, "labels", labels)
-        cells = tuple(
-            tuple(tuple((k, c.value) for k, c in enumerate(cell) if c.value) for cell in row)
-            for row in coerced
-        )
-        object.__setattr__(self, "_cells", cells)
-        object.__setattr__(self, "_verified", None)
-        object.__setattr__(self, "_hash", None)
+            cells.append(tuple(_sparse(field, enumerate(cell)) for cell in row))
+        self._init(field, tuple(cells), _checked_labels(labels, dim))
 
     @classmethod
     def _from_cells(cls, field: Field, cells, labels=None) -> "LeibnizAlgebra":
-        """An algebra from canonical sparse raw cells; no table yet."""
+        """An algebra from canonical sparse raw cells and already checked labels."""
         self = object.__new__(cls)
-        dim = len(cells)
+        self._init(field, cells, labels)
+        return self
+
+    def _init(self, field: Field, cells, labels) -> None:
+        """The one initializer every constructor ends in; ``table`` is built on read."""
         if labels is None:
-            labels = tuple(f"x{i + 1}" for i in range(dim))
+            labels = tuple(f"x{i + 1}" for i in range(len(cells)))
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "dim", len(cells))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_verified", None)
         object.__setattr__(self, "_hash", None)
-        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LeibnizAlgebra is immutable")
 
     @property
     def table(self):
-        """The structure constants as FieldElements: ``table[i][j]`` = [e_i, e_j]."""
-        table = self._table
-        if table is None:
-            field, n = self.field, self.dim
-            zero = _modp._zero_one(field.characteristic)[0]
+        """[e_i, e_j] as ``table[i][j]`` of FieldElements, boxed on first read; zeros share one."""
+        try:
+            return self._table
+        except AttributeError:
+            field, n, zero = self.field, self.dim, self.field.zero()
             table = tuple(
-                tuple(_box(field, _dense(cell, n, zero)) for cell in row) for row in self._cells
+                tuple(
+                    tuple(_dense([(k, FieldElement(field, c)) for k, c in cell], n, zero))
+                    for cell in row
+                )
+                for row in self._cells
             )
             object.__setattr__(self, "_table", table)
-        return table
+            return table
 
     # -- construction -----------------------------------------------------
 
@@ -152,12 +149,10 @@ class LeibnizAlgebra:
         ``entries`` yields (i, j, value) with 1-based i, j; value is either a
         dict {k: coeff} with 1-based k, or a full coordinate sequence of
         length dim.  Unspecified products are zero; duplicate (i, j) pairs
-        are rejected.
+        are rejected.  Only the given coefficients are coerced, straight
+        into the sparse cells; no dense table is built.
         """
-        z = field.zero()
-        cells: list[list[list[FieldElement]]] = [
-            [[z] * dim for _ in range(dim)] for _ in range(dim)
-        ]
+        cells = [[()] * dim for _ in range(dim)]
         seen: set[tuple[int, int]] = set()
         for i, j, value in entries:
             if not (1 <= i <= dim and 1 <= j <= dim):
@@ -166,17 +161,16 @@ class LeibnizAlgebra:
                 raise DuplicateEntry(f"product [{i},{j}] specified twice")
             seen.add((i, j))
             if isinstance(value, dict):
-                vec = [z] * dim
-                for k, coeff in value.items():
+                for k in value:
                     if not 1 <= k <= dim:
                         raise BadIndex(f"basis index {k} outside 1..{dim}")
-                    vec[k - 1] = field(coeff)
+                pairs = [(k - 1, value[k]) for k in sorted(value)]
             else:
-                vec = [field(c) for c in value]
-                if len(vec) != dim:
-                    raise BadVector(f"value for [{i},{j}] has length {len(vec)}")
-            cells[i - 1][j - 1] = vec
-        return cls(field, cells, labels)
+                pairs = list(enumerate(value))
+                if len(pairs) != dim:
+                    raise BadVector(f"value for [{i},{j}] has length {len(pairs)}")
+            cells[i - 1][j - 1] = _sparse(field, pairs)
+        return cls._from_cells(field, tuple(map(tuple, cells)), _checked_labels(labels, dim))
 
     # -- vectors and subspaces --------------------------------------------
 
@@ -489,6 +483,31 @@ def _identity_residual(cells, products, i, j, k, size, zero) -> list:
         for t, d in products[j][m]:
             acc[t] -= c * d
     return acc
+
+
+def _sparse(field: Field, pairs) -> tuple:
+    """The canonical cell of (k, coefficient) pairs, k ascending: nonzero raw values."""
+    cell = []
+    for k, c in pairs:
+        c = field(c).value
+        if c:
+            cell.append((k, c))
+    return tuple(cell)
+
+
+def _checked_labels(labels, dim: int):
+    """``labels`` as a tuple (None stays None), each one a basis-line word."""
+    if labels is None:
+        return None
+    labels = tuple(labels)
+    if len(labels) != dim:
+        raise BadVector("label count must match dim")
+    for label in labels:
+        if not isinstance(label, str) or label.split() != [label] or "#" in label:
+            raise ConstructionError(
+                f"label {label!r} must be a nonempty word with no whitespace or '#'"
+            )
+    return labels
 
 
 def _dense(cell, n: int, zero) -> list:

@@ -126,16 +126,17 @@ def _names_in_order(texts) -> tuple[str, ...]:
     return tuple(dict.fromkeys(name for text in texts for name in _IDENT_RE.findall(text)))
 
 
-def _product_lines(table, coeff_texts) -> list[str]:
+def _product_lines(cells, coeff_texts) -> list[str]:
     """The ``[i,j] = ...`` lines of a table of coefficients.
 
-    ``table[i][j][k]`` is the coefficient of e_k in [e_i, e_j], and
-    ``coeff_texts`` lists the texts of one coefficient, none for zero.
+    ``cells[i][j]`` holds the pairs (k, coefficient of e_k in [e_i, e_j]),
+    0-based k ascending, and ``coeff_texts`` lists the texts of one
+    coefficient, none for zero.
     """
     lines = []
-    for i, row in enumerate(table, start=1):
+    for i, row in enumerate(cells, start=1):
         for j, cell in enumerate(row, start=1):
-            terms = [f"{c}*{k}" for k, coeff in enumerate(cell, start=1) for c in coeff_texts(coeff)]
+            terms = [f"{c}*{k + 1}" for k, coeff in cell for c in coeff_texts(coeff)]
             if terms:
                 lines.append(f"[{i},{j}] = " + " + ".join(terms))
     return lines
@@ -178,7 +179,8 @@ def format_algebra(algebra: LeibnizAlgebra) -> str:
         f"dim {algebra.dim}",
         "basis " + " ".join(algebra.labels),
     ]
-    out += _product_lines(algebra.table, lambda c: [c] if c else [])
+    # the cells hold nonzero raw values, whose text is their FieldElement's
+    out += _product_lines(algebra._cells, lambda c: [c])
     return "\n".join(out) + "\n"
 
 
@@ -289,5 +291,6 @@ def _monomial_strings(poly: MultiPoly) -> list[str]:
 
 def format_parametric(p: ParametricAlgebra) -> str:
     out = [_HEADER, "params " + " ".join(p.variables), f"dim {p.dim}"]
-    out += _product_lines(p.entries, _monomial_strings)
+    cells = [[list(enumerate(cell)) for cell in row] for row in p.entries]
+    out += _product_lines(cells, _monomial_strings)
     return "\n".join(out) + "\n"

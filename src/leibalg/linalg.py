@@ -82,19 +82,6 @@ def nullspace(rows: Iterable[Sequence[FieldElement]], field: Field, ncols: int) 
     return [_box(field, v) for v in basis]
 
 
-def solve(rows: Sequence[Sequence[FieldElement]], rhs: Sequence[FieldElement], field: Field, ncols: int) -> Vector | None:
-    """A particular solution x of M x = rhs, or None when inconsistent."""
-    raw = _raw_rows(field, rows, ncols)
-    if len(rhs) != len(raw):
-        raise BadVector(f"{len(rhs)} right-hand sides for {len(raw)} equations")
-    solution = _modp.solve_affine(raw, _raw(field, rhs), field.characteristic, ncols)
-    return None if solution is None else _box(field, solution[0])
-
-
-def matrix_rank(rows: Iterable[Sequence[FieldElement]], field: Field, ncols: int) -> int:
-    return _modp.rank(_raw_rows(field, rows, ncols), field.characteristic, ncols)
-
-
 def _check_echelon(rows, pivots, n: int) -> None:
     """Raise BadVector unless ``rows`` is the reduced echelon form for ``pivots``."""
     if len(rows) != len(pivots) or list(pivots) != [q for q in range(n) if q in pivots]:

@@ -5,6 +5,7 @@ import pytest
 from leibalg import (
     GF,
     QQ,
+    ConstructionError,
     LeibnizAlgebra,
     ParseError,
     format_algebra,
@@ -155,6 +156,29 @@ class TestRoundTrip:
                 assert back == algebra
                 assert back.labels == algebra.labels
                 assert format_algebra(back) == text
+
+    @pytest.mark.parametrize("bad", ["", "a b", "a\tb", " a", "a\n", "a#b", "#", 3])
+    def test_labels_that_would_not_read_back_are_refused(self, bad):
+        # such labels used to be written into a basis line that parse_algebra
+        # rejects: ("a b", "c") reads back as "basis line names 3 vectors"
+        field = GF(5)
+        with pytest.raises(ConstructionError):
+            LeibnizAlgebra.from_table(2, field, [], labels=(bad, "c"))
+        with pytest.raises(ConstructionError):
+            LeibnizAlgebra(field, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], labels=("c", bad))
+
+    def test_labels_read_back_from_sums_and_quotients(self):
+        for field in (GF(5), QQ):
+            heisenberg = instantiate("heisenberg3", field, {})
+            for entry in list_catalog():
+                algebra = instantiate(entry.name, field, sample_params(entry.name, field))
+                derived = [
+                    algebra,
+                    algebra.direct_sum(heisenberg),
+                    algebra.quotient(algebra.center()).algebra,
+                ]
+                for built in derived:
+                    assert parse_algebra(format_algebra(built)).labels == built.labels
 
     def test_rational_fractions_roundtrip(self):
         algebra = LeibnizAlgebra.from_table(

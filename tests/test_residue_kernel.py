@@ -34,7 +34,7 @@ from leibalg import (
 )
 from leibalg import _modp
 from leibalg.fields import Field, FieldElement
-from leibalg.linalg import nullspace, rref, solve
+from leibalg.linalg import nullspace, rref
 from leibalg.maximal import fingerprint
 from leibalg.randomgen import (
     central_extension,
@@ -372,15 +372,35 @@ def ref_direct_sum_table(a, b):
     )
 
 
-def assert_canonical_rational(algebra):
-    """Cells hold nonzero Fractions with k ascending, and agree with the table."""
-    for row, table_row in zip(algebra._cells, algebra.table):
-        for cell, entries in zip(row, table_row):
+def canonical_cells(field, table):
+    """The cells read off a boxed or coercible dense table: nonzero raw values."""
+    return tuple(
+        tuple(tuple((k, field(a).value) for k, a in enumerate(cell) if field(a)) for cell in row)
+        for row in table
+    )
+
+
+def assert_canonical_cells(algebra):
+    """Cells hold nonzero raw values of the field's kind with k ascending, agree
+    with the boxed table, and the dense constructor rebuilds them."""
+    field, p = algebra.field, algebra.field.characteristic
+    for row in algebra._cells:
+        for cell in row:
             ks = [k for k, _ in cell]
             assert ks == sorted(set(ks))
-            assert all(c.__class__ is Fraction and c != 0 for _, c in cell), cell
-            assert cell == tuple((k, a.value) for k, a in enumerate(entries) if a)
-            assert_exact([entries])
+            if p:
+                assert all(c.__class__ is int and 0 < c < p for _, c in cell), cell
+            else:
+                assert all(c.__class__ is Fraction and c != 0 for _, c in cell), cell
+    table = algebra.table
+    assert all(a.__class__ is FieldElement and a.field is field
+               for row in table for cell in row for a in cell)
+    assert algebra._cells == canonical_cells(field, table)
+    assert LeibnizAlgebra(field, table)._cells == algebra._cells
+    # the zero entries of a boxed table are one shared element
+    assert len({id(a) for row in table for cell in row for a in cell if not a}) <= 1
+    if not p:
+        assert_exact([cell for row in table for cell in row])
 
 
 def test_rational_operations_match_the_boxed_reference():
@@ -431,8 +451,58 @@ def test_rational_operations_match_the_boxed_reference():
         assert summed.table == ref_direct_sum_table(algebra, heisenberg)
         assert summed == LeibnizAlgebra(QQ, summed.table)
         for built in (algebra, parsed, quotient, restricted, summed):
-            assert_canonical_rational(built)
+            assert_canonical_cells(built)
     assert non_ideal_lines >= len(algebras) - 2  # all but the abelian family
+
+
+CONSTRUCTION_FIELDS = [GF(3), GF(5), GF(7), QQ]
+
+
+@pytest.mark.parametrize("field", CONSTRUCTION_FIELDS, ids=str)
+def test_every_family_is_built_on_canonical_cells(field):
+    built = 0
+    for entry in list_catalog():
+        params = sample_params(entry.name, field)
+        if params is None:
+            continue
+        algebra = instantiate(entry.name, field, params)
+        assert_canonical_cells(algebra)
+        assert parse_algebra(format_algebra(algebra))._cells == algebra._cells
+        built += 1
+    assert built >= len(list_catalog()) - 1  # A1_6dim has no GF(3) sample
+
+
+def from_table_cases(field):
+    """Edge cases of from_table entries: (entries, the dense table they mean)."""
+    p = field.characteristic or 7
+    cases = {
+        "explicit zero": [(1, 1, {2: 0, 3: 1})],
+        "coefficient p": [(1, 2, {1: p, 3: 2})],
+        "minus one": [(2, 1, {3: -1})],
+        "Fraction(2, 4)": [(2, 2, {1: Fraction(2, 4)})],
+        "full vector": [(3, 1, [0, Fraction(2, 4), -1])],
+        "descending keys": [(3, 3, {3: 1, 2: -1, 1: 2})],
+    }
+    cases["all at once"] = [e for entries in cases.values() for e in entries]
+    out = []
+    for name, entries in cases.items():
+        dense = [[[field(0)] * 3 for _ in range(3)] for _ in range(3)]
+        for i, j, value in entries:
+            items = value.items() if isinstance(value, dict) else enumerate(value, start=1)
+            for k, c in items:
+                dense[i - 1][j - 1][k - 1] = field(c)
+        out.append((name, entries, dense))
+    return out
+
+
+@pytest.mark.parametrize("field", CONSTRUCTION_FIELDS, ids=str)
+def test_from_table_writes_the_canonical_cells_of_its_entries(field):
+    for name, entries, dense in from_table_cases(field):
+        algebra = LeibnizAlgebra.from_table(3, field, entries)
+        assert algebra._cells == LeibnizAlgebra(field, dense)._cells, name
+        assert algebra._cells == canonical_cells(field, dense), name
+        assert [[list(cell) for cell in row] for row in algebra.table] == dense, name
+        assert_canonical_cells(algebra)
 
 
 def test_prime_field_operations_do_no_boxed_arithmetic(monkeypatch):
@@ -769,7 +839,6 @@ def test_rational_boxed_entries_hold_fractions():
     assert full.rows[0][1].value.__class__ is Fraction
     assert_exact(full.rows)
     assert_exact(nullspace([[QQ(1), QQ(2), QQ(0)]], QQ, 3))
-    assert_exact([solve([[QQ(2), QQ(0), QQ(0)]], [QQ(1)], QQ, 3)])
     assert_exact([full.linear_combination([QQ(0), QQ(0), QQ(3)])])
     assert_exact(Subspace.span(QQ, 2, [[1, 2], [2, 4]]).rows)
     assert_exact(full.sum_with(full).rows + full.intersect(full).rows)

@@ -7,7 +7,10 @@ Usage, from the root of a checkout:
 Builds each workload of ``perfbench/workloads.py`` at the seed, runs the
 operations of one round once, and prints, per workload, how often the
 central series, the elimination kernel, the isomorphism decision
-(``_Side.isomorphism``) and the generator-image search were called.
+(``_Side.isomorphism``) and the generator-image search were called.  It
+then runs a second round under ``cProfile`` and prints the number of
+Python function calls in it (builtins are not counted); the first round
+is its warm-up, so imports and other first-round work are left out.
 Counts are exact and do not depend on the host, so two checkouts are
 compared by running this in each.
 """
@@ -15,6 +18,7 @@ compared by running this in each.
 from __future__ import annotations
 
 import argparse
+import cProfile
 import sys
 from collections import Counter
 from pathlib import Path
@@ -48,8 +52,7 @@ def holders(owner, name):
     return found
 
 
-def count_round(workload, seed: int) -> Counter:
-    ops = workload.ops(workload.setup(seed))
+def count_round(ops) -> Counter:
     counts: Counter = Counter()
     saved = []
     for owner, name in COUNTED:
@@ -71,13 +74,26 @@ def count_round(workload, seed: int) -> Counter:
     return counts
 
 
+def python_calls(ops) -> int:
+    """Python function calls made by one round of ``ops``."""
+    profile = cProfile.Profile(builtins=False)
+    profile.enable()
+    for _, call in ops:
+        call()
+    profile.disable()
+    # per code object: pstats would merge the comprehensions that share a line
+    return sum(entry.callcount for entry in profile.getstats())
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     for name, workload in workloads.WORKLOADS.items():
-        counts = count_round(workload, args.seed)
+        ops = workload.ops(workload.setup(args.seed))
+        counts = count_round(ops)
         print(name + ": " + ", ".join(f"{n} {counts[n]}" for _, n in COUNTED))
+        print(f"{name}: python calls {python_calls(ops)}")
 
 
 if __name__ == "__main__":
