@@ -41,8 +41,24 @@ def _zero_one(p: int):
 
 
 def bracket(cells, u, v, p: int):
-    """[u, v] for raw vectors u, v under the sparse structure cells."""
+    """[u, v] for raw vectors u, v under the sparse structure cells.
+
+    Over GF(p) each added term is reduced as it is added: most brackets add
+    only one or two, so reducing all n entries at the end costs more.
+    """
     acc = [_zero_one(p)[0]] * len(cells)
+    if p:
+        for i, ui in enumerate(u):
+            if not ui:
+                continue
+            row = cells[i]
+            for j, vj in enumerate(v):
+                if not vj:
+                    continue
+                c = ui * vj
+                for k, coeff in row[j]:
+                    acc[k] = (acc[k] + c * coeff) % p
+        return acc
     for i, ui in enumerate(u):
         if not ui:
             continue
@@ -53,7 +69,7 @@ def bracket(cells, u, v, p: int):
             c = ui * vj
             for k, coeff in row[j]:
                 acc[k] += c * coeff
-    return [a % p for a in acc] if p else acc
+    return acc
 
 
 def combine(coeffs, rows, p: int, n: int):

@@ -5,7 +5,7 @@ the table parameters.  Applying the defining identity to every basis
 triple yields residual polynomials; their common zero locus is exactly the
 set of parameter values for which the table is a Leibniz algebra.  The
 residuals come from the one identity walk of ``core``
-(``_identity_residual``), run on sparse polynomial cells.  The
+(``_identity_residuals``), run on sparse polynomial cells.  The
 extracted list is canonical: monic, deduplicated up to scalar multiples,
 and sorted by graded-lex key.
 
@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import LeibnizAlgebra, _identity_residual
+from .core import LeibnizAlgebra, _identity_residuals
 from .errors import IncompleteAssignment, NotApplicable
 from .fields import QQ, Field, FieldElement
 from .linalg import Subspace
@@ -101,11 +101,8 @@ def raw_leibniz_residuals(p: ParametricAlgebra) -> list[MultiPoly]:
         for row in p.entries
     )
     out = []
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                residual = _identity_residual(cells, cells, i, j, l, n, zero)
-                out.extend(poly for poly in residual if not poly.is_zero())
+    for residual in _identity_residuals(cells, cells, n, zero).values():
+        out.extend(poly for poly in residual if not poly.is_zero())
     return out
 
 

@@ -9,17 +9,20 @@ and bilinearity makes checking it on basis triples sufficient.  Squares
 [v, v] need not vanish; the span of all squares is an ideal annihilating
 the algebra from the left.
 
-The identity is walked in one place, ``_identity_residual``, on sparse
+The identity is walked in one place, ``_identity_residuals``, on sparse
 cells over any coefficient ring: residues over GF(p) and Fractions over Q
 in ``check_leibniz``, polynomials in ``constraints``, and the cocycle rows
-of ``randomgen``.
+of ``randomgen``.  It starts from the nonzero inner products and visits
+only the basis triples they reach; the residual of every other triple is
+exactly zero.
 
 Both fields hold an algebra the same way: its structure constants are
 sparse raw cells (see ``_modp``), residues over GF(p) and nonzero Fractions
 over Q.  Every constructor writes those cells once and ends in one
 initializer: ``from_table`` coerces only the coefficients it is given, the
-dense ``LeibnizAlgebra(field, table)`` is read in one pass, and quotients,
-restrictions and direct sums are built straight from cells.  The operations
+dense ``LeibnizAlgebra(field, table)`` is read in one pass, both through
+``Field.raw`` so that no coefficient is boxed, and quotients, restrictions
+and direct sums are built straight from cells.  The operations
 below compute on the cells and on the raw rows of ``Subspace`` through
 ``_modp``, with p = ``field.characteristic``.  The boxed ``table`` is built
 only on first read; vectors passed in or handed out by ``bracket`` are
@@ -33,7 +36,7 @@ pure function of its inputs and safe for concurrent use.
 
 from __future__ import annotations
 
-import itertools
+from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -88,12 +91,14 @@ class LeibnizAlgebra:
 
     def __init__(self, field: Field, table, labels: Sequence[str] | None = None):
         """The algebra whose dense ``table[i][j][k]`` is the e_k-coefficient of [e_i, e_j]."""
-        dim = len(table)
-        cells = []
-        for row in table:
-            if len(row) != dim or any(len(cell) != dim for cell in row):
-                raise BadVector("structure tensor must be dim x dim x dim")
-            cells.append(tuple(_sparse(field, enumerate(cell)) for cell in row))
+        try:
+            dim = len(table)
+            square = all(len(row) == dim and all(len(c) == dim for c in row) for row in table)
+        except TypeError:
+            square = False
+        if not square:
+            raise BadVector("structure tensor must be dim x dim x dim")
+        cells = [tuple(_sparse(field, enumerate(cell)) for cell in row) for row in table]
         self._init(field, tuple(cells), _checked_labels(labels, dim))
 
     @classmethod
@@ -152,21 +157,27 @@ class LeibnizAlgebra:
         are rejected.  Only the given coefficients are coerced, straight
         into the sparse cells; no dense table is built.
         """
+        if not _is_index(dim, 0, dim):
+            raise BadVector(f"dimension {dim!r} is not an int >= 0")
         cells = [[()] * dim for _ in range(dim)]
         seen: set[tuple[int, int]] = set()
         for i, j, value in entries:
-            if not (1 <= i <= dim and 1 <= j <= dim):
-                raise BadIndex(f"product index [{i},{j}] outside 1..{dim}")
+            if not (_is_index(i, 1, dim) and _is_index(j, 1, dim)):
+                raise BadIndex(f"product index [{i!r},{j!r}] is not an int in 1..{dim}")
             if (i, j) in seen:
                 raise DuplicateEntry(f"product [{i},{j}] specified twice")
             seen.add((i, j))
             if isinstance(value, dict):
                 for k in value:
-                    if not 1 <= k <= dim:
-                        raise BadIndex(f"basis index {k} outside 1..{dim}")
+                    if not _is_index(k, 1, dim):
+                        raise BadIndex(f"basis index {k!r} is not an int in 1..{dim}")
                 pairs = [(k - 1, value[k]) for k in sorted(value)]
             else:
-                pairs = list(enumerate(value))
+                try:
+                    pairs = list(enumerate(value))
+                except TypeError:
+                    msg = f"value for [{i},{j}] is neither a dict nor a sequence"
+                    raise BadVector(msg) from None
                 if len(pairs) != dim:
                     raise BadVector(f"value for [{i},{j}] has length {len(pairs)}")
             cells[i - 1][j - 1] = _sparse(field, pairs)
@@ -240,12 +251,15 @@ class LeibnizAlgebra:
         return tuple(acc)
 
     def check_leibniz(self) -> list[LeibnizViolation]:
-        """All basis triples violating the defining identity (empty = valid)."""
-        field, n, p = self.field, self.dim, self.field.characteristic
-        cells = self._cells
+        """All basis triples violating the defining identity (empty = valid).
+
+        The residuals are those of ``_identity_residuals``, so only the
+        triples some nonzero product reaches are computed; the violations
+        are listed in (i, j, k) order.
+        """
+        field, p = self.field, self.field.characteristic
         violations = []
-        for i, j, k in itertools.product(range(n), repeat=3):
-            acc = _identity_residual(cells, cells, i, j, k, n, 0)
+        for (i, j, k), acc in _identity_residuals(self._cells, self._cells, self.dim, 0).items():
             if any(acc) and (not p or any(a % p for a in acc)):
                 violations.append(LeibnizViolation(i + 1, j + 1, k + 1, tuple(map(field, acc))))
         object.__setattr__(self, "_verified", not violations)
@@ -465,34 +479,53 @@ class LeibnizAlgebra:
         return f"LeibnizAlgebra(dim {self.dim} over {self.field})"
 
 
-def _identity_residual(cells, products, i, j, k, size, zero) -> list:
-    """[e_i, [e_j, e_k]] - [[e_i, e_j], e_k] - [e_j, [e_i, e_k]] as a dense list.
+def _identity_residuals(cells, products, size, zero) -> dict:
+    """{(i, j, k): [e_i, [e_j, e_k]] - [[e_i, e_j], e_k] - [e_j, [e_i, e_k]]} as dense lists.
 
     The inner brackets are read from the sparse (m, c) cells ``cells``, the
     outer ones from the sparse (t, d) cells ``products``, t < size, over any
-    commutative ring of coefficients with additive identity ``zero``.
+    commutative ring of coefficients with additive identity ``zero``.  The
+    walk starts from each nonzero inner cell [e_a, e_b] = sum c e_m and adds
+    +c [e_i, e_m] at (i, a, b), -c [e_m, e_k] at (a, b, k) and
+    -c [e_j, e_m] at (a, j, b), for the nonzero outer products only.  Every
+    triple it does not reach has residual exactly 0 and is left out; the
+    keys are in (i, j, k) order.
     """
-    acc = [zero] * size
-    for m, c in cells[j][k]:
-        for t, d in products[i][m]:
-            acc[t] += c * d
-    for m, c in cells[i][j]:
-        for t, d in products[m][k]:
-            acc[t] -= c * d
-    for m, c in cells[i][k]:
-        for t, d in products[j][m]:
-            acc[t] -= c * d
-    return acc
+    n = len(cells)
+    # into[m]: the nonzero [e_x, e_m]; out[m]: the nonzero [e_m, e_y]
+    into = [[(x, products[x][m]) for x in range(n) if products[x][m]] for m in range(n)]
+    out = [[(y, cell) for y, cell in enumerate(products[m]) if cell] for m in range(n)]
+    residuals = defaultdict(lambda: [zero] * size)
+    for a, row in enumerate(cells):
+        for b, cell in enumerate(row):
+            for m, c in cell:
+                for x, prod in into[m]:
+                    acc = residuals[x, a, b]
+                    for t, d in prod:
+                        acc[t] += c * d
+                    acc = residuals[a, x, b]
+                    for t, d in prod:
+                        acc[t] -= c * d
+                for y, prod in out[m]:
+                    acc = residuals[a, b, y]
+                    for t, d in prod:
+                        acc[t] -= c * d
+    return {key: residuals[key] for key in sorted(residuals)}
 
 
 def _sparse(field: Field, pairs) -> tuple:
     """The canonical cell of (k, coefficient) pairs, k ascending: nonzero raw values."""
     cell = []
     for k, c in pairs:
-        c = field(c).value
+        c = field.raw(c)
         if c:
             cell.append((k, c))
     return tuple(cell)
+
+
+def _is_index(x, low: int, high: int) -> bool:
+    """Is ``x`` an int (not a bool) in low..high?"""
+    return isinstance(x, int) and not isinstance(x, bool) and low <= x <= high
 
 
 def _checked_labels(labels, dim: int):

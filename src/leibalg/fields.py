@@ -12,7 +12,8 @@ Everything is exact; no floating point is used anywhere in this package.
 ``GF(p)`` returns one shared Field object per p, so field comparisons are
 mostly identity checks; elements are plain values, built as needed.  The
 GF(p) algorithms of the package compute on the raw residues of ``_modp``
-and box FieldElements only at the public boundary.
+and box FieldElements only at the public boundary.  Coercion has one body,
+``Field.raw``, which hands out the raw value; calling the field boxes it.
 Square testing uses Euler's criterion over GF(p) and perfect-square checks
 on the reduced numerator/denominator over Q.
 """
@@ -134,27 +135,34 @@ class Field:
 
     def __call__(self, value) -> "FieldElement":
         """Coerce an int, Fraction, literal string, or same-field element."""
+        if value.__class__ is FieldElement and value.field is self:
+            return value
+        return FieldElement(self, self.raw(value))
+
+    def raw(self, value):
+        """The raw value ``self(value)`` holds: a residue in [0, p) over GF(p), a Fraction over Q.
+
+        Takes what ``__call__`` takes and raises what it raises, but boxes nothing.
+        """
+        p = self.characteristic
+        if isinstance(value, int):
+            return value % p if p else Fraction(value)
+        if isinstance(value, Fraction):
+            if not p:
+                return value if value.__class__ is Fraction else Fraction(value)
+            den = value.denominator % p
+            if den == 0:
+                raise DivisionByZero(f"denominator of {value} vanishes mod {p}")
+            return value.numerator * pow(den, -1, p) % p
         if isinstance(value, FieldElement):
             if value.field is not self and value.field != self:
                 raise FieldMismatch(f"element of {value.field} used in {self}")
-            return value
+            return value.value
         if isinstance(value, str):
-            return self._from_literal(value)
-        if self.kind == PRIME:
-            p = self.modulus
-            if isinstance(value, int):
-                return self._residue(value % p)
-            if isinstance(value, Fraction):
-                den = value.denominator % p
-                if den == 0:
-                    raise DivisionByZero(f"denominator of {value} vanishes mod {p}")
-                return self._residue(value.numerator * pow(den, -1, p) % p)
-            raise ConstructionError(f"cannot coerce {value!r} into {self}")
-        if isinstance(value, (int, Fraction)):
-            return FieldElement(self, Fraction(value))
+            return self._raw_literal(value)
         raise ConstructionError(f"cannot coerce {value!r} into {self}")
 
-    def _from_literal(self, text: str) -> "FieldElement":
+    def _raw_literal(self, text: str):
         text = text.strip()
         m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", text)
         if not m:
@@ -163,7 +171,7 @@ class Field:
         den = int(m.group(2)) if m.group(2) else 1
         if den == 0:
             raise DivisionByZero(f"zero denominator in literal {text!r}")
-        return self(Fraction(num, den))
+        return self.raw(Fraction(num, den))
 
     def _residue(self, r: int) -> "FieldElement":
         """The element with canonical residue r (GF(p) only)."""

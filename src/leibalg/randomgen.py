@@ -11,7 +11,7 @@ when phi satisfies the (linear) cocycle condition
 so a random element of that kernel always yields a valid algebra, and a
 central extension of a nilpotent algebra stays nilpotent.  Towers live over
 GF(p) and are grown on the residue cells of ``_modp``: each cocycle row is
-the identity residual of ``core._identity_residual`` on ``_cells``, read at
+an identity residual of ``core._identity_residuals`` on ``_cells``, read at
 the new central coordinate, and each extension appends its (new index,
 residue) pairs, so no table is boxed.  Everything is driven by an explicit
 random.Random, so suites are reproducible.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 
 from . import _modp
-from .core import LeibnizAlgebra, _identity_residual
+from .core import LeibnizAlgebra, _identity_residuals
 from .errors import BadVector, NeedsFiniteField
 from .fields import Field
 
@@ -57,12 +57,10 @@ def _cocycle_space(algebra: LeibnizAlgebra) -> list[list[int]]:
     cells = algebra._cells
     products = [[((x * n + y, 1),) for y in range(n)] for x in range(n)]
     rows = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                row = [v % p for v in _identity_residual(cells, products, a, b, c, n * n, 0)]
-                if any(row):
-                    rows.append(row)
+    for residual in _identity_residuals(cells, products, n * n, 0).values():
+        row = [v % p for v in residual]
+        if any(row):
+            rows.append(row)
     if not rows:
         rows = [[0] * (n * n)]
     return _modp.nullspace(rows, p, n * n)

@@ -82,6 +82,33 @@ class TestConstruction:
         algebra = LeibnizAlgebra.from_table(2, GF(3), [(1, 1, [0, 1])])
         assert algebra.bracket([1, 0], [1, 0]) == algebra.vector([0, 1])
 
+    @pytest.mark.parametrize("dim", [-1, -3, True, 2.0, "2", None])
+    def test_dimension_must_be_a_nonnegative_int(self, dim):
+        with pytest.raises(BadVector):
+            LeibnizAlgebra.from_table(dim, GF(5), [])
+
+    @pytest.mark.parametrize(
+        "entry",
+        [("1", 2, {1: 1}), (1, 2.0, {1: 1}), (True, 2, {1: 1}), (1, False, {1: 1}),
+         (1, 2, {"2": 1}), (1, 2, {True: 1}), (1, 2, {None: 1}), (1, 2, {2: 1, 1.0: 1})],
+    )
+    def test_indices_must_be_ints(self, entry):
+        with pytest.raises(BadIndex):
+            LeibnizAlgebra.from_table(2, GF(5), [entry])
+
+    @pytest.mark.parametrize("value", [None, 3, 1.5, object()])
+    def test_product_value_must_be_a_dict_or_a_sequence(self, value):
+        with pytest.raises(BadVector):
+            LeibnizAlgebra.from_table(2, GF(5), [(1, 2, value)])
+
+    @pytest.mark.parametrize(
+        "table",
+        [[[0, 0], [0, 0]], [[[0, 0], 0], [[0, 0], [0, 0]]], [None, None], [[None]], None, 5],
+    )
+    def test_dense_cells_must_be_sequences(self, table):
+        with pytest.raises(BadVector):
+            LeibnizAlgebra(GF(5), table)
+
 
 class TestBracket:
     def test_zero_left_factor(self):

@@ -12,6 +12,7 @@ from leibalg import (
     DivisionByZero,
     Field,
     FieldMismatch,
+    ParseError,
     is_square,
     sqrt,
 )
@@ -229,6 +230,34 @@ class TestSharedScalars:
             assert (x / y).value == a * pow(b, -1, p) % p
             assert field(Fraction(a, b)) == x / y
         assert field(Fraction(1, 2)).value == (p + 1) // 2
+
+
+class TestRaw:
+    """``Field.raw`` is the value ``Field.__call__`` boxes, with the same errors."""
+
+    @pytest.mark.parametrize("field", [GF(2), GF(5), GF(7), GF(101), QQ], ids=str)
+    def test_raw_is_the_boxed_value(self, field):
+        p = field.characteristic or 13
+        values = [-7, -p - 3, p, p + 4, 3 * p * p + 2, 0, Fraction(-5, 3), Fraction(2 * p, 4),
+                  " -12/9 ", "7", field(4), Field.parse(str(field))(-2)]
+        for value in values:
+            raw = field.raw(value)
+            assert raw == field(value).value
+            assert raw.__class__ is (Fraction if field is QQ else int)
+            if field is not QQ:
+                assert 0 <= raw < p
+
+    @pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
+    def test_raw_raises_what_the_call_raises(self, field):
+        bad = [("1/0", DivisionByZero), (1.5, ConstructionError), (None, ConstructionError),
+               (GF(3)(1), FieldMismatch), ("x", ParseError)]
+        if field is not QQ:
+            bad += [(Fraction(1, 5), DivisionByZero), (Fraction(2, 15), DivisionByZero)]
+        for value, error in bad:
+            with pytest.raises(error):
+                field.raw(value)
+            with pytest.raises(error):
+                field(value)
 
 
 class TestPrimalityBound:

@@ -32,10 +32,15 @@ from leibalg import (
     parse_algebra,
     sample_params,
 )
-from leibalg import _modp
+from leibalg import _modp, randomgen
+from leibalg.catalog import parametric_table1, parametric_table6
+from leibalg.cli import main as cli_main
+from leibalg.constraints import raw_leibniz_residuals
+from leibalg.core import _identity_residuals
 from leibalg.fields import Field, FieldElement
 from leibalg.linalg import nullspace, rref
 from leibalg.maximal import fingerprint
+from leibalg.poly import MultiPoly
 from leibalg.randomgen import (
     central_extension,
     change_of_basis,
@@ -218,6 +223,7 @@ def assert_corrupted_copy_matches(rng, algebra, offset):
 
     Some entries can change without breaking the identity: seeded entries
     are shifted by ``offset()`` until the reference sees a violation.
+    Returns the corrupted copy and its violations as (i, j, k, residual).
     """
     n = algebra.dim
     for _ in range(20):
@@ -232,7 +238,7 @@ def assert_corrupted_copy_matches(rng, algebra, offset):
     got = [(v.i, v.j, v.k, v.residual) for v in bad.check_leibniz()]
     assert got == expected
     assert not bad.verified
-    return got
+    return bad, got
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +340,7 @@ def test_rational_check_matches_boxed_reference():
         assert algebra.check_leibniz() == [] == ref_violations(algebra)
         for _ in range(3):
             offset = lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 5))
-            got = assert_corrupted_copy_matches(rng, algebra, offset)
+            _, got = assert_corrupted_copy_matches(rng, algebra, offset)
             assert all(c.field is QQ and c.value.__class__ is Fraction for v in got for c in v[3])
         checked += 1
     assert checked >= 5
@@ -911,3 +917,151 @@ def test_change_of_basis_needs_one_row_per_basis_vector():
     with pytest.raises(FieldMismatch):
         change_of_basis(heisenberg, [[GF(7)(1), 0, 0], [0, 1, 0], [0, 0, 1]])
     assert change_of_basis(heisenberg, rows[:3]) == heisenberg
+
+
+# ---------------------------------------------------------------------------
+# the sparse identity walk agrees with the identity read on every triple
+# ---------------------------------------------------------------------------
+
+WALK_FIELDS = [GF(3), GF(5), GF(7), QQ]
+
+
+def ref_identity_residuals(inner, outer, zero):
+    """Every triple's [e_i, [e_j, e_k]] - [[e_i, e_j], e_k] - [e_j, [e_i, e_k]].
+
+    ``inner[a][b]`` is the dense coordinate list of the inner bracket
+    [e_a, e_b] and ``outer[x][y]`` that of the outer bracket [e_x, e_y];
+    each coordinate is the sum over m written out from the definition.
+    """
+    n, size = len(inner), len(outer[0][0])
+    out = {}
+    for i, j, k in itertools.product(range(n), repeat=3):
+        out[i, j, k] = [
+            sum(
+                (inner[j][k][m] * outer[i][m][t] - inner[i][j][m] * outer[m][k][t]
+                 - inner[i][k][m] * outer[j][m][t] for m in range(n)),
+                zero,
+            )
+            for t in range(size)
+        ]
+    return out
+
+
+def raw_table(algebra):
+    """The dense raw structure constants, read off the boxed ``table``."""
+    return [[[c.value for c in cell] for cell in row] for row in algebra.table]
+
+
+def unit_products(n):
+    """[e_x, e_y] as the unit vector at x*n + y of the n*n cocycle coordinates."""
+    return [[[int(t == x * n + y) for t in range(n * n)] for y in range(n)] for x in range(n)]
+
+
+def sparse_cells(dense, is_zero):
+    """The (k, c) cells of a dense table, zeros dropped."""
+    return [[tuple((k, c) for k, c in enumerate(cell) if not is_zero(c)) for cell in row]
+            for row in dense]
+
+
+def assert_walk_matches(cells, products, inner, outer, zero):
+    """``_identity_residuals`` is the reference on the triples it visits, zero elsewhere."""
+    size = len(outer[0][0])
+    got = _identity_residuals(cells, products, size, zero)
+    expected = ref_identity_residuals(inner, outer, zero)
+    assert list(got) == sorted(got)
+    assert set(got) <= set(expected)
+    for key, residual in expected.items():
+        assert got.get(key, [zero] * size) == residual, key
+    return got
+
+
+def walk_algebras(field):
+    """Every catalog family at its sample parameters and a change-of-basis copy of each."""
+    rng = random.Random(17 + field.characteristic)
+    out = []
+    for entry in list_catalog():
+        params = sample_params(entry.name, field)
+        if params is None:
+            continue
+        algebra = instantiate(entry.name, field, params)
+        if field is QQ:
+            matrix = rational_invertible_matrix(rng, algebra.dim)
+        else:
+            matrix = random_invertible_matrix(rng, field, algebra.dim)
+        out += [algebra, change_of_basis(algebra, matrix)]
+    assert len(out) >= 10
+    return out
+
+
+@pytest.mark.parametrize("field", WALK_FIELDS, ids=str)
+def test_identity_walk_matches_every_triple_on_the_catalog(field):
+    for algebra in walk_algebras(field):
+        table = raw_table(algebra)
+        assert_walk_matches(algebra._cells, algebra._cells, table, table, 0)
+
+
+@pytest.mark.parametrize("field", WALK_FIELDS, ids=str)
+def test_corrupted_cells_are_reported_like_the_reference(field, tmp_path, capsys):
+    """check_leibniz and ``leibalg verify`` list the reference's violations, in order."""
+    rng = random.Random(29 + field.characteristic)
+    if field is QQ:
+        offset = lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 5))
+    else:
+        offset = lambda: rng.randrange(1, field.modulus)
+    several = 0
+    for number, algebra in enumerate(walk_algebras(field)):
+        bad, got = assert_corrupted_copy_matches(rng, algebra, offset)
+        several += len(got) > 1
+        path = tmp_path / f"bad{number}.alg"
+        path.write_text(format_algebra(bad))
+        capsys.readouterr()
+        assert cli_main(["verify", str(path)]) == 1
+        expected = [
+            f"violation at triple ({i},{j},{k}): residual [{' '.join(map(str, residual))}]"
+            for i, j, k, residual in got
+        ]
+        assert capsys.readouterr().out.splitlines() == expected + [f"{len(got)} violating triples"]
+    assert several >= 10
+
+
+@pytest.mark.parametrize("table", [parametric_table6, parametric_table1], ids=lambda f: f.__name__)
+def test_parametric_residuals_match_every_triple(table):
+    table = table()
+    zero = MultiPoly.zero(table.variables)
+    cells = sparse_cells(table.entries, MultiPoly.is_zero)
+    residuals = assert_walk_matches(cells, cells, table.entries, table.entries, zero)
+    assert any(not poly.is_zero() for residual in residuals.values() for poly in residual)
+    expected = [
+        poly
+        for residual in ref_identity_residuals(table.entries, table.entries, zero).values()
+        for poly in residual
+        if not poly.is_zero()
+    ]
+    got = raw_leibniz_residuals(table)
+    assert [(q.variables, q.terms) for q in got] == [(q.variables, q.terms) for q in expected]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cocycle_space_matches_the_reference_at_every_tower_step(p, monkeypatch):
+    field = GF(p)
+    seen = []
+    real = randomgen._cocycle_space
+
+    def recorded(algebra):
+        basis = real(algebra)
+        seen.append((algebra, basis))
+        return basis
+
+    monkeypatch.setattr(randomgen, "_cocycle_space", recorded)
+    rng = random.Random(500 + p)
+    for dim in [2, 3, 4, 5, 6] * 3:
+        random_nilpotent_algebra(rng, field, dim)
+    assert len(seen) >= 20
+    for algebra, basis in seen:
+        n = algebra.dim
+        table, units = raw_table(algebra), unit_products(n)
+        residuals = assert_walk_matches(
+            algebra._cells, sparse_cells(units, lambda c: not c), table, units, 0
+        )
+        rows = [[field(v) for v in residual] for residual in residuals.values()]
+        assert basis == [[v.value for v in vec] for vec in ref_nullspace(rows, field, n * n)]
