@@ -20,7 +20,9 @@ of (k, c) pairs with c != 0 in [e_i, e_j] = sum_k c e_k, k ascending:
 residues over GF(p), Fractions over Q.
 
 There is one elimination routine, ``rref``, and the other linear algebra
-is plain functions over it: ``nullspace``, ``left_kernel``,
+is plain functions over it: ``nullspace`` (``rref``, then the read-off
+``echelon_nullspace``, which callers holding an echelon form call alone),
+``left_kernel``,
 ``solve_affine``, ``rank``, membership (``reduce_mod`` and ``contains``
 against an echelon form) and ``coordinates``, the unique coefficients of
 targets over independent rows.  No state is kept between calls.
@@ -127,6 +129,15 @@ def rref(rows, p: int, ncols: int):
 def nullspace(rows, p: int, ncols: int):
     """Canonical basis of {x : M x = 0}."""
     ech, pivots = rref(rows, p, ncols)
+    return echelon_nullspace(ech, pivots, p, ncols)
+
+
+def echelon_nullspace(ech, pivots, p: int, ncols: int):
+    """``nullspace`` read off rows already in reduced echelon form for ``pivots``.
+
+    Only the first ``ncols`` columns are read, so an augmented echelon form
+    whose pivots all lie among them may be passed as it is.
+    """
     pivot_set = set(pivots)
     zero, one = _zero_one(p)
     basis = []
@@ -157,7 +168,7 @@ def solve_affine(rows, rhs, p: int, ncols: int):
     x0 = [_zero_one(p)[0]] * ncols
     for row, pc in zip(ech, pivots):
         x0[pc] = row[ncols]
-    return x0, nullspace([r[:ncols] for r in ech], p, ncols)
+    return x0, echelon_nullspace(ech, pivots, p, ncols)
 
 
 def rank(rows, p: int, ncols: int) -> int:

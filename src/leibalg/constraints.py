@@ -128,7 +128,7 @@ def eval_at(
 # exact verification of claimed relation sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationCheck:
     """One of the three checks of a relation set."""
 
@@ -136,7 +136,7 @@ class RelationCheck:
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     relations_imply_constraints: RelationCheck
     constraints_imply_relations: RelationCheck

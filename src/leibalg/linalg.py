@@ -212,13 +212,15 @@ class Subspace:
     def annihilator(self) -> "Subspace":
         """All x with row . x == 0 for every basis row."""
         field, n = self.field, self.ambient_dim
-        return _span_residues(field, n, _modp.nullspace(self._res_rows, field.characteristic, n))
+        basis = _modp.echelon_nullspace(self._res_rows, self.pivots, field.characteristic, n)
+        return _span_residues(field, n, basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         field, n = self.field, self.ambient_dim
         p = field.characteristic
-        joined = _modp.nullspace(self._res_rows, p, n) + _modp.nullspace(other._res_rows, p, n)
+        joined = _modp.echelon_nullspace(self._res_rows, self.pivots, p, n)
+        joined += _modp.echelon_nullspace(other._res_rows, other.pivots, p, n)
         return _span_residues(field, n, _modp.nullspace(joined, p, n))
 
     def complement_coords(self) -> tuple[int, ...]:

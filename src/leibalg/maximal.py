@@ -262,7 +262,9 @@ class _Side:
         """The common zeros of the annihilating covectors of the maximal subspaces."""
         field, n, p = self.algebra.field, self.n, self.p
         covectors = [
-            f for m in self.maximals for f in _modp.nullspace(m.subspace._res_rows, p, n)
+            f
+            for m in self.maximals
+            for f in _modp.echelon_nullspace(m.subspace._res_rows, m.subspace.pivots, p, n)
         ]
         return _span_residues(field, n, _modp.nullspace(covectors, p, n))
 
@@ -349,7 +351,7 @@ class _Side:
     def member_spaces(self):
         p, n = self.p, self.n
         return [
-            (s._res_rows, s.pivots, _modp.nullspace(s._res_rows, p, n))
+            (s._res_rows, s.pivots, _modp.echelon_nullspace(s._res_rows, s.pivots, p, n))
             for s in self.profile.lower[1:] + self.profile.upper[1:]
         ]
 
@@ -517,7 +519,7 @@ def frattini_by_intersection(algebra: LeibnizAlgebra) -> Subspace:
 # isomorphism verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsoVerdict:
     """Outcome of an isomorphism test.
 
@@ -536,7 +538,7 @@ class IsoVerdict:
         return self.status == "yes"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaximalPairWitness:
     """A pair of maximal subalgebras witnessing a property failure."""
 

@@ -110,17 +110,18 @@ def change_of_basis(algebra: LeibnizAlgebra, matrix) -> LeibnizAlgebra:
 
     ``matrix`` must be invertible, with one row per basis vector.  The
     result is isomorphic to the input by construction; useful for
-    exercising the isomorphism search on scrambled presentations.  All n^2
-    products [f_i, f_j] are expressed in the new basis by one elimination.
+    exercising the isomorphism search on scrambled presentations.  The n^2
+    products [f_i, f_j] are bracketed on the raw cells and expressed in the
+    new basis by one elimination.
     """
     field, n = algebra.field, algebra.dim
     if len(matrix) != n:
         raise BadVector(f"basis change matrix has {len(matrix)} rows for dim {n}")
-    new_rows = [algebra.vector(row) for row in matrix]
     p = field.characteristic
-    raw = [[a.value for a in row] for row in new_rows]
+    raw = [[a.value for a in algebra.vector(row)] for row in matrix]
     if _modp.rank(raw, p, n) != n:
         raise ValueError("basis change matrix must be invertible")
-    products = [[a.value for a in algebra.bracket(u, v)] for u in new_rows for v in new_rows]
+    cells = algebra._cells
+    products = [_modp.bracket(cells, u, v, p) for u in raw for v in raw]
     coords = _modp.coordinates(raw, products, p, n)
     return LeibnizAlgebra(field, [coords[i * n : (i + 1) * n] for i in range(n)])

@@ -20,7 +20,7 @@ from typing import Callable
 
 from . import _modp, catalog, constraints, maximal, randomgen
 from .core import LeibnizAlgebra
-from .errors import ConstraintViolated, LeibalgError, NeedsFiniteField
+from .errors import ConstraintViolated, LeibalgError, NeedsFiniteField, SearchBoundExceeded
 from .fields import GF, QQ, Field
 from .formats import parse_relations
 from .linalg import Subspace
@@ -41,7 +41,7 @@ class Claim:
     run: Callable[[], str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportEntry:
     claim_id: str
     description: str
@@ -139,6 +139,21 @@ def _span_of_labels(algebra: LeibnizAlgebra, *indices: int) -> Subspace:
     return algebra.subspace([algebra.basis_vector(i) for i in indices])
 
 
+# More subspaces than this are refused before any is built.  The largest
+# count the structural suites can meet is 2542, the subspaces of dim >= 2 of
+# a five-dimensional center over GF(3).
+MAX_SUBSPACES = 10_000
+
+
+def _gaussian_binomial(d: int, k: int, p: int) -> int:
+    """[d, k]_p, the number of k-dimensional subspaces of GF(p)^d."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (d - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
 def enumerate_subspaces(space: Subspace, min_dim: int) -> list[Subspace]:
     """All subspaces of ``space`` with dim >= min_dim, each exactly once.
 
@@ -148,6 +163,8 @@ def enumerate_subspaces(space: Subspace, min_dim: int) -> list[Subspace]:
     pivots that C's pivots select.  So the subspaces are listed by pivot set
     of C, then by the values of C's free entries: [d, k]_p of each
     dimension k, in ascending k, rows already canonical.  GF(p) only.
+    Raises SearchBoundExceeded, before building any, when the count, a sum
+    of Gaussian binomials, is more than MAX_SUBSPACES.
     """
     field = space.field
     if not field.is_finite():
@@ -155,8 +172,15 @@ def enumerate_subspaces(space: Subspace, min_dim: int) -> list[Subspace]:
     p, n = field.modulus, space.ambient_dim
     basis = space._res_rows
     d = space.dim
+    dims = range(max(min_dim, 0), d + 1)
+    count = sum(_gaussian_binomial(d, k, p) for k in dims)
+    if count > MAX_SUBSPACES:
+        raise SearchBoundExceeded(
+            f"{count} subspaces of dim >= {min_dim} in a {d}-dimensional space over {field}"
+            f" exceed MAX_SUBSPACES = {MAX_SUBSPACES}"
+        )
     out = []
-    for k in range(max(min_dim, 0), d + 1):
+    for k in dims:
         for pivots in itertools.combinations(range(d), k):
             # row r: basis[pivots[r]] plus any multiples of the basis rows at
             # the free columns after it

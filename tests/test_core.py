@@ -1,5 +1,6 @@
 """Structure-constant algebras: bracket, identity checking, substructures."""
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -533,3 +534,46 @@ class TestRestrictAndMisc:
         algebra = heisenberg(GF(3))
         with pytest.raises(AttributeError):
             algebra.dim = 5
+
+
+def test_result_records_hold_no_instance_dict():
+    # slotted records keep dataclass equality, hash and repr
+    from dataclasses import FrozenInstanceError
+
+    from leibalg.constraints import RelationCheck, VerificationReport
+    from leibalg.core import LeibnizViolation
+    from leibalg.maximal import IsoVerdict, MaximalPairWitness, enumerate_maximal
+    from leibalg.reproduce import ReportEntry
+
+    first, second = enumerate_maximal(heisenberg(GF(3)))[:2]
+    check = RelationCheck("pass", "spans agree")
+    records = {
+        IsoVerdict("no", reason="dimensions differ", invariant=("dim", 2, 3)):
+            "IsoVerdict(status='no', matrix=None, reason='dimensions differ', "
+            "invariant=('dim', 2, 3))",
+        MaximalPairWitness(first, second, "differ"): None,
+        check: "RelationCheck(status='pass', detail='spans agree')",
+        VerificationReport(check, check, check):
+            "VerificationReport(relations_imply_constraints="
+            + repr(check) + ", constraints_imply_relations=" + repr(check)
+            + ", minimal=" + repr(check) + ")",
+        ReportEntry("id", "a claim", "pass", "held", 3):
+            "ReportEntry(claim_id='id', description='a claim', verdict='pass', "
+            "evidence='held', elapsed_ms=3)",
+        LeibnizViolation(1, 2, 3, (QQ(1),)):
+            "LeibnizViolation(i=1, j=2, k=3, residual=(<1 in Q>,))",
+    }
+    for record, text in records.items():
+        cls = type(record)
+        assert not hasattr(record, "__dict__"), cls
+        assert "__slots__" in vars(cls), cls
+        twin = copy.copy(record)
+        assert twin == record and hash(twin) == hash(record) and twin is not record
+        if text is not None:
+            assert repr(record) == text
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, next(iter(cls.__dataclass_fields__)), None)
+        # a name that is no field has no slot; before Python 3.12 the frozen
+        # __setattr__ of a slotted dataclass reports it with TypeError
+        with pytest.raises((AttributeError, TypeError)):
+            record.extra = 1

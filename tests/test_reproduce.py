@@ -11,14 +11,17 @@ from leibalg import (
     LeibalgError,
     LeibnizAlgebra,
     NeedsFiniteField,
+    SearchBoundExceeded,
     Subspace,
     list_catalog,
     maximal,
     randomgen,
     series,
 )
+from leibalg import _modp, reproduce
 from leibalg.cli import main
 from leibalg.reproduce import (
+    MAX_SUBSPACES,
     ClaimSkipped,
     _require,
     build_claims,
@@ -67,6 +70,28 @@ class TestEnumerateSubspaces:
     def test_rational_space_is_refused(self):
         with pytest.raises(NeedsFiniteField):
             enumerate_subspaces(Subspace.full(QQ, 2), 1)
+
+    def test_too_many_subspaces_are_refused_before_any_is_built(self, monkeypatch):
+        # a 4-dimensional space over GF(1031) has about 1.1e12 planes
+        space = Subspace.full(GF(1031), 4)
+
+        def built(*args):
+            raise AssertionError("a subspace was built past the bound")
+
+        monkeypatch.setattr(_modp, "combine", built)
+        monkeypatch.setattr(Subspace, "_from_residues", built)
+        with pytest.raises(SearchBoundExceeded, match=str(MAX_SUBSPACES)):
+            enumerate_subspaces(space, 2)
+        with pytest.raises(SearchBoundExceeded):
+            enumerate_subspaces(space, 3)
+        monkeypatch.undo()
+        assert enumerate_subspaces(space, 4) == [space]
+
+    def test_the_bound_covers_every_structural_suite_center(self):
+        # the towers have dim <= 5 and run over GF(2) and GF(3), so a
+        # five-dimensional center over GF(3) is the largest count they meet
+        assert sum(gaussian_binomial(5, k, 3) for k in range(2, 6)) == 2542 <= MAX_SUBSPACES
+        assert reproduce._gaussian_binomial(4, 2, 1031) == gaussian_binomial(4, 2, 1031)
 
     @pytest.mark.parametrize("p,d", [(2, 4), (5, 2), (3, 3)])
     def test_counts_every_dimension(self, p, d):

@@ -409,16 +409,28 @@ def assert_canonical_cells(algebra):
         assert_exact([cell for row in table for cell in row])
 
 
-def test_rational_operations_match_the_boxed_reference():
-    # every family at its Q sample and a change-of-basis copy with Fraction
-    # structure constants, against references on the boxed table
-    rng = random.Random(37)
-    heisenberg = instantiate("heisenberg3", QQ, {})
+def rational_catalog(rng):
+    """Every family at its Q sample and a seeded change-of-basis copy of it."""
     algebras = []
     for entry in list_catalog():
         algebra = instantiate(entry.name, QQ, sample_params(entry.name, QQ))
         copy = change_of_basis(algebra, rational_invertible_matrix(rng, algebra.dim))
         algebras += [algebra, copy]
+    return algebras
+
+
+def rational_vector(rng, n):
+    """Seeded Fractions, about a third of them zero, denominators up to 5."""
+    return [QQ(Fraction(rng.randint(-6, 6), rng.randint(1, 5))) if rng.random() < 0.7 else QQ(0)
+            for _ in range(n)]
+
+
+def test_rational_operations_match_the_boxed_reference():
+    # every family at its Q sample and a change-of-basis copy with Fraction
+    # structure constants, against references on the boxed table
+    rng = random.Random(37)
+    heisenberg = instantiate("heisenberg3", QQ, {})
+    algebras = rational_catalog(rng)
     assert any(c.denominator > 1 for a in algebras for row in a._cells for cell in row
                for _, c in cell)
     non_ideal_lines = 0
@@ -459,6 +471,29 @@ def test_rational_operations_match_the_boxed_reference():
         for built in (algebra, parsed, quotient, restricted, summed):
             assert_canonical_cells(built)
     assert non_ideal_lines >= len(algebras) - 2  # all but the abelian family
+
+
+def test_rational_bracket_matches_the_boxed_reference():
+    # seeded rational vectors with zeros and denominators > 1, the zero and
+    # the basis vectors, bracketed by every family and its change-of-basis copy
+    rng = random.Random(41)
+    shapes = {"zero entry": 0, "denominator > 1": 0, "raw input": 0}
+    for algebra in rational_catalog(rng):
+        n = algebra.dim
+        vectors = [algebra.zero_vector()] + [algebra.basis_vector(i) for i in range(n)]
+        vectors += [rational_vector(rng, n) for _ in range(4)]
+        for x in vectors:
+            for y in vectors:
+                got = algebra.bracket(x, y)
+                assert got == ref_bracket(algebra, x, y)
+                assert_exact([got])
+                shapes["zero entry"] += any(not a for a in got)
+                shapes["denominator > 1"] += any(a.value.denominator > 1 for a in got)
+        x, y = rational_vector(rng, n), rational_vector(rng, n)
+        raw = algebra.bracket([a.value for a in x], [str(a.value) for a in y])
+        assert raw == algebra.bracket(x, y)
+        shapes["raw input"] += 1
+    assert all(shapes.values()), shapes
 
 
 CONSTRUCTION_FIELDS = [GF(3), GF(5), GF(7), QQ]
@@ -713,7 +748,7 @@ def no_boxing(monkeypatch):
     """Make every coercion, boxing and FieldElement operation raise."""
 
     def boxed(*args, **kwargs):
-        raise AssertionError("a GF(p) value was boxed or computed on FieldElements")
+        raise AssertionError("a raw value was boxed or computed on FieldElements")
 
     monkeypatch.setattr(Field, "__call__", boxed)
     monkeypatch.setattr(Field, "_residue", boxed)
@@ -743,6 +778,39 @@ def test_verdict_path_boxes_nothing(request, p, dims, count):
                 maximals += 1
         fingerprint(algebra)
     assert quotients and maximals
+
+
+def test_rational_products_and_lower_series_box_nothing(request):
+    # span_products, derived, the lower series and is_ideal over Q bracket the
+    # Fraction cells; the expected values are built first, on the boxed table
+    rng = random.Random(43)
+    cases = []
+    for algebra in rational_catalog(rng):
+        n, full = algebra.dim, algebra.full_space()
+
+        def step(s, algebra=algebra, full=full):
+            products = [ref_bracket(algebra, e, r) for e in full.rows for r in s.rows]
+            return Subspace.span(QQ, algebra.dim, products)
+
+        center, derived = algebra.center(), step(full)
+        lines = [algebra.subspace([algebra.basis_vector(i)]) for i in range(n)]
+        spaces = [center, derived, algebra.zero_space(), full] + lines
+        cases.append((algebra, center, derived, ref_series(step, full),
+                      [(s, ref_is_ideal(algebra, s)) for s in spaces]))
+    request.getfixturevalue("no_boxing")
+    with pytest.raises(AssertionError):
+        QQ(1)
+    verdicts = set()
+    for algebra, center, derived, lower, ideals in cases:
+        full = algebra.full_space()
+        assert algebra.derived() == derived
+        assert lower_central_series(algebra) == lower
+        assert algebra.span_products(center, full) == algebra.zero_space()
+        assert algebra.span_products(full, center) == algebra.zero_space()
+        for s, expected in ideals:
+            assert algebra.is_ideal(s) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -861,6 +929,44 @@ def test_kernel_reduces_any_int_over_a_prime_field():
     assert _modp.nullspace([[-1, 6]], 7, 2) == _modp.nullspace([[6, 6]], 7, 2) == [[6, 1]]
     assert _modp.combine([-1, 8], [[1, 2], [3, 4]], 5, 2) == [3, 0]
     assert _modp.reduce_mod([9, 4], [[1, 3]], [0], 5) == [0, 2]
+
+
+ECHELON_FIELDS = [2, 3, 7, 1031, 0]
+
+
+@pytest.mark.parametrize("p", ECHELON_FIELDS, ids=lambda p: f"GF({p})" if p else "Q")
+def test_echelon_read_off_matches_nullspace(p):
+    # echelon_nullspace on a Subspace's stored rows, and on an echelon form
+    # with columns past ncols as solve_affine passes it, against the boxed
+    # reference and against eliminating the echelon rows again
+    field = GF(p) if p else QQ
+    rng = random.Random(47 + p)
+
+    def entry():
+        if rng.random() < 0.4:
+            return 0
+        return rng.randrange(-p, 2 * p) if p else Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    shapes = {"empty": 0, "full rank": 0, "kernel": 0, "gaps": 0}
+    for _ in range(80):
+        ncols, extra = rng.randint(0, 7), rng.randint(1, 3)
+        rows = [[entry() for _ in range(ncols + extra)] for _ in range(rng.randint(0, 8))]
+        expected = ref_nullspace([[field(a) for a in r[:ncols]] for r in rows], field, ncols)
+        space = Subspace.span(field, ncols, [r[:ncols] for r in rows])
+        ech, pivots = space._res_rows, space.pivots
+        got = _modp.echelon_nullspace(ech, pivots, p, ncols)
+        assert [[field(a) for a in v] for v in got] == expected
+        assert got == _modp.nullspace(ech, p, ncols)
+        wide, wide_pivots = _modp.rref(rows, p, ncols)
+        assert tuple(wide_pivots) == pivots
+        assert _modp.echelon_nullspace(wide, wide_pivots, p, ncols) == got
+        if p == 0:
+            assert all(a.__class__ is Fraction for v in got for a in v)
+        shapes["empty"] += not rows
+        shapes["full rank"] += len(pivots) == ncols
+        shapes["kernel"] += bool(got)
+        shapes["gaps"] += pivots != tuple(range(len(pivots)))
+    assert all(shapes.values()), shapes
 
 
 def ref_change_of_basis(algebra, matrix):

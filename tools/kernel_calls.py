@@ -7,7 +7,9 @@ Usage, from the root of a checkout:
 Builds each workload of ``perfbench/workloads.py`` at the seed, runs the
 operations of one round once, and prints, per workload, how often the
 central series, the elimination kernel, the isomorphism decision
-(``_Side.isomorphism``) and the generator-image search were called.  It
+(``_Side.isomorphism``) and the generator-image search were called, and
+how often ``Subspace.reduce`` ran: the boxed reduction that the Q branch
+of ``centralizer_mod`` still makes, 2 n^2 of them per call.  It
 then runs a second round under ``cProfile`` and prints the number of
 Python function calls in it (builtins are not counted); the first round
 is its warm-up, so imports and other first-round work are left out.
@@ -27,7 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402  (perfbench/ is not a package)
 
-from leibalg import _modp, core, maximal, series  # noqa: E402
+from leibalg import _modp, core, linalg, maximal, series  # noqa: E402
 
 COUNTED = [
     (series, "lower_central_series"),
@@ -38,6 +40,7 @@ COUNTED = [
     (_modp, "rref"),
     (maximal._Side, "isomorphism"),
     (maximal, "_search_isomorphism"),
+    (linalg.Subspace, "reduce"),
 ]
 
 
