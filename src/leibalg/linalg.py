@@ -185,6 +185,8 @@ class Subspace:
 
     def contains_space(self, other: "Subspace") -> bool:
         self._check_compatible(other)
+        if other.dim > self.dim:  # echelon rows are independent
+            return False
         p = self.field.characteristic
         return all(_modp.contains(r, self._res_rows, self.pivots, p) for r in other._res_rows)
 

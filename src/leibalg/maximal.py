@@ -151,10 +151,11 @@ class _Side:
 
     Nothing is built in ``__init__``.  ``profile`` is the algebra's
     ``SeriesProfile``; on top of it the record builds on first use the
-    ``fingerprint``, the ``maximals`` (GF(p) only) and, once a search needs
-    them, the search data.  ``member_spaces`` holds, per series term, its
-    residue rows, pivots and annihilating covectors (v lies in the term iff
-    every covector vanishes on v).  ``central_pivots`` are the pivot columns
+    ``fingerprint``, the ``maximals`` (GF(p) only) with the ``covectors``
+    whose kernels they are and, once a search needs them, the search data.
+    ``member_spaces`` holds, per series term, its residue rows, pivots and
+    annihilating covectors (v lies in the term iff every covector vanishes
+    on v).  ``central_pivots`` are the pivot columns
     of Z(B) meet [B,B], the coordinates a normalised generator image has
     equal to zero.  As a source the record builds ``generators``: the
     closure recipes, signatures and relations of its generators.  As a
@@ -196,10 +197,15 @@ class _Side:
         on the pivot of each echelon row r of [A, A] it is
         -sum_b r[comp[b]] tag[b], so f vanishes on [A, A].  With j the last
         column where f is nonzero, the echelon basis of ker f is
-        e_c - (f_c/f_j) e_j for c != j, and the coordinates of a vector of
-        ker f are its entries off column j.  So the induced product of two
-        basis vectors is a combination of at most four cells of A; it must
-        lie in ker f, or NotASubalgebra is raised.
+        e_c + beta_c e_j for c != j, beta_c = -f_c/f_j, and the coordinates
+        of a vector of ker f are its entries off column j.  So the induced
+        product of basis vectors a and b is cells[a][b] + beta_b cells[a][j]
+        + beta_a cells[j][b] + beta_a beta_b cells[j][j].  Only the cells of
+        that sum that are nonempty and have a nonzero coefficient are read:
+        with none, the induced cell is empty, since 0 lies in ker f; any
+        other product is checked to lie in ker f, or NotASubalgebra is
+        raised.  The covectors f are kept in ``covectors``, one per maximal,
+        in the order they were built, for ``intersection``.
         """
         algebra = self.algebra
         field, n, p = algebra.field, self.n, self.p
@@ -208,6 +214,7 @@ class _Side:
         lower = self.profile.lower
         if not lower[-1].is_zero():
             raise NotNilpotent("maximal enumeration requires a nilpotent algebra")
+        self.covectors = covectors = []
         if len(lower) == 1:  # the zero algebra
             return []
         derived = lower[1]
@@ -220,31 +227,39 @@ class _Side:
                 f[c] = t
             for row, pc in zip(derived._res_rows, derived.pivots):
                 f[pc] = -sum(row[c] * t for c, t in zip(comp, tag)) % p
+            covectors.append(f)
             j = max(c for c in range(n) if f[c])
             inv = pow(f[j], -1, p)
-            alpha = [x * inv % p for x in f]  # basis vector c is e_c - alpha[c] e_j
+            beta = [-x * inv % p for x in f]  # basis vector c is e_c + beta[c] e_j
             pivots = [c for c in range(n) if c != j]
             rows = []
             for c in pivots:
                 row = [0] * n
                 row[c] = 1
-                row[j] = -alpha[c] % p
+                row[j] = beta[c]
                 rows.append(tuple(row))
             subspace = Subspace._from_residues(field, n, tuple(rows), pivots)
+            row_j, cell_jj = cells[j], cells[j][j]
             induced = []
             for a in pivots:
+                row_a, cell_aj, beta_a = cells[a], cells[a][j], beta[a]
                 induced_row = []
                 for b in pivots:
+                    beta_b = beta[b]
+                    gather = [(1, row_a[b])] if row_a[b] else []
+                    if beta_b and cell_aj:
+                        gather.append((beta_b, cell_aj))
+                    if beta_a and row_j[b]:
+                        gather.append((beta_a, row_j[b]))
+                    if beta_a and beta_b and cell_jj:
+                        gather.append((beta_a * beta_b, cell_jj))
+                    if not gather:
+                        induced_row.append(())
+                        continue
                     w = [0] * n
-                    for coeff, cell in (
-                        (1, cells[a][b]),
-                        (-alpha[b], cells[a][j]),
-                        (-alpha[a], cells[j][b]),
-                        (alpha[a] * alpha[b], cells[j][j]),
-                    ):
-                        if coeff:
-                            for k, x in cell:
-                                w[k] += coeff * x
+                    for coeff, cell in gather:
+                        for k, x in cell:
+                            w[k] += coeff * x
                     w = [x % p for x in w]
                     if sum(fk * wk for fk, wk in zip(f, w)) % p:
                         raise NotASubalgebra(
@@ -259,14 +274,10 @@ class _Side:
         return result
 
     def intersection(self) -> Subspace:
-        """The common zeros of the annihilating covectors of the maximal subspaces."""
-        field, n, p = self.algebra.field, self.n, self.p
-        covectors = [
-            f
-            for m in self.maximals
-            for f in _modp.echelon_nullspace(m.subspace._res_rows, m.subspace.pivots, p, n)
-        ]
-        return _span_residues(field, n, _modp.nullspace(covectors, p, n))
+        """The intersection of the maximal subspaces: the common zeros of their covectors."""
+        self.maximals  # builds and checks the maximals, and sets covectors
+        n, p = self.n, self.p
+        return _span_residues(self.algebra.field, n, _modp.nullspace(self.covectors, p, n))
 
     def isomorphism(self, other: "_Side") -> IsoVerdict:
         """Is this record's algebra isomorphic to ``other``'s?  See ``is_isomorphic``."""

@@ -23,15 +23,17 @@ class MultiPoly:
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables, terms):
-        object.__setattr__(self, "variables", tuple(variables))
-        clean = {
-            tuple(exp): Fraction(c)
-            for exp, c in dict(terms).items()
-            if Fraction(c) != 0
-        }
-        for exp in clean:
-            if len(exp) != len(self.variables):
-                raise LeibalgError("exponent arity does not match variable count")
+        variables = tuple(variables)
+        object.__setattr__(self, "variables", variables)
+        clean = {}
+        for exp, c in (terms if isinstance(terms, dict) else dict(terms)).items():
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
+            if c:
+                exp = tuple(exp)
+                if len(exp) != len(variables):
+                    raise LeibalgError("exponent arity does not match variable count")
+                clean[exp] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):

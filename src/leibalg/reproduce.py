@@ -154,24 +154,19 @@ def _gaussian_binomial(d: int, k: int, p: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(space: Subspace, min_dim: int) -> list[Subspace]:
-    """All subspaces of ``space`` with dim >= min_dim, each exactly once.
+def _echelon_coefficients(field: Field, d: int, min_dim: int):
+    """Each k x d reduced echelon matrix over GF(p), k >= min_dim, as (pivots, rows).
 
-    A k-dimensional subspace is the row space of exactly one k x d matrix C
-    in reduced echelon form (d = space.dim), and C times the echelon basis
-    of ``space`` is again in reduced echelon form, with pivots at the basis
-    pivots that C's pivots select.  So the subspaces are listed by pivot set
-    of C, then by the values of C's free entries: [d, k]_p of each
-    dimension k, in ascending k, rows already canonical.  GF(p) only.
-    Raises SearchBoundExceeded, before building any, when the count, a sum
-    of Gaussian binomials, is more than MAX_SUBSPACES.
+    They are listed by ascending k, then by pivot set, then by the values
+    of the free entries: row r is e_{pivots[r]} plus any multiples of the
+    e_c for the free columns c after its pivot.  Raises NeedsFiniteField
+    over Q, and SearchBoundExceeded when the count, a sum of Gaussian
+    binomials [d, k]_p, is more than MAX_SUBSPACES; both before the first
+    matrix is yielded.
     """
-    field = space.field
     if not field.is_finite():
         raise NeedsFiniteField("subspace enumeration needs GF(p)")
-    p, n = field.modulus, space.ambient_dim
-    basis = space._res_rows
-    d = space.dim
+    p = field.modulus
     dims = range(max(min_dim, 0), d + 1)
     count = sum(_gaussian_binomial(d, k, p) for k in dims)
     if count > MAX_SUBSPACES:
@@ -179,26 +174,78 @@ def enumerate_subspaces(space: Subspace, min_dim: int) -> list[Subspace]:
             f"{count} subspaces of dim >= {min_dim} in a {d}-dimensional space over {field}"
             f" exceed MAX_SUBSPACES = {MAX_SUBSPACES}"
         )
-    out = []
     for k in dims:
         for pivots in itertools.combinations(range(d), k):
-            # row r: basis[pivots[r]] plus any multiples of the basis rows at
-            # the free columns after it
-            row_bases = [
-                [basis[pc]] + [basis[c] for c in range(pc + 1, d) if c not in pivots]
-                for pc in pivots
-            ]
-            row_choices = [
-                [
-                    tuple(_modp.combine((1,) + values, row_basis, p, n))
-                    for values in itertools.product(range(p), repeat=len(row_basis) - 1)
-                ]
-                for row_basis in row_bases
-            ]
-            ambient_pivots = tuple(space.pivots[pc] for pc in pivots)
+            row_choices = []
+            for pc in pivots:
+                free = [c for c in range(pc + 1, d) if c not in pivots]
+                choices = []
+                for values in itertools.product(range(p), repeat=len(free)):
+                    row = [0] * d
+                    row[pc] = 1
+                    for c, x in zip(free, values):
+                        row[c] = x
+                    choices.append(tuple(row))
+                row_choices.append(choices)
             for rows in itertools.product(*row_choices):
-                out.append(Subspace._from_residues(field, n, rows, ambient_pivots))
+                yield pivots, rows
+
+
+def enumerate_subspaces(space: Subspace, min_dim: int) -> list[Subspace]:
+    """All subspaces of ``space`` with dim >= min_dim, each exactly once.
+
+    A k-dimensional subspace is the row space of exactly one k x d matrix C
+    in reduced echelon form (d = space.dim), and C times the echelon basis
+    of ``space`` is again in reduced echelon form, with pivots at the basis
+    pivots that C's pivots select.  So the subspaces are C times that basis
+    for each C of ``_echelon_coefficients``: [d, k]_p of each dimension k,
+    in ascending k, rows already canonical.  GF(p) only.  Raises
+    SearchBoundExceeded, before building any, when there are more than
+    MAX_SUBSPACES.
+    """
+    field = space.field
+    p, n = field.characteristic, space.ambient_dim
+    basis = space._res_rows
+    images: dict[tuple, tuple] = {}  # a row of C, times the basis
+    out = []
+    for pivots, rows in _echelon_coefficients(field, space.dim, min_dim):
+        res_rows = []
+        for row in rows:
+            image = images.get(row)
+            if image is None:
+                image = images[row] = tuple(_modp.combine(row, basis, p, n))
+            res_rows.append(image)
+        ambient_pivots = tuple(space.pivots[pc] for pc in pivots)
+        out.append(Subspace._from_residues(field, n, tuple(res_rows), ambient_pivots))
     return out
+
+
+def _central_ideal_classes(center: Subspace, lower, min_dim: int):
+    """(dim I, class of A/I) for each subspace I of Z(A) with dim >= min_dim.
+
+    The ideals come in the order of ``enumerate_subspaces(center,
+    min_dim)``, each as the row space of its coefficient matrix C over the
+    echelon basis of Z(A), and none is built.  The class of A/I is the
+    least c with lower[c] = gamma_{c+1}(A) inside I; only the terms inside
+    Z(A) can be, and a vector of Z(A) has its entries at Z(A)'s pivot
+    columns as coordinates over that basis, so each such term is tested
+    against rowspace(C) on those coordinates.  None when no term lies in I,
+    which for a nilpotent A cannot happen.
+    """
+    p = center.field.characteristic
+    inside = [
+        (c, [tuple(row[pc] for pc in center.pivots) for row in term._res_rows])
+        for c, term in enumerate(lower)
+        if center.contains_space(term)
+    ]
+    for pivots, rows in _echelon_coefficients(center.field, center.dim, min_dim):
+        dim = len(rows)
+        for c, coords in inside:
+            if len(coords) <= dim and all(_modp.contains(v, rows, pivots, p) for v in coords):
+                yield dim, c
+                break
+        else:
+            yield dim, None
 
 
 def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> str:
@@ -218,8 +265,8 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
     from the rng.  The call makes one ``maximal._Records``, so each distinct
     induced maximal table has one record, and its upper series is computed
     once per call, across towers; the class of each central-ideal quotient
-    is read off the tower's lower series, with no quotient built.  Nothing
-    outlives the call.
+    is read off the tower's lower series, with no quotient or ideal built.
+    Nothing outlives the call.
     """
     if max_dim < 2:
         raise LeibalgError(f"towers need max_dim >= 2, got {max_dim}")
@@ -257,7 +304,9 @@ def _check_tower(record: maximal._Side) -> tuple[bool, int, bool]:
     dim >= 2, codim-1 center split), with every invariant read off the
     record.  The class of A/I for a central ideal I is read off the lower
     series of A: gamma_i(A/I) = (gamma_i(A) + I)/I, so it is the least c
-    with gamma_{c+1}(A) inside I.  Every subspace of Z(A) is an ideal.
+    with gamma_{c+1}(A) inside I.  Every subspace of Z(A) is an ideal, and
+    ``_central_ideal_classes`` tests each on the coordinates over Z(A)'s
+    echelon basis of the lower terms inside Z(A), building no subspace.
     """
     algebra, prof = record.algebra, record.profile
     _require(not algebra.check_leibniz(), "random tower violated the identity")
@@ -291,21 +340,20 @@ def _check_tower(record: maximal._Side) -> tuple[bool, int, bool]:
         )
     center, coclass = prof.center, prof.coclass
     ideals = 0
-    for ideal in enumerate_subspaces(center, 2):
+    for dim, cls in _central_ideal_classes(center, prof.lower, 2):
         ideals += 1
-        cls = next((c for c, term in enumerate(prof.lower) if ideal.contains_space(term)), None)
         _require(
             cls is not None and coclass is not None,
             "quotients of nilpotent algebras are nilpotent",
         )
-        q_coclass = algebra.dim - ideal.dim - cls
+        q_coclass = algebra.dim - dim - cls
         _require(
             q_coclass <= coclass,
             "coclass may not grow under quotients",
         )
         _require(
             q_coclass <= coclass - 1,
-            f"central ideal of dim {ideal.dim} must drop the coclass",
+            f"central ideal of dim {dim} must drop the coclass",
         )
     split = center.dim == algebra.dim - 1
     if split:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from . import _modp
 from .core import LeibnizAlgebra
 from .errors import InternalError, NotApplicable, NotNilpotent
-from .linalg import Subspace, Vector, vec_is_zero
+from .linalg import Subspace, Vector, _raw, _span_residues, vec_is_zero
 
 
 class SeriesProfile:
@@ -112,15 +113,16 @@ class SeriesProfile:
             raise NotApplicable("chosen generator squares to zero")  # cannot happen
         i_space = algebra.subspace([a, a2])
         # canonical complement of span{a2} inside the center: keep center rows
-        # that stay independent after a2.
+        # that stay independent after a2 and the rows kept before them.
+        field, n = algebra.field, algebra.dim
+        p = field.characteristic
         rows = []
-        acc = [a2]
-        for row in z.rows:
-            before = Subspace.span(algebra.field, algebra.dim, acc)
-            if not before.contains(row):
+        acc, acc_pivots = _modp.rref([_raw(field, a2)], p, n)
+        for row in z._res_rows:
+            if not _modp.contains(row, acc, acc_pivots, p):
                 rows.append(row)
-                acc.append(row)
-        j_space = Subspace.span(algebra.field, algebra.dim, rows)
+                acc, acc_pivots = _modp.rref(acc + [row], p, n)
+        j_space = _span_residues(field, n, rows)
         if not (algebra.is_ideal(i_space) and algebra.is_ideal(j_space)):
             raise NotApplicable("decomposition summands failed the ideal check")
         if not i_space.intersect(j_space).is_zero():

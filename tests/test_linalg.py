@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from leibalg import GF, QQ, Subspace
+from leibalg import GF, QQ, Subspace, _modp
 from leibalg.errors import BadVector, FieldMismatch
 from leibalg.linalg import nullspace, rref
 
@@ -86,6 +86,24 @@ class TestSubspace:
         meet = a.intersect(b)
         assert meet.dim == 1
         assert meet.contains([0, 1, 0])
+
+    @pytest.mark.parametrize("field", [GF(3), QQ])
+    def test_contains_space_refuses_a_larger_space_on_its_dimension(self, field, monkeypatch):
+        small = span(field, [1, 0, 1])
+        large = span(field, [1, 0, 1], [0, 1, 0])
+        assert large.contains_space(small) and small.contains_space(small)
+
+        def membership(*args):
+            raise AssertionError("a row was tested for membership")
+
+        monkeypatch.setattr(_modp, "contains", membership)
+        assert not small.contains_space(large)
+        assert not Subspace.zero(field, 3).contains_space(small)
+        # incompatible spaces are refused before their dimensions are compared
+        with pytest.raises(FieldMismatch):
+            small.contains_space(span(GF(5), [1, 0, 1], [0, 1, 0]))
+        with pytest.raises(BadVector):
+            small.contains_space(Subspace.full(field, 4))
 
     def test_intersection_exhaustive_oracle(self):
         # compare against direct membership over all vectors of GF(2)^4

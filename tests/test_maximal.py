@@ -180,6 +180,12 @@ class TestEnumeration:
         field = GF(p)
         rng = random.Random(100 + p)
         algebras = [random_nilpotent_algebra(rng, field, 2 + t % 5) for t in range(120)]
+        # every cell empty: (p^5 - 1)/(p - 1) maximals, 121 over GF(3)
+        abelian = LeibnizAlgebra.from_table(5, field, [])
+        # [e1, e2] = e3 alone: the kernel of e2* has j = 1, whose row is empty
+        # while cells[0][j] is not
+        empty_row = LeibnizAlgebra.from_table(3, field, [(1, 2, {3: 1})])
+        algebras += [abelian, empty_row]
         for entry in list_catalog():
             params = sample_params(entry.name, field)
             if params is not None:
@@ -196,8 +202,12 @@ class TestEnumeration:
                 assert m.subspace == ref.subspace
                 assert m.subspace.pivots == ref.subspace.pivots
                 assert m.induced._cells == ref.induced._cells
+            assert frattini_by_intersection(algebra) == lower[1]
             maximals += len(got)
         assert maximals > 2 * len(algebras)
+        assert len(enumerate_maximal(abelian)) == (p**5 - 1) // (p - 1)
+        assert not any(empty_row._cells[1])
+        assert any(m.subspace.pivots == (0, 2) for m in enumerate_maximal(empty_row))
 
     def test_closed_form_refuses_a_product_outside_the_kernel(self):
         # on a record whose lower series has a too small [A, A], some

@@ -331,6 +331,25 @@ def test_structural_suite_reads_central_ideal_classes_off_the_lower_series(monke
     assert calls.count("lower_central_series") == len(towers)
 
 
+@pytest.mark.parametrize("p, seed, ideals", [(2, 1, 298), (3, 2, 3238)])
+def test_central_ideal_classes_match_the_quotients_ideal_by_ideal(p, seed, ideals):
+    # at the benchmark's seeds, the class read off Z(A)'s coordinates for
+    # each subspace I of Z(A), the zero one included, against the class of
+    # the quotient A/I built and its lower series computed
+    seen = 0
+    for tower in distinct_towers(GF(p), 100, 5, seed):
+        prof = series.nilpotency_data(tower)
+        classes = list(reproduce._central_ideal_classes(prof.center, prof.lower, 0))
+        subspaces = enumerate_subspaces(prof.center, 0)
+        assert len(classes) == len(subspaces)
+        for (dim, cls), ideal in zip(classes, subspaces):
+            q_lower = series.lower_central_series(tower.quotient(ideal).algebra)
+            assert q_lower[-1].is_zero()
+            assert (dim, cls) == (ideal.dim, len(q_lower) - 1)
+            seen += 1
+    assert seen == ideals
+
+
 @pytest.mark.parametrize("p, seed, per_tower, shared", [(2, 1, 113, 63), (3, 2, 139, 97)])
 def test_structural_suite_computes_one_upper_series_per_distinct_maximal_table(
     monkeypatch, p, seed, per_tower, shared

@@ -6,11 +6,12 @@ Usage, from the root of a checkout:
 
 Builds each workload of ``perfbench/workloads.py`` at the seed, runs the
 operations of one round once, and prints, per workload, how often the
-central series, the elimination kernel, the isomorphism decision
-(``_Side.isomorphism``) and the generator-image search were called, and
-how often ``Subspace.reduce`` ran: the boxed reduction that the Q branch
-of ``centralizer_mod`` still makes, 2 n^2 of them per call.  It
-then runs a second round under ``cProfile`` and prints the number of
+central series, the elimination kernel and its nullspace read-off
+(``echelon_nullspace``, also counted inside ``nullspace``), the
+isomorphism decision (``_Side.isomorphism``) and the generator-image
+search were called, and how often ``Subspace.reduce`` ran: the boxed
+reduction that the Q branch of ``centralizer_mod`` still makes, 2 n^2 of
+them per call.  It then runs a second round under ``cProfile`` and prints the number of
 Python function calls in it (builtins are not counted); the first round
 is its warm-up, so imports and other first-round work are left out.
 Counts are exact and do not depend on the host, so two checkouts are
@@ -38,6 +39,7 @@ COUNTED = [
     (core.LeibnizAlgebra, "centralizer_mod"),
     (core.LeibnizAlgebra, "leib_ideal"),
     (_modp, "rref"),
+    (_modp, "echelon_nullspace"),
     (maximal._Side, "isomorphism"),
     (maximal, "_search_isomorphism"),
     (linalg.Subspace, "reduce"),
