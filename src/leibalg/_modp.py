@@ -22,7 +22,9 @@ residues over GF(p), Fractions over Q.
 There is one elimination routine, ``rref``, and the other linear algebra
 is plain functions over it: ``nullspace`` (``rref``, then the read-off
 ``echelon_nullspace``, which callers holding an echelon form call alone),
-``left_kernel``,
+``kernel_echelon``, the kernel already in reduced echelon form from one
+``rref`` (for callers that keep the kernel as a subspace, where
+``nullspace`` would need a second elimination), ``left_kernel``,
 ``solve_affine``, ``rank``, membership (``reduce_mod`` and ``contains``
 against an echelon form) and ``coordinates``, the unique coefficients of
 targets over independent rows.  No state is kept between calls.
@@ -130,6 +132,38 @@ def nullspace(rows, p: int, ncols: int):
     """Canonical basis of {x : M x = 0}."""
     ech, pivots = rref(rows, p, ncols)
     return echelon_nullspace(ech, pivots, p, ncols)
+
+
+def kernel_echelon(rows, p: int, ncols: int):
+    """{x : M x = 0} in reduced echelon form, from one elimination of M.
+
+    Returns (basis, pivots, span): the canonical echelon rows of the kernel
+    as tuples, their pivot columns, and an echelon basis of the row space
+    of M, the covectors whose common zeros the kernel is.  M is eliminated
+    with its columns reversed, so every pivot of that form lies right of
+    the free columns its row reaches.  The read-off vector of a free column
+    fc is then zero left of fc and at every other free column: read in
+    ascending fc, those vectors are already the reduced echelon form of the
+    kernel, with the free columns as pivots, and equal ``rref`` of
+    ``nullspace``.
+    """
+    last = ncols - 1
+    ech, rev_pivots = rref([row[::-1] for row in rows], p, ncols)
+    pivot_set = set(rev_pivots)
+    zero, one = _zero_one(p)
+    basis, pivots = [], []
+    for rc in range(last, -1, -1):  # reversed column rc is column last - rc
+        if rc in pivot_set:
+            continue
+        v = [zero] * ncols
+        v[last - rc] = one
+        for row, pc in zip(ech, rev_pivots):
+            c = row[rc]
+            if c:
+                v[last - pc] = -c % p if p else -c
+        basis.append(tuple(v))
+        pivots.append(last - rc)
+    return basis, pivots, [row[::-1] for row in ech]
 
 
 def echelon_nullspace(ech, pivots, p: int, ncols: int):

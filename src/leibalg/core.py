@@ -28,8 +28,10 @@ below compute on the cells and on the raw rows of ``Subspace`` through
 only on first read; vectors passed in or handed out by ``bracket`` are
 FieldElements, coerced or boxed at the call.  ``bracket`` and
 ``span_products`` are one body for both fields.  Only ``centralizer_mod``
-still branches on the field: over Q it reduces the FieldElements of
-``table``, and its comment says why.
+still branches on the field.  Over GF(p) it is one step of
+``_centralizer_steps``, which ``series.upper_central_series`` runs from term
+to term, carrying covectors.  Over Q it reduces the FieldElements of
+``table``, its comment says why, and the series steps through it.
 
 Algebras, vectors, and subspaces are immutable; every operation here is a
 pure function of its inputs and safe for concurrent use.
@@ -56,6 +58,7 @@ from .linalg import (
     Subspace,
     Vector,
     _box,
+    _kernel_space,
     _span_residues,
     basis_vector,
     nullspace,
@@ -88,7 +91,7 @@ class LeibnizAlgebra:
     raises ``ConstructionError``.
     """
 
-    __slots__ = ("field", "dim", "labels", "_table", "_cells", "_verified", "_hash")
+    __slots__ = ("field", "dim", "_labels", "_table", "_cells", "_verified", "_hash")
 
     def __init__(self, field: Field, table, labels: Sequence[str] | None = None):
         """The algebra whose dense ``table[i][j][k]`` is the e_k-coefficient of [e_i, e_j]."""
@@ -110,18 +113,26 @@ class LeibnizAlgebra:
         return self
 
     def _init(self, field: Field, cells, labels) -> None:
-        """The one initializer every constructor ends in; ``table`` is built on read."""
-        if labels is None:
-            labels = tuple(f"x{i + 1}" for i in range(len(cells)))
+        """The one initializer every constructor ends in; ``table`` and the
+        default labels are built on read."""
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", len(cells))
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_labels", labels)
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_verified", None)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LeibnizAlgebra is immutable")
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The basis labels: those given, else ``x1..xn``, formatted on first read."""
+        labels = self._labels
+        if labels is None:
+            labels = tuple(f"x{i + 1}" for i in range(self.dim))
+            object.__setattr__(self, "_labels", labels)
+        return labels
 
     @property
     def table(self):
@@ -298,40 +309,24 @@ class LeibnizAlgebra:
             for j, cell in enumerate(row):
                 for k, c in cell:
                     raw[j * n + k][i] = c
-        return _span_residues(self.field, n, _modp.nullspace(raw, p, n))
+        return _kernel_space(self.field, n, raw)
 
     def centralizer_mod(self, w: Subspace) -> Subspace:
         """{x : [x, A] and [A, x] are contained in w} (w = 0 gives the center).
 
         Linear in x: the canonical representative of [x, e_j] modulo w is a
         linear function of x, and membership in w means that representative
-        vanishes.  Over GF(p) membership in w is tested instead by the
-        covectors f vanishing on w: f([x, e_j]) = sum_i x_i f([e_i, e_j]).
-        Each nonzero cell is read once per covector, and zero and repeated
-        equations are dropped before the nullspace.
+        vanishes.  Over GF(p) this is the first of ``_centralizer_steps``
+        from the covectors vanishing on w, read off its echelon rows.
         """
         self._check_subspace(w)
         n, p = self.dim, self.field.characteristic
         if p:
-            cells = self._cells
-            rows = set()
-            for f in _modp.echelon_nullspace(w._res_rows, w.pivots, p, n):
-                # right[j][i] = f([e_i, e_j]) and left[j][i] = f([e_j, e_i])
-                right = [[0] * n for _ in range(n)]
-                left = [[0] * n for _ in range(n)]
-                for i, row in enumerate(cells):
-                    for j, cell in enumerate(row):
-                        if cell:
-                            value = sum(c * f[k] for k, c in cell) % p
-                            if value:
-                                right[j][i] = value
-                                left[i][j] = value
-                for eq in right + left:
-                    if any(eq):
-                        rows.add(tuple(eq))
-            return _span_residues(self.field, n, _modp.nullspace(list(rows), p, n))
-        # Over Q this stays on the boxed table and Subspace.reduce, on purpose.
-        # Running the covector body above over Q too cut perfbench
+            covectors = _modp.echelon_nullspace(w._res_rows, w.pivots, p, n)
+            return next(self._centralizer_steps(covectors))
+        # Over Q this stays on the boxed table and Subspace.reduce, on purpose,
+        # and ``series.upper_central_series`` steps through it over Q.
+        # Running the covector steps over Q too cut perfbench
         # ``rational`` wall_s from 0.261 to 0.152 s but raised its peak_rss_mb
         # from 26.4 to 32.0 MB (+21 %, past the 0.1 bound; Python 3.11, 2
         # vCPUs).  perfbench/worker.py keeps every round's results, about
@@ -347,6 +342,50 @@ class LeibnizAlgebra:
                 for k in range(n):
                     rows.append(tuple(images[i][k] for i in range(n)))
         return Subspace.span(self.field, n, nullspace(rows, self.field, n))
+
+    def _centralizer_steps(self, covectors):
+        """Over GF(p), with w the common zeros of ``covectors``: the terms
+        ``centralizer_mod(w)``, the ``centralizer_mod`` of that, and so on.
+
+        f([x, e_j]) = sum_i x_i f([e_i, e_j]) is the equation f o R_j, and
+        f([e_j, x]) the equation f o L_j.  Each step reads the products with
+        an e_k term once per covector f with f_k != 0, drops zero and
+        repeated equations, and makes one ``kernel_echelon``: its kernel is
+        the term, and its echelon rows, which span the equations, are the
+        covectors vanishing on the term, those of the next step.
+        """
+        n, p = self.dim, self.field.modulus
+        by_k = [[] for _ in range(n)]  # by_k[k]: the (i, j, c) with c e_k in [e_i, e_j]
+        for i, row in enumerate(self._cells):
+            for j, cell in enumerate(row):
+                for k, c in cell:
+                    by_k[k].append((i, j, c))
+        while True:
+            rows = set()
+            for f in covectors:
+                values: dict = {}
+                for k, fk in enumerate(f):
+                    if fk:
+                        for i, j, c in by_k[k]:
+                            values[i, j] = values.get((i, j), 0) + fk * c
+                # right[j][i] = left[i][j] = f([e_i, e_j])
+                right: dict = {}
+                left: dict = {}
+                for (i, j), value in values.items():
+                    value %= p
+                    if value:
+                        eq = right.get(j)
+                        if eq is None:
+                            eq = right[j] = [0] * n
+                        eq[i] = value
+                        eq = left.get(i)
+                        if eq is None:
+                            eq = left[i] = [0] * n
+                        eq[j] = value
+                rows.update(map(tuple, right.values()))
+                rows.update(map(tuple, left.values()))
+            basis, pivots, covectors = _modp.kernel_echelon(list(rows), p, n)
+            yield Subspace._from_residues(self.field, n, tuple(basis), pivots)
 
     def is_ideal(self, u: Subspace) -> bool:
         """Are [A, u] and [u, A] contained in u?

@@ -51,6 +51,12 @@ def _span_residues(field: Field, ambient_dim: int, vectors) -> "Subspace":
     return Subspace._from_residues(field, ambient_dim, tuple(map(tuple, rows)), pivots)
 
 
+def _kernel_space(field: Field, ambient_dim: int, rows) -> "Subspace":
+    """The Subspace {x : row . x = 0 for every raw row}, by one elimination."""
+    basis, pivots, _ = _modp.kernel_echelon(rows, field.characteristic, ambient_dim)
+    return Subspace._from_residues(field, ambient_dim, tuple(basis), pivots)
+
+
 def zero_vector(field: Field, n: int) -> Vector:
     z = field.zero()
     return (z,) * n
@@ -213,17 +219,15 @@ class Subspace:
 
     def annihilator(self) -> "Subspace":
         """All x with row . x == 0 for every basis row."""
-        field, n = self.field, self.ambient_dim
-        basis = _modp.echelon_nullspace(self._res_rows, self.pivots, field.characteristic, n)
-        return _span_residues(field, n, basis)
+        return _kernel_space(self.field, self.ambient_dim, self._res_rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """The common zeros of the covectors annihilating either space."""
         self._check_compatible(other)
-        field, n = self.field, self.ambient_dim
-        p = field.characteristic
+        n, p = self.ambient_dim, self.field.characteristic
         joined = _modp.echelon_nullspace(self._res_rows, self.pivots, p, n)
         joined += _modp.echelon_nullspace(other._res_rows, other.pivots, p, n)
-        return _span_residues(field, n, _modp.nullspace(joined, p, n))
+        return _kernel_space(self.field, n, joined)
 
     def complement_coords(self) -> tuple[int, ...]:
         """Coordinates not used as pivots; they index a complement basis."""

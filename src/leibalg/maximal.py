@@ -99,7 +99,7 @@ from .errors import (
     SearchBoundExceeded,
 )
 from .fields import FieldElement
-from .linalg import Subspace, _span_residues
+from .linalg import Subspace, _kernel_space
 from .series import SeriesProfile
 
 _SQUARE_PROFILE_LIMIT = 4096
@@ -276,8 +276,7 @@ class _Side:
     def intersection(self) -> Subspace:
         """The intersection of the maximal subspaces: the common zeros of their covectors."""
         self.maximals  # builds and checks the maximals, and sets covectors
-        n, p = self.n, self.p
-        return _span_residues(self.algebra.field, n, _modp.nullspace(self.covectors, p, n))
+        return _kernel_space(self.algebra.field, self.n, self.covectors)
 
     def isomorphism(self, other: "_Side") -> IsoVerdict:
         """Is this record's algebra isomorphic to ``other``'s?  See ``is_isomorphic``."""
@@ -375,13 +374,16 @@ class _Side:
         """The source data of a search: per generator, in coset order, the
         ``_Closure`` of the generators up to it, its signature (square zero,
         membership profile, ``mult_data``) and the relations a next image
-        must satisfy (None for the first)."""
+        must satisfy (None for the first).  The signature of the last
+        generator leaves ``mult_data`` out; ``_descend`` says why."""
         p, n = self.p, self.n
         gen_vecs = [[int(i == g) for i in range(n)] for g in self.coset_coords]
         closures = [_Closure(self.cells, p, gen_vecs[: k + 1]) for k in range(len(gen_vecs))]
+        last = len(gen_vecs) - 1
         sigs = [
-            (self.square_is_zero(g), self.membership_profile(g), self.mult_data(g))
-            for g in gen_vecs
+            (self.square_is_zero(g), self.membership_profile(g))
+            + ((self.mult_data(g),) if k < last else ())
+            for k, g in enumerate(gen_vecs)
         ]
         relations = [None] + [
             _gen_relations(self.cells, p, closures[k - 1].elems, gen_vecs[k])
@@ -438,12 +440,13 @@ class _Side:
         )
 
     def matches(self, v, sig) -> bool:
-        """Does ``v`` have the generator signature ``sig``?"""
+        """Does ``v`` have the generator signature ``sig``?  ``mult_data`` is
+        compared only when ``sig`` holds it."""
         if self.square_is_zero(v) != sig[0]:
             return False
         if self.membership_profile(v) != sig[1]:
             return False
-        return self.mult_data(v) == sig[2]
+        return len(sig) == 2 or self.mult_data(v) == sig[2]
 
 
 class _Records(dict):
@@ -706,7 +709,15 @@ def _search_isomorphism(side_a: _Side, side_b: _Side):
 
 
 def _descend(side_a: _Side, side_b: _Side, budget: "_Budget", k: int, gen_imgs, prev_elem_imgs):
-    """The images of generators k, k+1, ... extending ``gen_imgs``, as a matrix, or None."""
+    """The images of generators k, k+1, ... extending ``gen_imgs``, as a matrix, or None.
+
+    At the last generator (k == d - 1) the signature holds no ``mult_data``,
+    so the scan keeps candidates on square and membership alone and the
+    replay decides: a replay that succeeds there spans the algebra and
+    gives an isomorphism, which preserves ``mult_data``, so a candidate the
+    filter would have dropped never passes.  The generation order, the
+    budget charges and the returned matrix are those of the full filter.
+    """
     p, n = side_a.p, side_a.n
     d = len(side_a.coset_coords)
     closures, sigs, relations = side_a.generators
@@ -751,10 +762,12 @@ class _Scan:
     """The candidates of one linear system that have one generator signature.
 
     ``_constrained_candidates`` generates the candidates in a fixed order;
-    ``kept`` holds those with the signature ``sig``, each with its
-    generation index (1 for the first generated), and ``scanned`` counts
-    the candidates generated so far.  The scan is extended lazily, one kept
-    candidate at a time, and never past what a reader's budget allows.  It
+    ``kept`` holds those with the signature ``sig`` (``_Side.matches``,
+    which at the last generator compares no ``mult_data``; see
+    ``_descend``), each with its generation index (1 for the first
+    generated), and ``scanned`` counts the candidates generated so far.
+    The scan is extended lazily, one kept candidate at a time, and never
+    past what a reader's budget allows.  It
     holds no record: the target record that filters the candidates is
     handed to ``read``, so a scan kept on its record is no reference cycle.
     """

@@ -29,6 +29,19 @@ from .fields import Field
 
 def random_nilpotent_algebra(rng: random.Random, field: Field, dim: int) -> LeibnizAlgebra:
     """A random nilpotent Leibniz algebra of exactly the requested dimension."""
+    return _random_tower(rng, field, dim, {})
+
+
+def _random_tower(
+    rng: random.Random, field: Field, dim: int, cocycle_spaces: dict
+) -> LeibnizAlgebra:
+    """``random_nilpotent_algebra``, with the cocycle space of each algebra
+    it extends looked up in ``cocycle_spaces`` and computed only when absent.
+
+    The space is a function of the algebra (its field and cells), and the
+    draws depend on it alone, so a caller growing many towers may pass one
+    dict to all of them and get the towers it would get with fresh ones.
+    """
     if not field.is_finite():
         raise NeedsFiniteField("random tower generation needs GF(p)")
     if dim == 0:
@@ -41,7 +54,10 @@ def random_nilpotent_algebra(rng: random.Random, field: Field, dim: int) -> Leib
         if rng.random() < 0.25:
             algebra = algebra.direct_sum(LeibnizAlgebra.from_table(1, field, []))
         else:
-            algebra = central_extension(algebra, _random_cocycle(rng, algebra))
+            basis = cocycle_spaces.get(algebra)
+            if basis is None:
+                basis = cocycle_spaces[algebra] = _cocycle_space(algebra)
+            algebra = central_extension(algebra, _random_cocycle(rng, algebra, basis))
     return algebra
 
 
@@ -66,10 +82,10 @@ def _cocycle_space(algebra: LeibnizAlgebra) -> list[list[int]]:
     return _modp.nullspace(rows, p, n * n)
 
 
-def _random_cocycle(rng: random.Random, algebra: LeibnizAlgebra) -> list[list[int]]:
+def _random_cocycle(rng: random.Random, algebra: LeibnizAlgebra, basis) -> list[list[int]]:
+    """A random combination of the cocycle space ``basis`` of ``algebra``, as an n x n form."""
     p = algebra.field.modulus
     n = algebra.dim
-    basis = _cocycle_space(algebra)
     flat = _modp.combine([rng.randrange(p) for _ in basis], basis, p, n * n)
     return [[flat[i * n + j] for j in range(n)] for i in range(n)]
 

@@ -266,7 +266,9 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
     induced maximal table has one record, and its upper series is computed
     once per call, across towers; the class of each central-ideal quotient
     is read off the tower's lower series, with no quotient or ideal built.
-    Nothing outlives the call.
+    The towers share one dict of cocycle spaces, so the space of each
+    distinct table a tower extends is computed once per call.  Nothing
+    outlives the call.
     """
     if max_dim < 2:
         raise LeibalgError(f"towers need max_dim >= 2, got {max_dim}")
@@ -275,12 +277,13 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
     rng = random.Random(seed)
     outcomes: dict[LeibnizAlgebra, tuple[bool, int, bool]] = {}
     records = maximal._Records()
+    cocycle_spaces: dict = {}
     splits = 0
     central_ideals = 0
     p2_holds = 0
     for _ in range(count):
         dim = rng.randrange(2, max_dim + 1)
-        algebra = randomgen.random_nilpotent_algebra(rng, field, dim)
+        algebra = randomgen._random_tower(rng, field, dim, cocycle_spaces)
         outcome = outcomes.get(algebra)
         if outcome is None:
             outcome = outcomes[algebra] = _check_tower(maximal._Side(algebra, records))

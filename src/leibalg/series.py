@@ -1,9 +1,11 @@
 """Central series, nilpotency class, coclass, Frattini subalgebra, cyclicity.
 
 Lower central series: A^1 = A, A^{i+1} = [A, A^i].  Upper central series:
-Z_0 = 0 and Z_i = {x : [x, A] and [A, x] lie in Z_{i-1}}, computed by a
-linear solve per step.  For a nilpotent algebra both series have the same
-number of strict steps; that common length is the class, and
+Z_0 = 0 and Z_i = {x : [x, A] and [A, x] lie in Z_{i-1}}.  Over GF(p) it
+carries the covectors vanishing on each term, so a step is one elimination
+whose echelon rows are the next step's covectors; over Q a step is the
+boxed ``centralizer_mod``.  For a nilpotent algebra both series have the
+same number of strict steps; that common length is the class, and
 coclass = dim - class.
 """
 
@@ -173,12 +175,22 @@ def lower_central_series(algebra: LeibnizAlgebra) -> list[Subspace]:
 def upper_central_series(algebra: LeibnizAlgebra) -> list[Subspace]:
     """Terms of the ascending series until stabilization (listed once).
 
-    The full space is final, because every bracket lies in it.
+    Each term contains the one before, so the series has stabilized once a
+    step leaves the dimension unchanged; the full space is final, because
+    every bracket lies in it.  Over GF(p) the series carries covectors:
+    ann Z_{i+1} = span{f o R_j, f o L_j : f in ann Z_i}, so the echelon rows
+    of one step's equations are the covectors of the next, and each step is
+    one elimination (``LeibnizAlgebra._centralizer_steps``).  Over Q each
+    step is the boxed ``centralizer_mod``; its comment says why.
     """
     terms = [algebra.zero_space()]
+    steps = None
+    if algebra.field.is_finite():
+        n = algebra.dim  # ann Z_0 is spanned by the coordinate covectors
+        steps = algebra._centralizer_steps([[int(i == k) for k in range(n)] for i in range(n)])
     while not terms[-1].is_full():
-        nxt = algebra.centralizer_mod(terms[-1])
-        if nxt == terms[-1]:
+        nxt = next(steps) if steps else algebra.centralizer_mod(terms[-1])
+        if nxt.dim == terms[-1].dim:
             break
         terms.append(nxt)
     return terms

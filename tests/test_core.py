@@ -19,6 +19,7 @@ from leibalg import (
     NotApplicable,
     NotASubalgebra,
     Subspace,
+    enumerate_maximal,
     instantiate,
     is_nilpotent,
 )
@@ -534,6 +535,18 @@ class TestRestrictAndMisc:
         algebra = heisenberg(GF(3))
         with pytest.raises(AttributeError):
             algebra.dim = 5
+        with pytest.raises(AttributeError):
+            algebra.labels = ("a", "b", "c")
+
+    def test_default_labels_are_formatted_on_first_read(self):
+        algebra = heisenberg(GF(3))
+        induced = [m.induced for m in enumerate_maximal(algebra)]
+        assert all(m._labels is None for m in induced)
+        assert [m.labels for m in induced] == [("x1", "x2")] * len(induced)
+        assert induced[0].labels is induced[0].labels
+        named = LeibnizAlgebra.from_table(2, GF(3), [], labels=("u", "v"))
+        assert named.labels == ("u", "v")
+        assert named.direct_sum(induced[0]).labels == ("u'", "v'", "x1''", "x2''")
 
 
 def test_result_records_hold_no_instance_dict():
@@ -542,7 +555,7 @@ def test_result_records_hold_no_instance_dict():
 
     from leibalg.constraints import RelationCheck, VerificationReport
     from leibalg.core import LeibnizViolation
-    from leibalg.maximal import IsoVerdict, MaximalPairWitness, enumerate_maximal
+    from leibalg.maximal import IsoVerdict, MaximalPairWitness
     from leibalg.reproduce import ReportEntry
 
     first, second = enumerate_maximal(heisenberg(GF(3)))[:2]

@@ -969,6 +969,83 @@ def test_echelon_read_off_matches_nullspace(p):
     assert all(shapes.values()), shapes
 
 
+@pytest.mark.parametrize("p", ECHELON_FIELDS, ids=lambda p: f"GF({p})" if p else "Q")
+def test_kernel_echelon_is_the_reduced_form_of_the_nullspace(p):
+    # one elimination with the columns reversed reads off exactly
+    # rref(nullspace(M)), boxed and raw, and its third value spans the rows
+    field = GF(p) if p else QQ
+    rng = random.Random(71 + p)
+
+    def entry(density):
+        if rng.random() > density:
+            return 0 if p else Fraction(0)
+        return rng.randrange(-p, 2 * p) if p else Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    shapes = {"n = 0": 0, "no rows": 0, "zero rows": 0, "zero matrix": 0, "full rank": 0,
+              "kernel off the left": 0}
+    for t in range(300):
+        ncols = rng.randint(0, 8)
+        density = rng.choice((0.0, 0.2, 0.5, 1.0))
+        rows = [[entry(density) for _ in range(ncols)] for _ in range(rng.randint(0, 9))]
+        rows += [[entry(0.0) for _ in range(ncols)] for _ in range(rng.randint(0, 2))]
+        basis, pivots, span = _modp.kernel_echelon(rows, p, ncols)
+        boxed = [[field(a) for a in r] for r in rows]
+        expected = ref_rref(ref_nullspace(boxed, field, ncols), field, ncols)
+        assert (tuple(tuple(field(a) for a in v) for v in basis), tuple(pivots)) == expected
+        ech, ech_pivots = _modp.rref(_modp.nullspace(rows, p, ncols), p, ncols)
+        assert [list(v) for v in basis] == ech and pivots == ech_pivots
+        assert all(isinstance(v, tuple) for v in basis)
+        assert _modp.rref(span, p, ncols) == _modp.rref(rows, p, ncols)
+        assert len(span) + len(basis) == ncols
+        if p == 0:
+            assert all(a.__class__ is Fraction for v in basis for a in v)
+        shapes["n = 0"] += ncols == 0
+        shapes["no rows"] += not rows
+        shapes["zero rows"] += any(not any(r) for r in rows)
+        shapes["zero matrix"] += bool(rows) and ncols > 0 and not span
+        shapes["full rank"] += ncols > 0 and not basis
+        shapes["kernel off the left"] += any(pc > q for q, pc in enumerate(pivots))
+    assert all(shapes.values()), shapes
+
+
+def ref_boxed_upper_series(algebra):
+    """The upper central series stepped by the boxed ``ref_centralizer_mod``."""
+    field, n = algebra.field, algebra.dim
+    terms = [algebra.zero_space()]
+    while True:
+        rows, pivots = ref_centralizer_mod(algebra, terms[-1])
+        nxt = Subspace(field, n, rows, pivots)
+        if nxt == terms[-1]:
+            return terms
+        terms.append(nxt)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_carried_upper_series_matches_the_stepped_references(p):
+    # the covector-carrying series, on towers and on the induced table of
+    # every maximal, against centralizer_mod stepped to a repeat and against
+    # the boxed reference centralizer
+    field = GF(p)
+    _, algebras = towers(p, (2, 5), 8)
+    algebras += small_algebras(field)
+    checked = {"towers": 0, "maximals": 0, "non-nilpotent": 0, "longest": 0}
+    for algebra in algebras:
+        nilpotent = lower_central_series(algebra)[-1].is_zero()
+        induced = [m.induced for m in enumerate_maximal(algebra)] if nilpotent else []
+        for a in [algebra] + induced:
+            upper = upper_central_series(a)
+            assert upper == ref_series(a.centralizer_mod, a.zero_space())
+            assert upper == ref_boxed_upper_series(a)
+            assert [(t.rows, t.pivots) for t in upper] == [
+                (t.rows, t.pivots) for t in ref_boxed_upper_series(a)
+            ]
+            checked["longest"] = max(checked["longest"], len(upper))
+        checked["towers"] += 1
+        checked["maximals"] += len(induced)
+        checked["non-nilpotent"] += not nilpotent
+    assert checked["maximals"] >= 20 and checked["non-nilpotent"] and checked["longest"] >= 4, checked
+
+
 def ref_change_of_basis(algebra, matrix):
     """Each [f_i, f_j] solved over the rows f by the boxed reference elimination."""
     field, n = algebra.field, algebra.dim
@@ -1171,3 +1248,38 @@ def test_cocycle_space_matches_the_reference_at_every_tower_step(p, monkeypatch)
         )
         rows = [[field(v) for v in residual] for residual in residuals.values()]
         assert basis == [[v.value for v in vec] for vec in ref_nullspace(rows, field, n * n)]
+
+
+def test_a_suite_call_computes_each_cocycle_space_once(monkeypatch):
+    # one _cocycle_space call per distinct table a suite call extends, and
+    # a second call computes them again: the memo lives in the call
+    from leibalg.reproduce import run_structural_suite
+
+    seen = []
+    real = randomgen._cocycle_space
+
+    def recorded(algebra):
+        seen.append(algebra)
+        return real(algebra)
+
+    monkeypatch.setattr(randomgen, "_cocycle_space", recorded)
+    for p, seed in ((2, 1), (3, 2)):
+        reports = []
+        for _ in range(2):
+            seen.clear()
+            reports.append(run_structural_suite(GF(p), 100, 5, seed))
+            assert len(seen) == len(set(seen)) > 20
+        assert reports[0] == reports[1]
+
+
+def test_towers_sharing_cocycle_spaces_are_the_fresh_towers():
+    # one dict shared by towers over two fields and many dims gives the
+    # towers, and leaves the rng in the state, of fresh dicts
+    shared, fresh = random.Random(8), random.Random(8)
+    spaces: dict = {}
+    for t in range(60):
+        field, dim = GF((3, 5)[t % 2]), 2 + t % 5
+        got = randomgen._random_tower(shared, field, dim, spaces)
+        assert got == random_nilpotent_algebra(fresh, field, dim)
+    assert shared.getstate() == fresh.getstate()
+    assert {a.field for a in spaces} == {GF(3), GF(5)}

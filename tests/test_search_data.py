@@ -13,7 +13,15 @@ import random
 
 import pytest
 
-from leibalg import GF, LeibnizAlgebra, SearchBoundExceeded, instantiate, is_isomorphic, maximal
+from leibalg import (
+    GF,
+    LeibnizAlgebra,
+    SearchBoundExceeded,
+    instantiate,
+    is_isomorphic,
+    list_catalog,
+    maximal,
+)
 from leibalg import _modp
 from leibalg.catalog import sample_params
 from leibalg.maximal import (
@@ -164,6 +172,57 @@ def a1_maximal_groups():
         algebra = instantiate("A1_6dim", field, sample_params("A1_6dim", field))
         groups.append([m.induced for m in maximal.enumerate_maximal(algebra)])
     return groups
+
+
+def reference_verdict(a, b):
+    """``is_isomorphic(a, b)`` as (status, matrix), the search by ``reference_search``
+    on fresh records, whose generator signatures all hold ``mult_data``."""
+    side_a, side_b = _Side(a), _Side(b)
+    if a == b:
+        return "yes", tuple(a.basis_vector(i) for i in range(a.dim))
+    if side_a.fingerprint != side_b.fingerprint:
+        return "no", None
+    raw = reference_search(side_a, side_b)
+    if raw is None:
+        return "no", None
+    return "yes", tuple(tuple(a.field(c) for c in row) for row in raw)
+
+
+def catalog_p1_pairs(p):
+    """The pairs ``check_p1`` decides for each nilpotent catalog family at GF(p):
+    every distinct induced maximal table against the first, and the second
+    against the last."""
+    field = GF(p)
+    pairs = []
+    for entry in list_catalog():
+        params = sample_params(entry.name, field)
+        if entry.params and params is None:
+            continue
+        algebra = instantiate(entry.name, field, params)
+        tables = list(dict.fromkeys(m.induced for m in maximal.enumerate_maximal(algebra)))
+        pairs += [(t, tables[0]) for t in tables[1:]]
+        if len(tables) >= 3:
+            pairs.append((tables[1], tables[-1]))
+    return pairs
+
+
+@pytest.mark.parametrize("source", ["oracle", "catalog GF(3)", "catalog GF(5)", "catalog GF(7)"])
+def test_verdicts_equal_the_full_signature_reference(source):
+    # the last generator is filtered on square and membership alone, and
+    # the replay decides: every verdict and matrix is the reference's
+    if source == "oracle":
+        pairs = [
+            (a, b) for algebras in oracle_groups() for a, b in itertools.product(algebras, repeat=2)
+        ]
+    else:
+        pairs = catalog_p1_pairs(int(source[-2]))
+    statuses = set()
+    for a, b in pairs:
+        verdict = is_isomorphic(a, b)
+        assert (verdict.status, verdict.matrix) == reference_verdict(a, b), source
+        statuses.add(verdict.status)
+    expected = {"yes", "no"} if source in ("oracle", "catalog GF(3)") else {"yes"}
+    assert expected <= statuses, (source, statuses)
 
 
 @pytest.mark.parametrize("bound", [None, 3, 50, 200, 1000])

@@ -6,12 +6,15 @@ Usage, from the root of a checkout:
 
 Builds each workload of ``perfbench/workloads.py`` at the seed, runs the
 operations of one round once, and prints, per workload, how often the
-central series, the elimination kernel and its nullspace read-off
-(``echelon_nullspace``, also counted inside ``nullspace``), the
-isomorphism decision (``_Side.isomorphism``) and the generator-image
-search were called, and how often ``Subspace.reduce`` ran: the boxed
-reduction that the Q branch of ``centralizer_mod`` still makes, 2 n^2 of
-them per call.  It then runs a second round under ``cProfile`` and prints the number of
+central series, the elimination kernel, its nullspace read-off
+(``echelon_nullspace``, also counted inside ``nullspace``) and its
+one-elimination canonical kernel (``kernel_echelon``), the isomorphism
+decision (``_Side.isomorphism``), the generator-image search, the
+operator signature of a candidate image (``_Side.mult_data``) and the
+cocycle space of a tower step (``randomgen._cocycle_space``) were
+called, and how often ``Subspace.reduce`` ran: the boxed reduction that
+the Q branch of ``centralizer_mod`` still makes, 2 n^2 of them per call.
+It then runs a second round under ``cProfile`` and prints the number of
 Python function calls in it (builtins are not counted); the first round
 is its warm-up, so imports and other first-round work are left out.
 Counts are exact and do not depend on the host, so two checkouts are
@@ -30,7 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402  (perfbench/ is not a package)
 
-from leibalg import _modp, core, linalg, maximal, series  # noqa: E402
+from leibalg import _modp, core, linalg, maximal, randomgen, series  # noqa: E402
 
 COUNTED = [
     (series, "lower_central_series"),
@@ -40,8 +43,11 @@ COUNTED = [
     (core.LeibnizAlgebra, "leib_ideal"),
     (_modp, "rref"),
     (_modp, "echelon_nullspace"),
+    (_modp, "kernel_echelon"),
     (maximal._Side, "isomorphism"),
     (maximal, "_search_isomorphism"),
+    (maximal._Side, "mult_data"),
+    (randomgen, "_cocycle_space"),
     (linalg.Subspace, "reduce"),
 ]
 
