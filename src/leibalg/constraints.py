@@ -77,7 +77,9 @@ def leibniz_constraints(p: ParametricAlgebra) -> list[MultiPoly]:
 
     Zero polynomials are dropped; the rest are made monic, deduplicated up
     to scalar multiples, and sorted canonically.  An empty list means the
-    table is a Leibniz algebra for every parameter value.
+    table is a Leibniz algebra for every parameter value.  The returned
+    polynomials share one exponent tuple per distinct monomial and one
+    ``Fraction`` per distinct coefficient, so a kept list holds each once.
     """
     raw = raw_leibniz_residuals(p)
     seen: dict = {}
@@ -86,7 +88,15 @@ def leibniz_constraints(p: ParametricAlgebra) -> list[MultiPoly]:
         key = tuple(sorted(normal.terms.items()))
         if key not in seen:
             seen[key] = normal
-    return sorted(seen.values(), key=lambda q: q.sort_key())
+    exponents: dict = {}
+    coefficients: dict = {}
+    out = []
+    for q in sorted(seen.values(), key=lambda q: q.sort_key()):
+        terms = {
+            exponents.setdefault(e, e): coefficients.setdefault(c, c) for e, c in q.terms.items()
+        }
+        out.append(MultiPoly(q.variables, terms))
+    return out
 
 
 def raw_leibniz_residuals(p: ParametricAlgebra) -> list[MultiPoly]:

@@ -327,12 +327,13 @@ class LeibnizAlgebra:
         # Over Q this stays on the boxed table and Subspace.reduce, on purpose,
         # and ``series.upper_central_series`` steps through it over Q.
         # Running the covector steps over Q too cut perfbench
-        # ``rational`` wall_s from 0.261 to 0.152 s but raised its peak_rss_mb
-        # from 26.4 to 32.0 MB (+21 %, past the 0.1 bound; Python 3.11, 2
-        # vCPUs).  perfbench/worker.py keeps every round's results, about
-        # 40.7 KB a round (tracemalloc), so the extra rounds a faster Q path
-        # fits into the same 45 s cost memory the library never uses.  This
-        # fork goes once perfbench stops keeping them (ROADMAP items 1, 9).
+        # ``rational`` wall_s from 0.166-0.188 to 0.071-0.075 s but raised its
+        # peak_rss_mb from 29.4-31.4 to 43.8-46.8 MB (+49 %, past the 0.1
+        # bound; two alternating 45-s pairs, Python 3.11, 2 vCPUs).
+        # perfbench/worker.py keeps every round's results, about 40.1 KB a
+        # round (tracemalloc), so the extra rounds a faster Q path fits into
+        # the same 45 s cost memory the library never uses.  This fork goes
+        # once perfbench stops keeping them (ROADMAP items 1, 11(c)).
         rows = []
         table = self.table
         for j in range(n):

@@ -22,7 +22,13 @@ An isomorphism is determined by the images of a coset basis of A/[A,A];
 candidate images are enumerated inside the affine solution spaces of
 necessary linear conditions (membership in the series terms, the relations
 of the generators found so far), filtered by per-element invariants, and
-extended by bracketing with every induced product checked.
+extended by bracketing with every induced product checked.  The cheap
+invariants, the square flag and the membership profile, filter every
+candidate; the costly one, ``mult_data`` (the ranks and nilpotency indices
+of L_v and R_v), is compared only on a candidate whose cosets are
+independent and whose bracket extension succeeds, before the search
+recurses under it.  All three are necessary, so the order of the checks
+changes no answer and no count.
 
 The images are also normalised by central automorphisms.  Lemma: let
 W = Z(B) meet [B,B], with Z(B) the two-sided centre, and let f: B -> W be
@@ -60,21 +66,24 @@ with Z(A) and [A, A] read off their terms), the fingerprint, the maximals,
 their intersection, the P1 and P2 decisions and, when a search runs, the
 search data.  The public functions are one-line readers of a fresh record.
 As a source the record builds its closure recipes, generator signatures
-and relations once.  As a target it keeps, per generator signature, the
-candidates for the first generator image that passed the signature filter,
-with their generation indices: with no image chosen yet there are no
-relations, so they depend on the target and the signature alone.  A later
-search against the same record reads them and extends the scan only as far
-as it consumes.  The records of the induced tables of the maximals are
-looked up in a ``_Records`` of the call, one record per table, so the
-comparisons of ``check_p1`` against the first maximal, which is the target
-of each, and its spot check of the second distinct table against the last
-share them, and ``check_p2`` computes one upper series per distinct table;
-both report the first maximal in tag order that differs from the first.  A record reaches its
-``_Records`` through a weak proxy, and a scan holds no record, so the
-records of a call form no reference cycle and are freed when the call
-drops them.  Nothing is cached on ``LeibnizAlgebra`` itself or at module
-level, and no record outlives a call.
+and relations once.  As a target it keeps, per filter key (square flag and
+membership profile), the candidates for the first generator image that
+passed that filter, with their generation indices: with no image chosen
+yet there are no relations, so they depend on the target and the key
+alone, and sources whose signatures differ only in ``mult_data`` share
+them.  It keeps the ``mult_data`` of each candidate it computed it for.
+A later search against the same record reads them and extends the scan
+only as far as it consumes.  The records of the induced tables of the
+maximals are looked up in a ``_Records`` of the call, one record per
+table, so the comparisons of ``check_p1`` against the first maximal, which
+is the target of each, and its spot check of the second distinct table
+against the last share them, and ``check_p2`` computes one upper series
+per distinct table; both report the first maximal in tag order that
+differs from the first.  A record reaches its ``_Records`` through a weak
+proxy, and a scan holds no record, so the records of a call form no
+reference cycle and are freed when the call drops them.  Nothing is cached
+on ``LeibnizAlgebra`` itself or at module level, and no record outlives a
+call.
 
 Enumerations and pairwise checks are pure functions of immutable inputs,
 so callers may evaluate distinct maximal subalgebras concurrently; output
@@ -159,10 +168,11 @@ class _Side:
     of Z(B) meet [B,B], the coordinates a normalised generator image has
     equal to zero.  As a source the record builds ``generators``: the
     closure recipes, signatures and relations of its generators.  As a
-    target it keeps, per generator signature, the ``_Scan`` of its
-    first-generator candidates, which depend on nothing else.  The records
-    of the induced tables are looked up in ``records``, so equal tables
-    share one; a record given no ``_Records`` owns a fresh one.
+    target it keeps, per filter key, the ``_Scan`` of its first-generator
+    candidates, which depend on nothing else, and the ``mult_data`` of each
+    vector it was asked for.  The records of the induced tables are looked
+    up in ``records``, so equal tables share one; a record given no
+    ``_Records`` owns a fresh one.
     """
 
     def __init__(self, algebra: LeibnizAlgebra, records: "_Records | None" = None):
@@ -173,6 +183,7 @@ class _Side:
         self.profile = SeriesProfile(algebra)
         self.records = _Records() if records is None else records
         self._first_scans: dict = {}
+        self._mult_data: dict = {}
 
     @cached_property
     def fingerprint(self) -> Fingerprint:
@@ -372,17 +383,21 @@ class _Side:
     @cached_property
     def generators(self):
         """The source data of a search: per generator, in coset order, the
-        ``_Closure`` of the generators up to it, its signature (square zero,
-        membership profile, ``mult_data``) and the relations a next image
-        must satisfy (None for the first).  The signature of the last
-        generator leaves ``mult_data`` out; ``_descend`` says why."""
+        ``_Closure`` of the generators up to it, its signature and the
+        relations a next image must satisfy (None for the first).  A
+        signature is the pair (filter key, ``mult_data``): the key is the
+        square flag and the membership profile, which the scans filter on,
+        and ``mult_data`` is None for the last generator; ``_descend`` says
+        why."""
         p, n = self.p, self.n
         gen_vecs = [[int(i == g) for i in range(n)] for g in self.coset_coords]
         closures = [_Closure(self.cells, p, gen_vecs[: k + 1]) for k in range(len(gen_vecs))]
         last = len(gen_vecs) - 1
         sigs = [
-            (self.square_is_zero(g), self.membership_profile(g))
-            + ((self.mult_data(g),) if k < last else ())
+            (
+                (self.square_is_zero(g), self.membership_profile(g)),
+                self.mult_data(g) if k < last else None,
+            )
             for k, g in enumerate(gen_vecs)
         ]
         relations = [None] + [
@@ -400,17 +415,19 @@ class _Side:
             for f in covectors
         ]
 
-    def first_scan(self, sig) -> "_Scan":
-        """The candidates for a first generator of signature ``sig``.
+    def first_scan(self, key) -> "_Scan":
+        """The candidates for a first generator with the filter ``key``
+        (square flag, membership profile).
 
         With no generator chosen yet there are no relations: the system is
-        the member covectors ``sig[1]`` selects, so the scan depends on this
-        record and ``sig`` alone and is shared by every search against it.
+        the member covectors ``key[1]`` selects, so the scan depends on this
+        record and ``key`` alone and is shared by every search against it,
+        whatever the ``mult_data`` of the source's first generator.
         """
-        scan = self._first_scans.get(sig)
+        scan = self._first_scans.get(key)
         if scan is None:
-            rows = self.member_equations(sig[1])
-            scan = self._first_scans[sig] = _Scan(self, rows, [0] * len(rows), sig)
+            rows = self.member_equations(key[1])
+            scan = self._first_scans[key] = _Scan(self, rows, [0] * len(rows), key)
         return scan
 
     def coset(self, v):
@@ -427,26 +444,18 @@ class _Side:
         return not any(_modp.bracket(self.cells, v, v, self.p))
 
     def mult_data(self, v):
-        """(rank L_v, rank R_v, nilindex L_v, nilindex R_v)."""
-        cells, p, n = self.cells, self.p, self.n
-        zero = [0] * n
-        lrows = _operator_rows(cells, v, zero, p)
-        rrows = _operator_rows(cells, zero, v, p)
-        return (
-            _modp.rank(lrows, p, n),
-            _modp.rank(rrows, p, n),
-            _nilindex(lrows, p, n),
-            _nilindex(rrows, p, n),
-        )
+        """(rank L_v, rank R_v, nilindex L_v, nilindex R_v), computed once
+        per vector by ``_mult_data`` and kept on the record: the first scans
+        are shared, so one candidate is met by every search against it."""
+        key = tuple(v)
+        data = self._mult_data.get(key)
+        if data is None:
+            data = self._mult_data[key] = _mult_data(self.cells, v, self.p)
+        return data
 
-    def matches(self, v, sig) -> bool:
-        """Does ``v`` have the generator signature ``sig``?  ``mult_data`` is
-        compared only when ``sig`` holds it."""
-        if self.square_is_zero(v) != sig[0]:
-            return False
-        if self.membership_profile(v) != sig[1]:
-            return False
-        return len(sig) == 2 or self.mult_data(v) == sig[2]
+    def matches(self, v, key) -> bool:
+        """Does ``v`` have the square flag and membership profile of ``key``?"""
+        return self.square_is_zero(v) == key[0] and self.membership_profile(v) == key[1]
 
 
 class _Records(dict):
@@ -668,6 +677,20 @@ class _Closure:
         return imgs if _modp.rank(imgs, p, n) == len(imgs) else None
 
 
+def _mult_data(cells, v, p: int):
+    """(rank L_v, rank R_v, nilindex L_v, nilindex R_v) of the raw vector ``v``."""
+    n = len(cells)
+    zero = [0] * n
+    lrows = _operator_rows(cells, v, zero, p)
+    rrows = _operator_rows(cells, zero, v, p)
+    return (
+        _modp.rank(lrows, p, n),
+        _modp.rank(rrows, p, n),
+        _nilindex(lrows, p, n),
+        _nilindex(rrows, p, n),
+    )
+
+
 def _nilindex(op_rows, p: int, n: int) -> int:
     """Smallest m <= n+1 with op^m = 0; op given by rows = images of basis."""
     current = op_rows
@@ -711,23 +734,28 @@ def _search_isomorphism(side_a: _Side, side_b: _Side):
 def _descend(side_a: _Side, side_b: _Side, budget: "_Budget", k: int, gen_imgs, prev_elem_imgs):
     """The images of generators k, k+1, ... extending ``gen_imgs``, as a matrix, or None.
 
-    At the last generator (k == d - 1) the signature holds no ``mult_data``,
-    so the scan keeps candidates on square and membership alone and the
-    replay decides: a replay that succeeds there spans the algebra and
-    gives an isomorphism, which preserves ``mult_data``, so a candidate the
-    filter would have dropped never passes.  The generation order, the
-    budget charges and the returned matrix are those of the full filter.
+    The scan keeps the candidates with the generator's square flag and
+    membership profile; ``mult_data`` is compared only on a candidate whose
+    cosets are independent and whose replay succeeds, and only below the
+    last generator (k < d - 1): it is the costly filter, and those two
+    checks drop most candidates first.  At the last generator it is not
+    compared at all: a replay that succeeds there spans the algebra and
+    gives an isomorphism, which preserves ``mult_data``.  Every filter is a
+    necessary condition and nothing recurses under a candidate
+    ``mult_data`` drops, so the generation order, the budget charges and
+    the returned matrix are those of the search that filters every
+    candidate on all three.
     """
     p, n = side_a.p, side_a.n
     d = len(side_a.coset_coords)
     closures, sigs, relations = side_a.generators
-    sig = sigs[k]
+    key, mult_data = sigs[k]
     if k == 0:
-        scan = side_b.first_scan(sig)
+        scan = side_b.first_scan(key)
     else:
-        rows = side_b.member_equations(sig[1])
+        rows = side_b.member_equations(key[1])
         rel_rows, rel_rhs = _relation_equations(side_b, relations[k], prev_elem_imgs)
-        scan = _Scan(side_b, rows + rel_rows, [0] * len(rows) + rel_rhs, sig)
+        scan = _Scan(side_b, rows + rel_rows, [0] * len(rows) + rel_rhs, key)
     for v in scan.read(side_b, budget):
         cosets = [side_b.coset(g) for g in gen_imgs] + [side_b.coset(v)]
         if _modp.rank(cosets, p, d) != len(cosets):
@@ -737,6 +765,8 @@ def _descend(side_a: _Side, side_b: _Side, budget: "_Budget", k: int, gen_imgs, 
             continue
         if k == d - 1:
             return _assemble_matrix(closures[k], elem_imgs, p, n)
+        if side_b.mult_data(v) != mult_data:
+            continue
         result = _descend(side_a, side_b, budget, k + 1, gen_imgs + [v], elem_imgs)
         if result is not None:
             return result
@@ -759,11 +789,11 @@ class _Budget:
 
 
 class _Scan:
-    """The candidates of one linear system that have one generator signature.
+    """The candidates of one linear system that pass one filter key.
 
     ``_constrained_candidates`` generates the candidates in a fixed order;
-    ``kept`` holds those with the signature ``sig`` (``_Side.matches``,
-    which at the last generator compares no ``mult_data``; see
+    ``kept`` holds those with the square flag and membership profile of
+    ``key`` (``_Side.matches``; ``mult_data`` is compared later, see
     ``_descend``), each with its generation index (1 for the first
     generated), and ``scanned`` counts the candidates generated so far.
     The scan is extended lazily, one kept candidate at a time, and never
@@ -772,10 +802,10 @@ class _Scan:
     handed to ``read``, so a scan kept on its record is no reference cycle.
     """
 
-    __slots__ = ("sig", "raw", "kept", "scanned", "exhausted")
+    __slots__ = ("key", "raw", "kept", "scanned", "exhausted")
 
-    def __init__(self, side: _Side, rows, rhs, sig):
-        self.sig = sig
+    def __init__(self, side: _Side, rows, rhs, key):
+        self.key = key
         self.raw = _constrained_candidates(side, rows, rhs)
         self.kept: list = []
         self.scanned = 0
@@ -805,14 +835,14 @@ class _Scan:
 
     def _extend(self, side: _Side, stop: int) -> None:
         """Generate candidates until one is kept or ``stop`` are generated."""
-        sig = self.sig
+        key = self.key
         while self.scanned < stop:
             v = next(self.raw, None)
             if v is None:
                 self.exhausted = True
                 return
             self.scanned += 1
-            if side.matches(v, sig):
+            if side.matches(v, key):
                 self.kept.append((self.scanned, v))
                 return
 

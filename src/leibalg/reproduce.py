@@ -262,9 +262,10 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
     Every tower is drawn from the seeded rng, but each distinct table is
     decided once per call: a tower equal to an earlier one adds that one's
     counts, since the checks are functions of the table and draw nothing
-    from the rng.  The call makes one ``maximal._Records``, so each distinct
-    induced maximal table has one record, and its upper series is computed
-    once per call, across towers; the class of each central-ideal quotient
+    from the rng.  The call makes one ``maximal._Records`` and takes each
+    tower's record from it too, so each distinct table, tower or induced
+    maximal, has one record, and its series are computed once per call,
+    across towers; the class of each central-ideal quotient
     is read off the tower's lower series, with no quotient or ideal built.
     The towers share one dict of cocycle spaces, so the space of each
     distinct table a tower extends is computed once per call.  Nothing
@@ -286,7 +287,7 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
         algebra = randomgen._random_tower(rng, field, dim, cocycle_spaces)
         outcome = outcomes.get(algebra)
         if outcome is None:
-            outcome = outcomes[algebra] = _check_tower(maximal._Side(algebra, records))
+            outcome = outcomes[algebra] = _check_tower(records[algebra])
         p2, ideals, split = outcome
         p2_holds += p2
         central_ideals += ideals

@@ -1,12 +1,13 @@
 """Central series, nilpotency class, coclass, Frattini subalgebra, cyclicity.
 
-Lower central series: A^1 = A, A^{i+1} = [A, A^i].  Upper central series:
-Z_0 = 0 and Z_i = {x : [x, A] and [A, x] lie in Z_{i-1}}.  Over GF(p) it
-carries the covectors vanishing on each term, so a step is one elimination
-whose echelon rows are the next step's covectors; over Q a step is the
-boxed ``centralizer_mod``.  For a nilpotent algebra both series have the
-same number of strict steps; that common length is the class, and
-coclass = dim - class.
+Lower central series: A^1 = A, A^{i+1} = [A, A^i], each term read off the
+structure cells with one elimination, the same body for GF(p) and Q.
+Upper central series: Z_0 = 0 and Z_i = {x : [x, A] and [A, x] lie in
+Z_{i-1}}.  Over GF(p) it carries the covectors vanishing on each term, so
+a step is one elimination whose echelon rows are the next step's
+covectors; over Q a step is the boxed ``centralizer_mod``.  For a
+nilpotent algebra both series have the same number of strict steps; that
+common length is the class, and coclass = dim - class.
 """
 
 from __future__ import annotations
@@ -160,13 +161,31 @@ def _second(terms) -> Subspace:
 def lower_central_series(algebra: LeibnizAlgebra) -> list[Subspace]:
     """Terms of the descending series until stabilization (listed once).
 
-    A zero term is final, because [A, 0] = 0.
+    gamma_{k+1} = [A, gamma_k] is spanned by the [e_i, r] for the echelon
+    rows r of gamma_k, and [e_i, r] = sum_j r_j [e_i, e_j] is read straight
+    off the cells, with one ``_span_residues`` per term; the left factor is
+    the basis vector, which matters for a non-Lie algebra.  Each term lies
+    in the one before, so the series has stabilized once a step leaves the
+    dimension unchanged; a zero term is final, because [A, 0] = 0.
     """
-    full = algebra.full_space()
-    terms = [full]
+    field, n, cells = algebra.field, algebra.dim, algebra._cells
+    zero = _modp._zero_one(field.characteristic)[0]
+    terms = [algebra.full_space()]
     while not terms[-1].is_zero():
-        nxt = algebra.span_products(full, terms[-1])
-        if nxt == terms[-1]:
+        products = []
+        for r in terms[-1]._res_rows:
+            support = [(j, rj) for j, rj in enumerate(r) if rj]
+            for row in cells:
+                v = None
+                for j, rj in support:
+                    for k, c in row[j]:
+                        if v is None:
+                            v = [zero] * n
+                        v[k] += rj * c
+                if v is not None:
+                    products.append(v)
+        nxt = _span_residues(field, n, products)
+        if nxt.dim == terms[-1].dim:
             break
         terms.append(nxt)
     return terms

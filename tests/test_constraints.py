@@ -196,6 +196,62 @@ def test_raw_residuals_match_the_dense_formula(table):
     assert residuals and residuals == dense_raw_residuals(p)
 
 
+def filtered_parametric_table(seed: int) -> ParametricAlgebra:
+    """A table on e1..e5 with [e_i, e_j] in span{e_k : k > max(i, j)}: 12
+    seeded slots hold a parameter each and 8 a small nonzero constant."""
+    rng = random.Random(seed)
+    n = 5
+    variables = tuple(f"q{idx + 1}" for idx in range(12))
+    slots = [
+        (i, j, k)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        for k in range(max(i, j) + 1, n + 1)
+    ]
+    rng.shuffle(slots)
+    cells: dict = {}
+    for idx, (i, j, k) in enumerate(slots[:20]):
+        if idx < len(variables):
+            value = MultiPoly.variable(variables, variables[idx])
+        else:
+            value = rng.choice((-3, -2, -1, 1, 2, 3))
+        cells.setdefault((i, j), {})[k] = value
+    return ParametricAlgebra.from_table(n, variables, cells)
+
+
+def unshared_constraints(p: ParametricAlgebra) -> list[MultiPoly]:
+    """``leibniz_constraints`` with every result holding its own exponent
+    tuples and coefficients: monic, deduplicated and sorted."""
+    seen: dict = {}
+    for poly in raw_leibniz_residuals(p):
+        normal = poly.monic()
+        seen.setdefault(tuple(sorted(normal.terms.items())), normal)
+    return sorted(seen.values(), key=lambda q: q.sort_key())
+
+
+@pytest.mark.parametrize(
+    "table",
+    [parametric_table6, parametric_table1, lambda: filtered_parametric_table(0)],
+    ids=["table6", "table1", "filtered"],
+)
+def test_constraints_share_their_exponents_and_coefficients(table):
+    # the same list as the unshared one, printed and ordered alike, with
+    # each distinct exponent tuple and coefficient held once across it
+    p = table()
+    got, expected = leibniz_constraints(p), unshared_constraints(p)
+    assert got == expected
+    assert [str(q) for q in got] == [str(q) for q in expected]
+    assert [q.sort_key() for q in got] == [q.sort_key() for q in expected]
+    exponents: dict = {}
+    coefficients: dict = {}
+    for q in got:
+        for e, c in q.terms.items():
+            assert exponents.setdefault(e, e) is e
+            assert coefficients.setdefault(c, c) is c
+    terms = sum(len(q.terms) for q in got)
+    assert len(got) >= 3 and terms > len(coefficients)
+
+
 class TestEvalAt:
     def _assign(self, field, **values):
         out = {v: field(0) for v in TABLE6_VARIABLES}

@@ -252,9 +252,10 @@ def test_structural_suite_enumerates_each_towers_maximals_once(monkeypatch):
 
 
 def test_structural_suite_builds_one_record_per_table(monkeypatch):
-    # each distinct tower table is checked once, on its own record, and each
-    # distinct induced maximal table of the whole call has one record in the
-    # call's _Records
+    # each distinct tower table is checked once, and each distinct table of
+    # the whole call, tower or induced maximal, has one record in the call's
+    # _Records: at this seed a tower equal to an earlier maximal's induced
+    # table checks that table's record
     from leibalg import reproduce
 
     towers = distinct_towers(GF(3), 12, 4, seed=2)
@@ -269,13 +270,14 @@ def test_structural_suite_builds_one_record_per_table(monkeypatch):
         checked.append(table_values(record.algebra))
         return real_check(record)
 
-    expected = len(towers) + len(induced_tables(towers))
+    tables = {table_values(t) for t in towers} | induced_tables(towers)
+    assert (len(towers), len(tables)) == (9, 11)
     monkeypatch.setattr(maximal, "_Side", side)
     monkeypatch.setattr(reproduce, "_check_tower", check)
     evidence = run_structural_suite(GF(3), 12, 4, seed=2)
     assert "; 3 central ideals dropped the coclass;" in evidence
     assert checked == [table_values(t) for t in towers]
-    assert len(built) == expected
+    assert len(built) == 11
 
 
 def test_structural_suite_reads_each_towers_series_off_its_profile(monkeypatch):
@@ -284,9 +286,13 @@ def test_structural_suite_reads_each_towers_series_off_its_profile(monkeypatch):
     # tower's record, and the central-ideal quotients read their class off
     # it too: the lower series is built once per distinct tower table and
     # never for a quotient or a maximal, and the upper series once per
-    # distinct tower table and once per distinct induced table of the call
+    # distinct table of the call, tower or induced: 9 towers and 3 induced
+    # tables, one of them a tower's
     towers = distinct_towers(GF(3), 12, 4, seed=2)
     induced = induced_tables(towers)
+    assert (len(towers), len(induced), len({table_values(t) for t in towers} | induced)) == (
+        9, 3, 11
+    )
     calls = []
     count_calls(
         monkeypatch,
@@ -304,7 +310,7 @@ def test_structural_suite_reads_each_towers_series_off_its_profile(monkeypatch):
                  "split_codim1_center"):
         assert calls.count(name) == 0, name
     assert calls.count("lower_central_series") == len(towers)
-    assert calls.count("upper_central_series") == len(towers) + len(induced)
+    assert calls.count("upper_central_series") == 11
 
 
 def test_structural_suite_reads_central_ideal_classes_off_the_lower_series(monkeypatch):
@@ -350,13 +356,14 @@ def test_central_ideal_classes_match_the_quotients_ideal_by_ideal(p, seed, ideal
     assert seen == ideals
 
 
-@pytest.mark.parametrize("p, seed, per_tower, shared", [(2, 1, 113, 63), (3, 2, 139, 97)])
+@pytest.mark.parametrize("p, seed, per_tower, shared", [(2, 1, 113, 46), (3, 2, 139, 84)])
 def test_structural_suite_computes_one_upper_series_per_distinct_maximal_table(
     monkeypatch, p, seed, per_tower, shared
 ):
-    # at the benchmark's seeds: one upper series per distinct induced table
-    # of the whole call, where deciding P2 tower by tower computes one per
-    # distinct table of each tower
+    # at the benchmark's seeds: one upper series per distinct table of the
+    # whole call, tower or induced, where deciding P2 tower by tower computes
+    # one per distinct table of each tower; ``shared`` counts the induced
+    # tables that are no tower's
     field = GF(p)
     calls = []
     upper_central_series = series.upper_central_series
@@ -372,7 +379,8 @@ def test_structural_suite_computes_one_upper_series_per_distinct_maximal_table(
     assert len(calls) == per_tower
     calls.clear()
     run_structural_suite(field, 100, 5, seed)
-    # one more per distinct tower, for the tower's own profile
+    # one per distinct tower, for the tower's own profile, shared with an
+    # induced table equal to it
     for tower in towers:
         calls.remove(table_values(tower))
     assert len(calls) == len(set(calls)) == shared

@@ -1,11 +1,13 @@
 """The search data of an isomorphism record, built once per record.
 
 The source side builds its closures, signatures and relations once; the
-target side keeps, per generator signature, the candidates for a first
-generator that passed the signature filter, with their generation indices.
-A search that reads them must find the same maps, give the same verdicts
-and count the same candidates against ``SEARCH_CANDIDATE_BOUND`` as the
-search that builds everything afresh, kept below as the reference.
+target side keeps, per filter key (square flag and membership profile),
+the candidates for a first generator that passed that filter, with their
+generation indices.  A search that reads them, and compares ``mult_data``
+only on images that replay, must find the same maps, give the same
+verdicts and count the same candidates against ``SEARCH_CANDIDATE_BOUND``
+as the search that builds everything afresh and filters every candidate on
+the full signature, kept below as the reference.
 """
 
 import itertools
@@ -35,8 +37,12 @@ from leibalg.maximal import (
 from leibalg.randomgen import change_of_basis, random_invertible_matrix, random_nilpotent_algebra
 
 
-def reference_search(side_a, side_b):
-    """The generator-image search with every piece of search data built per call."""
+def reference_search(side_a, side_b, tally=None):
+    """The generator-image search with every piece of search data built per call.
+
+    Every candidate is filtered on the full signature before anything else;
+    the number generated is appended to ``tally`` when the search decides.
+    """
     p = side_a.p
     n = side_a.n
     gens = side_a.coset_coords
@@ -98,7 +104,10 @@ def reference_search(side_a, side_b):
                 return result
         return None
 
-    return descend(0, [], [])
+    result = descend(0, [], [])
+    if tally is not None:
+        tally.append(generated)
+    return result
 
 
 def outcome(search, side_a, side_b):
@@ -230,9 +239,19 @@ def test_verdicts_equal_the_full_signature_reference(source):
 def test_shared_records_search_as_the_reference(monkeypatch, source, bound):
     # every pair of a group, the records shared across the group's searches
     # as in check_p1, against the reference on fresh records: the same
-    # matrix, the same "no" and the same raise past the budget
+    # matrix, the same "no" and the same raise past the budget, and on every
+    # pair that is decided the same number of candidates charged as the
+    # reference generates
     if bound is not None:
         monkeypatch.setattr(maximal, "SEARCH_CANDIDATE_BOUND", bound)
+    charged = []
+    real_charge = maximal._Budget.charge
+
+    def charge(budget, count):
+        charged.append(count)
+        real_charge(budget, count)
+
+    monkeypatch.setattr(maximal._Budget, "charge", charge)
     groups = {"oracle": oracle_groups, "rebased": rebased_groups, "a1_6dim": a1_maximal_groups}
     seen = set()
     for algebras in groups[source]():
@@ -240,14 +259,22 @@ def test_shared_records_search_as_the_reference(monkeypatch, source, bound):
         for (i, a), (j, b) in itertools.product(enumerate(algebras), repeat=2):
             if sides[i].fingerprint != sides[j].fingerprint:
                 continue
-            expected = outcome(reference_search, _Side(a), _Side(b))
+            tally = []
+            expected = outcome(lambda x, y: reference_search(x, y, tally), _Side(a), _Side(b))
+            charged.clear()
             got = outcome(_search_isomorphism, sides[i], sides[j])
             assert got == expected, (source, bound, i, j)
             seen.add("raise" if got == "raise" else got is not None)
+            if got != "raise":
+                assert [sum(charged)] == tally, (source, bound, i, j)
         if source == "rebased":
-            # one target record holds scans for two signatures with one square flag
-            sigs = list(sides[0]._first_scans)
-            assert len(sigs) == 2 and sigs[0][0] == sigs[1][0]
+            # the first generators of the original and of the copy with x
+            # and y swapped differ in mult_data alone: one target record
+            # holds one first scan for both
+            keys = {side.generators[1][0][0] for side in sides}
+            first_mult_data = {side.generators[1][0][1] for side in sides[:2]}
+            assert len(first_mult_data) == 2
+            assert list(sides[0]._first_scans) == list(keys) and len(keys) == 1
     if source == "rebased" and bound not in (3, 50):
         assert seen == {True}
     if source == "oracle" and bound != 3:

@@ -1,5 +1,8 @@
 """Central series, class, coclass, Frattini subalgebra, cyclicity."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from leibalg import (
@@ -18,6 +21,8 @@ from leibalg import (
     nilpotency_data,
     upper_central_series,
 )
+from leibalg.catalog import list_catalog, sample_params
+from leibalg.randomgen import change_of_basis, random_invertible_matrix, random_nilpotent_algebra
 
 
 def solvable_plane(field):
@@ -40,6 +45,74 @@ class TestLowerSeries:
 
     def test_non_nilpotent_stabilizes(self):
         assert [s.dim for s in lower_central_series(solvable_plane(GF(5)))] == [2, 1]
+
+
+def span_products_series(algebra, right=False):
+    """The lower series stepped by ``span_products(full, term)``: [A, gamma_k].
+
+    With ``right`` it steps [gamma_k, A] instead, which differs on some
+    non-Lie Leibniz algebras.
+    """
+    full = algebra.full_space()
+    terms = [full]
+    while not terms[-1].is_zero():
+        left, right_factor = (terms[-1], full) if right else (full, terms[-1])
+        nxt = algebra.span_products(left, right_factor)
+        if nxt == terms[-1]:
+            break
+        terms.append(nxt)
+    return terms
+
+
+def rational_basis_change(rng, n):
+    """An invertible U L of small rationals: U upper triangular with a nonzero
+    diagonal, L unit lower triangular."""
+    upper = [
+        [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if j > i else Fraction(i + 1, 2 - i % 2)
+         if i == j else Fraction(0) for j in range(n)]
+        for i in range(n)
+    ]
+    lower = [[Fraction(rng.randint(-1, 1)) if j < i else Fraction(int(i == j)) for j in range(n)]
+             for i in range(n)]
+    return [[sum(upper[i][k] * lower[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def lower_series_cases(field):
+    """Seeded towers (GF(p)), every catalog family and a copy in another
+    basis, and the induced tables of the maximals of the nilpotent ones."""
+    rng = random.Random(field.characteristic)
+    algebras = []
+    if field.is_finite():
+        algebras += [random_nilpotent_algebra(rng, field, rng.randrange(2, 6)) for _ in range(25)]
+    for entry in list_catalog():
+        params = sample_params(entry.name, field)
+        if entry.params and params is None:
+            continue
+        algebra = instantiate(entry.name, field, params)
+        if field.is_finite():
+            matrix = random_invertible_matrix(rng, field, algebra.dim)
+        else:
+            matrix = rational_basis_change(rng, algebra.dim)
+        algebras += [algebra, change_of_basis(algebra, matrix)]
+    if field.is_finite():
+        nilpotent = [a for a in algebras if span_products_series(a)[-1].is_zero()]
+        algebras += [m.induced for a in nilpotent for m in enumerate_maximal(a)[:3]]
+    return algebras
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=str)
+def test_lower_series_equals_the_span_products_reference(field):
+    # the terms read off the cells against span_products(full, term), on
+    # towers, catalog families in two bases and induced maximal tables; on
+    # some non-Lie algebras [gamma_k, A] differs from [A, gamma_k], so a
+    # read-off of [r, e_i] in place of [e_i, r] fails here
+    one_sided = 0
+    algebras = lower_series_cases(field)
+    for algebra in algebras:
+        expected = span_products_series(algebra)
+        assert lower_central_series(algebra) == expected
+        one_sided += not algebra.is_lie() and span_products_series(algebra, True) != expected
+    assert one_sided > 0
 
 
 class TestUpperSeries:

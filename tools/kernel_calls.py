@@ -8,12 +8,15 @@ Builds each workload of ``perfbench/workloads.py`` at the seed, runs the
 operations of one round once, and prints, per workload, how often the
 central series, the elimination kernel, its nullspace read-off
 (``echelon_nullspace``, also counted inside ``nullspace``) and its
-one-elimination canonical kernel (``kernel_echelon``), the isomorphism
-decision (``_Side.isomorphism``), the generator-image search, the
-operator signature of a candidate image (``_Side.mult_data``) and the
-cocycle space of a tower step (``randomgen._cocycle_space``) were
-called, and how often ``Subspace.reduce`` ran: the boxed reduction that
-the Q branch of ``centralizer_mod`` still makes, 2 n^2 of them per call.
+one-elimination canonical kernel (``kernel_echelon``), the raw bracket
+(``_modp.bracket``), the isomorphism decision (``_Side.isomorphism``), the
+generator-image search, the replay of a candidate's images along a closure
+recipe (``_Closure.replay``), the operator signature of a vector
+(``maximal._mult_data``: signatures computed, not the memo hits of
+``_Side.mult_data``) and the cocycle space of a tower step
+(``randomgen._cocycle_space``) were called, and how often
+``Subspace.reduce`` ran: the boxed reduction that the Q branch of
+``centralizer_mod`` still makes, 2 n^2 of them per call.
 It then runs a second round under ``cProfile`` and prints the number of
 Python function calls in it (builtins are not counted); the first round
 is its warm-up, so imports and other first-round work are left out.
@@ -44,9 +47,11 @@ COUNTED = [
     (_modp, "rref"),
     (_modp, "echelon_nullspace"),
     (_modp, "kernel_echelon"),
+    (_modp, "bracket"),
     (maximal._Side, "isomorphism"),
     (maximal, "_search_isomorphism"),
-    (maximal._Side, "mult_data"),
+    (maximal._Closure, "replay"),
+    (maximal, "_mult_data"),
     (randomgen, "_cocycle_space"),
     (linalg.Subspace, "reduce"),
 ]
