@@ -265,8 +265,8 @@ def run_structural_suite(field: Field, count: int, max_dim: int, seed: int) -> s
     from the rng.  The call makes one ``maximal._Records`` and takes each
     tower's record from it too, so each distinct table, tower or induced
     maximal, has one record, and its series are computed once per call,
-    across towers; the class of each central-ideal quotient
-    is read off the tower's lower series, with no quotient or ideal built.
+    across towers; the class of each central-ideal quotient is read off
+    the tower's lower series, with no quotient or ideal built.
     The towers share one dict of cocycle spaces, so the space of each
     distinct table a tower extends is computed once per call.  Nothing
     outlives the call.

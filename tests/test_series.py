@@ -56,8 +56,8 @@ def span_products_series(algebra, right=False):
     full = algebra.full_space()
     terms = [full]
     while not terms[-1].is_zero():
-        left, right_factor = (terms[-1], full) if right else (full, terms[-1])
-        nxt = algebra.span_products(left, right_factor)
+        factors = (terms[-1], full) if right else (full, terms[-1])
+        nxt = algebra.span_products(*factors)
         if nxt == terms[-1]:
             break
         terms.append(nxt)
@@ -67,14 +67,18 @@ def span_products_series(algebra, right=False):
 def rational_basis_change(rng, n):
     """An invertible U L of small rationals: U upper triangular with a nonzero
     diagonal, L unit lower triangular."""
-    upper = [
-        [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if j > i else Fraction(i + 1, 2 - i % 2)
-         if i == j else Fraction(0) for j in range(n)]
-        for i in range(n)
-    ]
-    lower = [[Fraction(rng.randint(-1, 1)) if j < i else Fraction(int(i == j)) for j in range(n)]
-             for i in range(n)]
-    return [[sum(upper[i][k] * lower[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    def upper(i, j):
+        if i == j:
+            return Fraction(i + 2, 2)
+        return Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if j > i else Fraction(0)
+
+    def lower(i, j):
+        return Fraction(rng.randint(-1, 1)) if j < i else Fraction(int(i == j))
+
+    u = [[upper(i, j) for j in range(n)] for i in range(n)]
+    l = [[lower(i, j) for j in range(n)] for i in range(n)]
+    return [[sum(u[i][k] * l[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
 def lower_series_cases(field):
